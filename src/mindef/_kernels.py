@@ -1,216 +1,112 @@
-"""Hot enumeration kernels with a JIT backend and a fallback backend.
+"""Hot enumeration kernels and the compressed search-space layout they read.
 
-Two independent enumeration strategies live here:
+The kernels work on a search space renumbered to dense local bits
+``0..k-1`` (see :class:`LocalSpace`). Two enumeration strategies live here:
 
 * ``subset_scan`` walks every bit pattern of a (small) search space in
   numeric order and keeps the conflict-free / admissible ones. This is the
-  exhaustive reference path. JIT backend: a tight ``@njit`` loop over int64
-  masks. Fallback backend: the same scan vectorized with numpy over an
-  ``arange`` of all patterns.
+  exhaustive reference path, vectorized with numpy over an ``arange`` of all
+  patterns.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
   arguments, pruning conflicting inclusions and branches whose pending
-  defence obligations can no longer be met. JIT backend: an iterative
-  ``@njit`` stack machine over int64 masks (candidate count <= 60).
-  Fallback backend: a recursive pure-Python walk over unbounded ints, which
-  also serves candidate counts beyond 60 and wall-clock deadlines (the JIT
-  kernel cannot read the clock).
-
-The backend is picked per call: the ``MINDEF_NUMBA`` environment variable
-(``0``/``off`` disables JIT) sets the module default ``JIT_ENABLED``;
-``benchmarks/compare_backends.py`` times one against the other.
+  defence obligations can no longer be met. It is a recursive pure-Python
+  walk over unbounded ints that reads the clock for wall-clock deadlines.
 """
 
-import os
+import importlib.util
 import time
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+from .model import bits
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-JIT_ENABLED = HAVE_NUMBA and os.environ.get(
-    "MINDEF_NUMBA", "1").strip().lower() not in ("0", "off", "no", "false")
-
-# candidate counts above this use the pure-Python path (masks no longer fit
-# a signed 64-bit word)
-JIT_MAX_BITS = 60
+# Machine facts reported by benchmark runs; the package has no JIT backend.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+JIT_ENABLED = False
 
 
 class DeadlineReached(Exception):
     """Internal signal: the wall-clock ceiling fired mid-search."""
 
 
-def backend_for(bit_count: int, deadline: float | None) -> str:
-    if JIT_ENABLED and bit_count <= JIT_MAX_BITS and deadline is None:
-        return "numba"
-    return "fallback"
+class LocalSpace:
+    """A subset of a framework's arguments renumbered to local bits.
+
+    ``members[j]`` is the global index behind local bit ``j``.
+    ``conflict[j]`` is the local mask of members that attack member ``j`` or
+    are attacked by it. With ``defence``, ``ob_masks[ob_off[j]:ob_off[j+1]]``
+    holds, per attacker of member ``j``, the local mask of members that
+    counter-attack it; without, every member has no obligations.
+    """
+
+    __slots__ = ("members", "local_of", "space", "conflict", "ob_off",
+                 "ob_masks")
+
+    def __init__(self, af, space: int, defence: bool):
+        att = af.attacker_masks
+        tgt = af.target_masks
+        self.space = space
+        self.members = list(bits(space))
+        self.local_of = {g: j for j, g in enumerate(self.members)}
+        to_local = self.to_local
+        self.conflict = [to_local(att[g] | tgt[g]) for g in self.members]
+        self.ob_off = [0]
+        self.ob_masks = []
+        for g in self.members:
+            if defence:
+                for b in bits(att[g]):
+                    self.ob_masks.append(to_local(att[b]))
+            self.ob_off.append(len(self.ob_masks))
+
+    def to_local(self, global_mask: int) -> int:
+        local_of = self.local_of
+        out = 0
+        for g in bits(global_mask & self.space):
+            out |= 1 << local_of[g]
+        return out
+
+    def to_global(self, local_mask: int) -> int:
+        members = self.members
+        out = 0
+        for j in bits(local_mask):
+            out |= 1 << members[j]
+        return out
 
 
-# ---------------------------------------------------------------------------
-# exhaustive subset scan
-# ---------------------------------------------------------------------------
+def subset_scan(k: int, conflict, ob_off, ob_masks,
+                require_defence: bool) -> list[int]:
+    """All conflict-free (and, on request, admissible) k-bit patterns.
 
-@njit(cache=True)
-def _scan_jit(k, att_local, ob_off, ob_masks, require_defence):
-    out = np.empty(64, np.int64)
-    count = 0
-    for s in range(np.int64(1) << k):
-        ok = True
-        for i in range(k):
-            if not (s >> i) & 1:
-                continue
-            if att_local[i] & s:
-                ok = False
-                break
-            if require_defence:
-                for t in range(ob_off[i], ob_off[i + 1]):
-                    if ob_masks[t] & s == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            if count == out.shape[0]:
-                grown = np.empty(out.shape[0] * 2, np.int64)
-                grown[:count] = out
-                out = grown
-            out[count] = s
-            count += 1
-    return out[:count]
-
-
-def _scan_numpy(k, att_local, ob_off, ob_masks, require_defence):
+    Arguments follow the :class:`LocalSpace` layout. Patterns come back in
+    increasing numeric order.
+    """
+    conflict = np.asarray(conflict, dtype=np.int64)
     subs = np.arange(np.int64(1) << k, dtype=np.int64)
     ok = np.ones(subs.shape[0], dtype=np.bool_)
     for i in range(k):
         member = (subs >> i) & 1 == 1
-        ok &= ~(member & ((subs & att_local[i]) != 0))
+        ok &= ~(member & ((subs & conflict[i]) != 0))
         if require_defence:
             for t in range(ob_off[i], ob_off[i + 1]):
                 ok &= ~(member & ((subs & ob_masks[t]) == 0))
-    return subs[ok]
+    return [int(m) for m in subs[ok]]
 
 
-def subset_scan(k: int, att_local, ob_off, ob_masks,
-                require_defence: bool) -> list[int]:
-    """All conflict-free (and, on request, admissible) k-bit patterns.
+def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,
+                  ob_off, ob_masks, maximal_only: bool,
+                  deadline: float | None) -> list[int]:
+    """Admissible (or conflict-free, when no obligations) candidate masks.
 
-    ``att_local[i]`` is the mask of in-space attackers of member ``i``;
-    ``ob_masks[ob_off[i]:ob_off[i+1]]`` holds, per attacker of member ``i``,
-    the mask of in-space counter-attackers that would answer it. Patterns
-    come back in increasing numeric order.
+    Arguments follow the :class:`LocalSpace` layout. ``pos_idx`` lists the
+    branchable candidate indices in fixed order; ``forced_mask`` members are
+    included unconditionally. ``suffix_avail[d]`` must hold the union of
+    bits still branchable at depth ``d``. With ``maximal_only``, branches
+    that provably yield no inclusion-maximal set are cut, so the caller must
+    only use the result for maximality filtering. Raises
+    :class:`DeadlineReached` when the deadline fires; recursion depth grows
+    with ``len(pos_idx)``.
     """
-    att = np.asarray(att_local, dtype=np.int64)
-    off = np.asarray(ob_off, dtype=np.int64)
-    obs = np.asarray(ob_masks, dtype=np.int64)
-    if JIT_ENABLED and k <= JIT_MAX_BITS:
-        res = _scan_jit(k, att, off, obs, require_defence)
-    else:
-        res = _scan_numpy(k, att, off, obs, require_defence)
-    return [int(m) for m in res]
-
-
-# ---------------------------------------------------------------------------
-# include/exclude depth-first enumeration
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _dfs_jit(k, pos_idx, suffix_avail, forced_mask, conflict, ob_off, ob_masks,
-             maximal_only):
-    npos = pos_idx.shape[0]
-    out = np.empty(64, np.int64)
-    count = 0
-    stack_depth = np.empty(npos + 2, np.int64)
-    stack_inc = np.empty(npos + 2, np.int64)
-    stack_depth[0] = 0
-    stack_inc[0] = forced_mask
-    top = 1
-    while top > 0:
-        top -= 1
-        depth = stack_depth[top]
-        inc = stack_inc[top]
-        avail = suffix_avail[depth]
-        dead = False
-        for i in range(k):
-            if not (inc >> i) & 1:
-                continue
-            for t in range(ob_off[i], ob_off[i + 1]):
-                m = ob_masks[t]
-                if m & inc == 0 and m & avail == 0:
-                    dead = True
-                    break
-            if dead:
-                break
-        if dead:
-            continue
-        if depth == npos:
-            if maximal_only:
-                # drop leaves some excluded candidate could still join:
-                # the enlarged set is admissible, so this one is not maximal
-                extendable = False
-                for i in range(k):
-                    bit = np.int64(1) << i
-                    if inc & bit or conflict[i] & inc:
-                        continue
-                    addable = True
-                    for t in range(ob_off[i], ob_off[i + 1]):
-                        if ob_masks[t] & (inc | bit) == 0:
-                            addable = False
-                            break
-                    if addable:
-                        extendable = True
-                        break
-                if extendable:
-                    continue
-            if count == out.shape[0]:
-                grown = np.empty(out.shape[0] * 2, np.int64)
-                grown[:count] = out
-                out = grown
-            out[count] = inc
-            count += 1
-            continue
-        i = pos_idx[depth]
-        bit = np.int64(1) << i
-        can_include = conflict[i] & inc == 0
-        must_include = False
-        if can_include and maximal_only:
-            # already defended and non-conflicting: any admissible superset
-            # without i extends by i, so exclude-leaves are never maximal
-            must_include = True
-            for t in range(ob_off[i], ob_off[i + 1]):
-                if ob_masks[t] & inc == 0:
-                    must_include = False
-                    break
-            if not must_include and conflict[i] & suffix_avail[depth + 1] == 0:
-                # no later branch can conflict with i either; if i stays
-                # defendable by itself the exclude subtree is all non-maximal
-                must_include = True
-                for t in range(ob_off[i], ob_off[i + 1]):
-                    if ob_masks[t] & (inc | bit) == 0:
-                        must_include = False
-                        break
-        if not must_include:
-            stack_depth[top] = depth + 1
-            stack_inc[top] = inc
-            top += 1
-        if can_include:
-            stack_depth[top] = depth + 1
-            stack_inc[top] = inc | bit
-            top += 1
-    return out[:count]
-
-
-def _dfs_py(k, pos_idx, suffix_avail, forced_mask, conflict, ob_off, ob_masks,
-            maximal_only, deadline):
     npos = len(pos_idx)
     out = []
     ticks = 0
@@ -265,42 +161,5 @@ def _dfs_py(k, pos_idx, suffix_avail, forced_mask, conflict, ob_off, ob_masks,
     return out
 
 
-def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,
-                  ob_off, ob_masks, maximal_only: bool,
-                  deadline: float | None) -> list[int]:
-    """Admissible (or conflict-free, when no obligations) candidate masks.
-
-    ``pos_idx`` lists the branchable candidate indices in fixed order;
-    ``forced_mask`` members are included unconditionally. ``suffix_avail[d]``
-    must hold the union of bits still branchable at depth ``d``. With
-    ``maximal_only``, branches that provably yield no inclusion-maximal set
-    are cut, so the caller must only use the result for maximality
-    filtering. Raises :class:`DeadlineReached` when the deadline fires.
-    """
-    if backend_for(k, deadline) == "numba":
-        res = _dfs_jit(k,
-                       np.asarray(pos_idx, dtype=np.int64),
-                       np.asarray(suffix_avail, dtype=np.int64),
-                       np.int64(forced_mask),
-                       np.asarray(conflict, dtype=np.int64),
-                       np.asarray(ob_off, dtype=np.int64),
-                       np.asarray(ob_masks, dtype=np.int64),
-                       maximal_only)
-        return [int(m) for m in res]
-    return _dfs_py(k, list(pos_idx), list(suffix_avail), forced_mask,
-                   list(conflict), list(ob_off), list(ob_masks), maximal_only,
-                   deadline)
-
-
-def warmup() -> None:
-    """Force JIT compilation on a toy problem so later timings are honest."""
-    if not JIT_ENABLED:
-        return
-    att = np.zeros(2, dtype=np.int64)
-    att[1] = 1  # member 0 attacks member 1
-    off = np.array([0, 0, 1], dtype=np.int64)
-    obs = np.array([0], dtype=np.int64)
-    _scan_jit(2, att, off, obs, True)
-    _dfs_jit(2, np.array([0, 1], dtype=np.int64),
-             np.array([3, 2, 0], dtype=np.int64), np.int64(0),
-             np.array([0, 1], dtype=np.int64), off, obs, True)
+# the name the benchmark tracer reads the recursive ``walk`` helper from
+_dfs_py = dfs_enumerate

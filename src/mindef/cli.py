@@ -1,9 +1,9 @@
 """Command-line surface: solve, check, oracle, and generate.
 
 Exit codes: 0 for any answered request (YES and NO verdicts both count as
-answered), 2 for input problems (unreadable files, syntax errors,
-undeclared arguments, bad flag combinations), 3 for an exhausted search
-budget.
+answered), 2 for input problems (unreadable or non-UTF-8 files, syntax
+errors, undeclared arguments, bad flag combinations), 3 for an exhausted
+search budget or a search too deep for the recursive kernel.
 """
 
 import argparse
@@ -20,9 +20,37 @@ from .generators import GeneratorConfig, random_instance
 from .semantics import (is_admissible, is_conflict_free,
                         is_restrictedly_admissible)
 
-SEMANTICS = ("conflict-free", "admissible", "preferred", "preferred-on-f",
-             "restricted-admissible", "min-def")
-POINTWISE = ("conflict-free", "admissible", "restricted-admissible")
+# semantics -> (solver call, oracle call), each taking (af, p, x, budget)
+# where x is the base set of preferred-on-f; the lambdas look the entry
+# points up at call time, so wrappers set on the modules see every call
+FAMILIES = {
+    "conflict-free": (
+        lambda af, p, x, b: extensions.conflict_free_sets(af, None, b),
+        lambda af, p, x, b: oracle.oracle_conflict_free(af, None, b)),
+    "admissible": (
+        lambda af, p, x, b: extensions.admissible_sets(af, None, b),
+        lambda af, p, x, b: oracle.oracle_admissible(af, None, b)),
+    "preferred": (
+        lambda af, p, x, b: extensions.preferred_extensions(af, b),
+        lambda af, p, x, b: oracle.oracle_preferred(af, b)),
+    "preferred-on-f": (
+        lambda af, p, x, b: extensions.preferred_extensions_on(af, x, b),
+        lambda af, p, x, b: oracle.oracle_preferred_on(af, x, b)),
+    "restricted-admissible": (
+        lambda af, p, x, b: extensions.restrictedly_admissible_sets(af, p, b),
+        lambda af, p, x, b: oracle.oracle_restrictedly_admissible(af, p, b)),
+    "min-def": (
+        lambda af, p, x, b: extensions.min_def_extensions(af, p, b),
+        lambda af, p, x, b: oracle.oracle_min_def(af, p, b)),
+}
+SEMANTICS = tuple(FAMILIES)
+
+# semantics `check` tests by predicate rather than by family membership
+PREDICATES = {
+    "conflict-free": lambda af, p, s: is_conflict_free(af, s),
+    "admissible": lambda af, p, s: is_admissible(af, s),
+    "restricted-admissible": is_restrictedly_admissible,
+}
 
 
 @dataclass
@@ -60,35 +88,14 @@ def _read_input(request: SolveRequest) -> str:
 
 
 def _enumerate_family(af, p, request: SolveRequest) -> ExtensionFamily:
-    sem = request.semantics
-    budget = request.budget
-    if sem == "preferred-on-f":
+    x = None
+    if request.semantics == "preferred-on-f":
         x = af.subset(request.on) if request.on is not None else p.focus
     elif request.on is not None:
         raise PreconditionViolated("--on is only meaningful with preferred-on-f")
-    if request.engine == "oracle":
-        if sem == "conflict-free":
-            return oracle.oracle_conflict_free(af, None, budget)
-        if sem == "admissible":
-            return oracle.oracle_admissible(af, None, budget)
-        if sem == "restricted-admissible":
-            return oracle.oracle_restrictedly_admissible(af, p, budget)
-        if sem == "preferred":
-            return oracle.oracle_preferred(af, budget)
-        if sem == "preferred-on-f":
-            return oracle.oracle_preferred_on(af, x, budget)
-        return oracle.oracle_min_def(af, p, budget)
-    if sem == "conflict-free":
-        return extensions.conflict_free_sets(af, budget=budget)
-    if sem == "admissible":
-        return extensions.admissible_sets(af, budget=budget)
-    if sem == "restricted-admissible":
-        return extensions.restrictedly_admissible_sets(af, p, budget)
-    if sem == "preferred":
-        return extensions.preferred_extensions(af, budget)
-    if sem == "preferred-on-f":
-        return extensions.preferred_extensions_on(af, x, budget)
-    return extensions.min_def_extensions(af, p, budget)
+    solver, brute_force = FAMILIES[request.semantics]
+    enumerate_with = brute_force if request.engine == "oracle" else solver
+    return enumerate_with(af, p, x, request.budget)
 
 
 def execute(request: SolveRequest) -> SolveResult:
@@ -106,12 +113,8 @@ def execute(request: SolveRequest) -> SolveResult:
         verdict = accept(af, fam, request.argument)
     elif request.mode == "check":
         s = af.subset(request.check_set or ())
-        if request.semantics == "conflict-free":
-            verdict = is_conflict_free(af, s)
-        elif request.semantics == "admissible":
-            verdict = is_admissible(af, s)
-        elif request.semantics == "restricted-admissible":
-            verdict = is_restrictedly_admissible(af, p, s)
+        if request.semantics in PREDICATES:
+            verdict = PREDICATES[request.semantics](af, p, s)
         else:
             verdict = s in _enumerate_family(af, p, request)
     else:
@@ -156,7 +159,7 @@ def run_cli(request: SolveRequest, out=None) -> tuple:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 3
-    except (MindefError, OSError) as exc:
+    except (MindefError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     _render(result, request, out)
@@ -194,6 +197,16 @@ def _add_common(sub, with_engine=True):
                      help="wall-clock ceiling for the search")
 
 
+def _add_solve(sub):
+    sub.add_argument("--semantics", "-s", choices=SEMANTICS,
+                     default="preferred")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--credulous", metavar="ARG",
+                       help="is ARG in some extension?")
+    group.add_argument("--skeptical", metavar="ARG",
+                       help="is ARG in every extension?")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mindef",
@@ -201,29 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="enumerate extensions or query acceptance")
-    solve.add_argument("--semantics", "-s", choices=SEMANTICS,
-                       default="preferred")
-    group = solve.add_mutually_exclusive_group()
-    group.add_argument("--credulous", metavar="ARG",
-                       help="is ARG in some extension?")
-    group.add_argument("--skeptical", metavar="ARG",
-                       help="is ARG in every extension?")
+    _add_solve(solve)
     _add_common(solve)
 
     check = subs.add_parser("check", help="test one set against a property")
     check.add_argument("--set", required=True, metavar="NAMES",
                        help="comma-separated member names (empty for the empty set)")
     check.add_argument("--property", required=True, choices=SEMANTICS,
-                       dest="prop")
+                       dest="semantics")
     _add_common(check)
 
     orc = subs.add_parser("oracle", help="like solve, forced onto the oracle engine")
-    orc.add_argument("--semantics", "-s", choices=SEMANTICS,
-                     default="preferred")
-    group = orc.add_mutually_exclusive_group()
-    group.add_argument("--credulous", metavar="ARG")
-    group.add_argument("--skeptical", metavar="ARG")
+    _add_solve(orc)
     _add_common(orc, with_engine=False)
+    orc.set_defaults(engine="oracle")
 
     gen = subs.add_parser("generate", help="emit a seeded random instance as AFP")
     gen.add_argument("--arguments", "-n", type=int, required=True)
@@ -238,20 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from(ns, engine=None) -> SolveRequest:
-    mode = "enumerate"
-    argument = None
-    if getattr(ns, "credulous", None):
+def _request_from(ns) -> SolveRequest:
+    mode, argument, check_set = "enumerate", None, None
+    if ns.command == "check":
+        mode, check_set = "check", _names(ns.set)
+    elif ns.credulous:
         mode, argument = "credulous", ns.credulous
-    elif getattr(ns, "skeptical", None):
+    elif ns.skeptical:
         mode, argument = "skeptical", ns.skeptical
     return SolveRequest(
         source=ns.input,
         semantics=ns.semantics,
         mode=mode,
         argument=argument,
+        check_set=check_set,
         output=ns.format,
-        engine=engine or ns.engine,
+        engine=ns.engine,
         on=_names(ns.on) if ns.on is not None else None,
         budget=_budget_from(ns))
 
@@ -285,21 +291,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    if ns.command == "solve":
-        request = _request_from(ns)
-    elif ns.command == "oracle":
-        request = _request_from(ns, engine="oracle")
-    else:  # check
-        request = SolveRequest(
-            source=ns.input,
-            semantics=ns.prop,
-            mode="check",
-            check_set=_names(ns.set),
-            output=ns.format,
-            engine=ns.engine,
-            on=_names(ns.on) if ns.on is not None else None,
-            budget=_budget_from(ns))
-    _, code = run_cli(request)
+    _, code = run_cli(_request_from(ns))
     return code
 
 

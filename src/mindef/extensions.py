@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import (BudgetExceeded, CrossFrameworkSet, EmptyFamily,
                      NotWithinFocus, PreconditionViolated)
-from .model import ArgumentationFramework, ArgumentSet, Partition
-from .semantics import is_admissible, is_restrictedly_admissible
+from .model import ArgumentationFramework, ArgumentSet, Partition, bits
+from .semantics import (BETTER, is_admissible, is_restrictedly_admissible,
+                        prec_order)
 
 CONFLICT_FREE = "conflict-free"
 ADMISSIBLE_ALL = "admissible-all"
@@ -105,19 +106,12 @@ class ExtensionFamily:
         return "ExtensionFamily[%s]" % ", ".join(repr(m) for m in self.members)
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _prepare_space(af, space_mask, mode):
     """Shrink the search space; returns (candidate mask, forced mask)."""
     att = af.attacker_masks
     tgt = af.target_masks
     cand = space_mask
-    for i in _bits(space_mask):
+    for i in bits(space_mask):
         if att[i] >> i & 1:
             cand &= ~(1 << i)  # self-attackers are never conflict-free
     if mode == CONFLICT_FREE:
@@ -129,8 +123,8 @@ def _prepare_space(af, space_mask, mode):
         dropping = True
         while dropping:
             dropping = False
-            for i in _bits(cand):
-                for b in _bits(att[i]):
+            for i in bits(cand):
+                for b in bits(att[i]):
                     if att[b] & cand == 0:
                         cand &= ~(1 << i)
                         dropping = changed = True
@@ -141,14 +135,14 @@ def _prepare_space(af, space_mask, mode):
         forced = 0
         while True:
             grown = forced
-            for i in _bits(cand & ~forced):
-                if all(att[b] & forced for b in _bits(att[i])):
+            for i in bits(cand & ~forced):
+                if all(att[b] & forced for b in bits(att[i])):
                     grown |= 1 << i
             if grown == forced:
                 break
             forced = grown
         conflicted = 0
-        for i in _bits(cand & ~forced):
+        for i in bits(cand & ~forced):
             if (att[i] | tgt[i]) & forced:
                 conflicted |= 1 << i
         if conflicted:
@@ -162,46 +156,26 @@ def _solve_space(af, space_mask, mode, budget):
     """Global masks of all qualifying subsets of ``space_mask``."""
     deadline = (budget or DEFAULT_BUDGET).deadline()
     cand, forced = _prepare_space(af, space_mask, mode)
-    members = list(_bits(cand))
-    k = len(members)
-    local_of = {g: j for j, g in enumerate(members)}
-
-    def to_local(global_mask):
-        out = 0
-        for g in _bits(global_mask & cand):
-            out |= 1 << local_of[g]
-        return out
-
-    conflict = [to_local(af.attacker_masks[g] | af.target_masks[g])
-                for g in members]
-    ob_off = [0]
-    ob_masks = []
-    for g in members:
-        if mode != CONFLICT_FREE:
-            for b in _bits(af.attacker_masks[g]):
-                ob_masks.append(to_local(af.attacker_masks[b]))
-        ob_off.append(len(ob_masks))
-    forced_local = to_local(forced)
+    space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
+    k = len(space.members)
+    forced_local = space.to_local(forced)
     pos_idx = [j for j in range(k) if not forced_local >> j & 1]
     suffix = [0] * (len(pos_idx) + 1)
     for d in range(len(pos_idx) - 1, -1, -1):
         suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
     try:
         local_masks = _kernels.dfs_enumerate(
-            k, pos_idx, suffix, forced_local, conflict, ob_off, ob_masks,
-            mode == ADMISSIBLE_MAX, deadline)
+            k, pos_idx, suffix, forced_local, space.conflict, space.ob_off,
+            space.ob_masks, mode == ADMISSIBLE_MAX, deadline)
     except _kernels.DeadlineReached:
         raise BudgetExceeded(
             f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
         ) from None
-    globals_of = {j: g for g, j in local_of.items()}
-    out = []
-    for lm in local_masks:
-        gm = 0
-        for j in _bits(lm):
-            gm |= 1 << globals_of[j]
-        out.append(gm)
-    return out
+    except RecursionError:
+        raise BudgetExceeded(
+            f"a search over {len(pos_idx)} candidate arguments is too deep "
+            "for the recursive kernel") from None
+    return [space.to_global(lm) for lm in local_masks]
 
 
 def _subset_maximal_masks(masks):
@@ -287,7 +261,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
         raise PreconditionViolated("set must be admissible")
     deadline = (budget or DEFAULT_BUDGET).deadline()
     eu = e.mask & p.unrestricted.mask
-    er_bits = list(_bits(e.mask & p.restricted.mask))
+    er_bits = list(bits(e.mask & p.restricted.mask))
     minimal = []
     for size in range(len(er_bits) + 1):
         for combo in itertools.combinations(er_bits, size):
@@ -322,16 +296,6 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
     return filter_maximal(ExtensionFamily(candidates), order="prec", partition=p)
 
 
-def _prec_strictly_below(p, m1, m2):
-    # strictly more unrestricted content, or the same unrestricted content
-    # with strictly less restricted content
-    u1, r1 = m1 & p.unrestricted.mask, m1 & p.restricted.mask
-    u2, r2 = m2 & p.unrestricted.mask, m2 & p.restricted.mask
-    if u1 != u2:
-        return u1 | u2 == u2
-    return r1 != r2 and r2 | r1 == r1
-
-
 def filter_maximal(family: ExtensionFamily, order: str = "subset",
                    partition: Partition = None) -> ExtensionFamily:
     """Members of ``family`` not strictly dominated by another member.
@@ -359,7 +323,7 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
                                   (m & p.restricted.mask).bit_count(), m))
     kept = []
     for m in masks:
-        if not any(_prec_strictly_below(p, m, k) for k in kept):
+        if not any(prec_order(p, m, k) is BETTER for k in kept):
             kept.append(m)
     return ExtensionFamily(ArgumentSet(p.framework, m) for m in kept)
 

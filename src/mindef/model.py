@@ -11,6 +11,14 @@ from collections.abc import Iterable, Iterator
 from .errors import CrossFrameworkSet, UndeclaredArgument
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class ArgumentationFramework:
     """A finite set of arguments plus a directed attack relation.
 
@@ -135,16 +143,12 @@ class ArgumentSet:
 
     def __iter__(self) -> Iterator:
         names = self.framework.names
-        for i in self.indices():
+        for i in bits(self.mask):
             yield names[i]
 
     def indices(self) -> Iterator[int]:
         """Member indices in increasing index order."""
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return bits(self.mask)
 
     @property
     def names(self) -> tuple:
@@ -242,11 +246,7 @@ def is_well_founded(af: ArgumentationFramework) -> bool:
     while ready:
         v = ready.pop()
         peeled += 1
-        targets = af.target_masks[v]
-        while targets:
-            low = targets & -targets
-            w = low.bit_length() - 1
-            targets ^= low
+        for w in bits(af.target_masks[v]):
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)

@@ -16,13 +16,6 @@ from .model import ArgumentationFramework, ArgumentSet, Partition
 from .semantics import is_restrictedly_admissible
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _scan(af, restrict_to, budget, require_defence):
     if restrict_to is None:
         space = af.full_mask
@@ -30,37 +23,15 @@ def _scan(af, restrict_to, budget, require_defence):
         if restrict_to.framework is not af:
             raise CrossFrameworkSet("set belongs to a different framework")
         space = restrict_to.mask
-    members = list(_bits(space))
-    k = len(members)
+    k = space.bit_count()
     cap = (budget or DEFAULT_BUDGET).max_arguments_for_exhaustive
     if k > cap:
         raise BudgetExceeded(
             f"exhaustive scan over {k} arguments exceeds the cap of {cap}")
-    local_of = {g: j for j, g in enumerate(members)}
-
-    def to_local(global_mask):
-        out = 0
-        for g in _bits(global_mask & space):
-            out |= 1 << local_of[g]
-        return out
-
-    att_local = [to_local(af.attacker_masks[g]) for g in members]
-    ob_off = [0]
-    ob_masks = []
-    for g in members:
-        if require_defence:
-            for b in _bits(af.attacker_masks[g]):
-                ob_masks.append(to_local(af.attacker_masks[b]))
-        ob_off.append(len(ob_masks))
-    local_masks = _kernels.subset_scan(k, att_local, ob_off, ob_masks,
-                                       require_defence)
-    out = []
-    for lm in local_masks:
-        gm = 0
-        for j in _bits(lm):
-            gm |= 1 << members[j]
-        out.append(ArgumentSet(af, gm))
-    return out
+    local = _kernels.LocalSpace(af, space, require_defence)
+    local_masks = _kernels.subset_scan(k, local.conflict, local.ob_off,
+                                       local.ob_masks, require_defence)
+    return [ArgumentSet(af, local.to_global(lm)) for lm in local_masks]
 
 
 def oracle_conflict_free(af: ArgumentationFramework, restrict_to: ArgumentSet = None,

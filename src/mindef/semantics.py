@@ -12,7 +12,7 @@ least one of its unrestricted members.
 import enum
 
 from .errors import CrossFrameworkSet, NotWithinFocus
-from .model import ArgumentationFramework, ArgumentSet, Partition, split
+from .model import ArgumentationFramework, ArgumentSet, Partition, bits, split
 
 
 class PrecOrdering(enum.Enum):
@@ -24,10 +24,14 @@ class PrecOrdering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+# plain globals: attribute access on the enum class is slow in hot loops
+BETTER, EQUIVALENT, WORSE, INCOMPARABLE = PrecOrdering
+
+
 def is_conflict_free(af: ArgumentationFramework, s: ArgumentSet) -> bool:
     """True iff no member of ``s`` attacks a member of ``s`` (self included)."""
     mask = s.mask
-    for i in s.indices():
+    for i in bits(mask):
         if af.attacker_masks[i] & mask:
             return False
     return True
@@ -37,6 +41,7 @@ def defends(af: ArgumentationFramework, s: ArgumentSet, a) -> bool:
     """True iff every attacker of ``a`` is attacked by some member of ``s``."""
     attackers = af.attacker_masks[af.index(a)]
     smask = s.mask
+    # inlined rather than ``bits``: minimize_restricted runs this per subset
     while attackers:
         low = attackers & -attackers
         b = low.bit_length() - 1
@@ -48,7 +53,7 @@ def defends(af: ArgumentationFramework, s: ArgumentSet, a) -> bool:
 
 def defends_all(af: ArgumentationFramework, s: ArgumentSet) -> bool:
     """True iff ``s`` defends every one of its members."""
-    return all(defends(af, s, i) for i in s.indices())
+    return all(defends(af, s, i) for i in bits(s.mask))
 
 
 def is_admissible(af: ArgumentationFramework, s: ArgumentSet) -> bool:
@@ -68,11 +73,8 @@ def _parity_reachable(masks, start_index: int) -> int:
     parity = 1
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
+        for v in bits(frontier):
+            nxt |= masks[v]
         parity ^= 1
         frontier = nxt & ~seen[parity]
         seen[parity] |= frontier
@@ -109,18 +111,31 @@ def is_restrictedly_admissible(af: ArgumentationFramework, p: Partition,
     if not is_admissible(af, s):
         return False
     su, sr = split(s, p)
-    for x in sr.indices():
+    for x in bits(sr.mask):
         if not _parity_reachable(af.target_masks, x) & su.mask:
             return False
     return True
 
 
-def _prec_nonstrict(u1: int, r1: int, u2: int, r2: int) -> bool:
-    # first set preceded by second: strictly more unrestricted content, or
-    # identical unrestricted content with no extra restricted content
-    if u1 != u2 and u1 | u2 == u2:
-        return True
-    return u1 == u2 and r2 | r1 == r1
+def prec_order(p: Partition, m1: int, m2: int) -> PrecOrdering:
+    """How the focus subset with mask ``m2`` fares against mask ``m1``.
+
+    Mask-level core of :func:`prec_compare`, without its checks.
+    """
+    # inclusion on the unrestricted parts decides; when they agree, reverse
+    # inclusion on the restricted parts does (fewer is better)
+    u = p.unrestricted.mask
+    low, high = m1 & u, m2 & u
+    if low == high:
+        r = p.restricted.mask
+        low, high = m2 & r, m1 & r
+    if low == high:
+        return EQUIVALENT
+    if low | high == high:
+        return BETTER
+    if low | high == low:
+        return WORSE
+    return INCOMPARABLE
 
 
 def prec_compare(p: Partition, s1: ArgumentSet, s2: ArgumentSet) -> PrecOrdering:
@@ -136,14 +151,4 @@ def prec_compare(p: Partition, s1: ArgumentSet, s2: ArgumentSet) -> PrecOrdering
             raise CrossFrameworkSet("set and partition belong to different frameworks")
         if s.mask & ~p.focus.mask:
             raise NotWithinFocus(f"set {s!r} is not within the focus {p.focus!r}")
-    u1, r1 = s1.mask & p.unrestricted.mask, s1.mask & p.restricted.mask
-    u2, r2 = s2.mask & p.unrestricted.mask, s2.mask & p.restricted.mask
-    forward = _prec_nonstrict(u1, r1, u2, r2)
-    backward = _prec_nonstrict(u2, r2, u1, r1)
-    if forward and backward:
-        return PrecOrdering.EQUIVALENT
-    if forward:
-        return PrecOrdering.STRICTLY_BETTER
-    if backward:
-        return PrecOrdering.STRICTLY_WORSE
-    return PrecOrdering.INCOMPARABLE
+    return prec_order(p, s1.mask, s2.mask)

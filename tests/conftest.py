@@ -3,15 +3,9 @@ import pathlib
 import pytest
 
 import mindef as md
-from mindef import _kernels
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")
@@ -37,16 +31,6 @@ def p3(fixtures):
 @pytest.fixture
 def abc(fixtures):
     return fixtures["ABC"]
-
-
-@pytest.fixture(params=["numba", "fallback"])
-def backend(request, monkeypatch):
-    """Run the decorated test once per kernel backend."""
-    use_jit = request.param == "numba"
-    if use_jit and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", use_jit)
-    return request.param
 
 
 def sset(af, names=""):

@@ -3,7 +3,8 @@ import json
 
 import mindef as md
 from mindef.afp import serialize_afp
-from mindef.cli import SolveRequest, execute, format_set, main, run_cli
+from mindef.cli import (SEMANTICS, SolveRequest, execute, format_set, main,
+                        run_cli)
 
 from conftest import FIXTURE_DIR, instance_stream
 
@@ -120,11 +121,29 @@ def test_engines_agree_on_random_instances(capsys, tmp_path):
             12, base_seed=5200, sizes=(6, 9, 12))):
         path = tmp_path / f"inst{k}.afp"
         path.write_text(serialize_afp(af, p))
-        for sem in ("preferred", "preferred-on-f", "min-def"):
-            _, solver_out, _ = run(capsys, "solve", str(path), "--semantics", sem)
-            _, oracle_out, _ = run(capsys, "solve", str(path), "--semantics", sem,
-                                   "--engine", "oracle")
-            assert solver_out == oracle_out
+        for sem in SEMANTICS:
+            for fmt in ("plain", "structured"):
+                args = ("solve", str(path), "--semantics", sem, "--format", fmt)
+                _, solver_out, _ = run(capsys, *args)
+                _, oracle_out, _ = run(capsys, *args, "--engine", "oracle")
+                assert solver_out == oracle_out
+
+
+def test_engine_table_looks_entry_points_up_at_call_time(capsys, monkeypatch):
+    # wrappers installed on the modules after import must see every call
+    from mindef import extensions, oracle
+    seen = []
+    for module, name in ((extensions, "min_def_extensions"),
+                         (oracle, "oracle_min_def")):
+        original = getattr(module, name)
+
+        def spy(*args, original=original, name=name):
+            seen.append(name)
+            return original(*args)
+        monkeypatch.setattr(module, name, spy)
+    assert run(capsys, "solve", AF3, "--semantics", "min-def")[0] == 0
+    assert run(capsys, "oracle", AF3, "--semantics", "min-def")[0] == 0
+    assert seen == ["min_def_extensions", "oracle_min_def"]
 
 
 def test_plain_output_parses_back_to_the_library_family(capsys, tmp_path):
@@ -150,6 +169,35 @@ def test_syntax_error_exits_2(capsys, tmp_path):
     path.write_text("arg(a).\nfoo(a).\n")
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2 and "line 2" in err
+
+
+def test_invalid_utf8_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.afp"
+    path.write_bytes(b"arg(a).\xff\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_invalid_utf8_on_standard_input_is_an_input_error(capsys, monkeypatch):
+    raw = io.BytesIO(b"arg(a).\xff\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code, _, err = run(capsys, "solve")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_too_deep_search_exits_3(capsys, tmp_path):
+    # 1200 two-cycles a_i <-> b_i chained by b_i -> a_(i+1): 2400 candidates
+    # in one tree search, deeper than the recursive kernel can go
+    lines = []
+    for i in range(1200):
+        lines += [f"arg(a{i}).\n", f"arg(b{i}).\n",
+                  f"att(a{i},b{i}).\n", f"att(b{i},a{i}).\n"]
+        if i:
+            lines.append(f"att(b{i - 1},a{i}).\n")
+    path = tmp_path / "deep.afp"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3 and out == "" and err.startswith("error:")
 
 
 def test_budget_exhaustion_exits_3(capsys, tmp_path):

@@ -14,32 +14,32 @@ from conftest import instance_stream, sset
 
 
 class TestPreferred:
-    def test_af1_has_a_unique_preferred_extension(self, af1, backend):
+    def test_af1_has_a_unique_preferred_extension(self, af1):
         fam = preferred_extensions(af1)
         assert fam.members == (sset(af1, "o1,u2,u3,u4,u5,r1,r2,r3,o5"),)
 
-    def test_mutual_attack_yields_both_singletons(self, backend):
+    def test_mutual_attack_yields_both_singletons(self):
         af = build_framework(["a", "b"], [("a", "b"), ("b", "a")])
         assert preferred_extensions(af) == ExtensionFamily(
             [af.subset(["a"]), af.subset(["b"])])
 
-    def test_empty_framework(self, backend):
+    def test_empty_framework(self):
         af = build_framework([], [])
         fam = preferred_extensions(af)
         assert fam.members == (af.empty_set(),)
 
 
 class TestPreferredOn:
-    def test_af2_focus(self, af1, p2, backend):
+    def test_af2_focus(self, af1, p2):
         fam = preferred_extensions_on(af1, p2.focus)
         assert fam.members == (sset(af1, "u2,u3,u4,u5,r1,r2,r3"),)
 
-    def test_chain_restricted_to_the_tail_is_empty(self, abc, backend):
+    def test_chain_restricted_to_the_tail_is_empty(self, abc):
         af, _ = abc
         fam = preferred_extensions_on(af, af.subset(["a"]))
         assert fam.members == (af.empty_set(),)
 
-    def test_on_the_whole_universe_equals_preferred(self, backend):
+    def test_on_the_whole_universe_equals_preferred(self):
         for _, af, _ in instance_stream(15, base_seed=950):
             assert (preferred_extensions_on(af, af.full_set())
                     == preferred_extensions(af))
@@ -54,18 +54,18 @@ class TestPreferredOn:
 
 
 class TestMinDef:
-    def test_af3_unique_min_def_extension(self, af1, p3, backend):
+    def test_af3_unique_min_def_extension(self, af1, p3):
         fam = min_def_extensions(af1, p3)
         assert fam.members == (sset(af1, "u2,u3,u4,u5,r2"),)
 
-    def test_without_restricted_arguments_degenerates(self, backend):
+    def test_without_restricted_arguments_degenerates(self):
         for _, af, p in instance_stream(12, base_seed=77,
                                         restricted_fraction=0.0):
             assert not p.restricted
             assert (min_def_extensions(af, p)
                     == preferred_extensions_on(af, p.focus))
 
-    def test_matches_oracle_on_random_instances(self, backend):
+    def test_matches_oracle_on_random_instances(self):
         for _, af, p in instance_stream(40, base_seed=3000):
             assert min_def_extensions(af, p) == md.oracle_min_def(af, p)
 
@@ -181,7 +181,7 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             md.admissible_sets(af, budget=SearchBudget(wall_clock_seconds=0.02))
 
-    def test_enumeration_without_ceiling_completes(self, backend):
+    def test_enumeration_without_ceiling_completes(self):
         names = [f"x{i}" for i in range(16)]
         pairs = []
         for i in range(0, 16, 2):
@@ -191,7 +191,7 @@ class TestBudget:
         assert len(fam) == 2 ** 8
 
 
-def test_two_step_pipeline_matches_the_exhaustive_answer(backend):
+def test_two_step_pipeline_matches_the_exhaustive_answer():
     for _, af, p in instance_stream(30, base_seed=4100):
         assert min_def_extensions(af, p) == md.oracle_min_def(af, p)
 

@@ -1,41 +1,8 @@
-import os
-import subprocess
-import sys
-
-import pytest
-
 import mindef as md
 from mindef import _kernels
 
-from conftest import instance_stream
 
-
-def test_backends_enumerate_identical_families(monkeypatch):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    for _, af, p in instance_stream(25, base_seed=6100):
-        monkeypatch.setattr(_kernels, "JIT_ENABLED", True)
-        jit = (md.preferred_extensions(af), md.admissible_sets(af),
-               md.min_def_extensions(af, p))
-        monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
-        fallback = (md.preferred_extensions(af), md.admissible_sets(af),
-                    md.min_def_extensions(af, p))
-        assert jit == fallback
-
-
-def test_scan_backends_agree(monkeypatch):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    for _, af, p in instance_stream(25, base_seed=6200):
-        monkeypatch.setattr(_kernels, "JIT_ENABLED", True)
-        jit = (md.oracle_admissible(af), md.oracle_conflict_free(af))
-        monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
-        fallback = (md.oracle_admissible(af), md.oracle_conflict_free(af))
-        assert jit == fallback
-
-
-def test_wide_frameworks_route_to_the_fallback_path():
-    assert _kernels.backend_for(80, None) == "fallback"
+def test_wide_frameworks_solve_and_match_the_oracle_on_a_window():
     cfg = md.GeneratorConfig(argument_count=80, attack_probability=0.02, seed=4)
     af, _ = md.random_instance(cfg)
     fam = md.preferred_extensions(af)
@@ -47,19 +14,18 @@ def test_wide_frameworks_route_to_the_fallback_path():
     assert md.preferred_extensions_on(af, x) == md.oracle_preferred_on(af, x)
 
 
-def test_deadline_requests_route_to_the_fallback_path():
-    assert _kernels.backend_for(10, 123.0) == "fallback"
-
-
-def test_env_flag_disables_jit():
-    code = ("import mindef._kernels as k; "
-            "print(k.JIT_ENABLED)")
-    env = dict(os.environ, MINDEF_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_warmup_is_idempotent():
-    _kernels.warmup()
-    _kernels.warmup()
+def test_local_space_layout_and_round_trip():
+    # a <-> b, b -> c, d -> c; the space leaves out d
+    af = md.build_framework("abcd", [("a", "b"), ("b", "a"), ("b", "c"),
+                                     ("d", "c")])
+    space = _kernels.LocalSpace(af, af.subset("abc").mask, defence=True)
+    assert space.members == [0, 1, 2]
+    assert space.conflict == [0b010, 0b101, 0b010]
+    # c's attackers are b (answered by a) and d (answered by nobody inside)
+    assert space.ob_off == [0, 1, 2, 4]
+    assert space.ob_masks == [0b001, 0b010, 0b001, 0b000]
+    assert space.to_local(af.subset("bcd").mask) == 0b110
+    for local in range(8):
+        assert space.to_local(space.to_global(local)) == local
+    plain = _kernels.LocalSpace(af, af.subset("abc").mask, defence=False)
+    assert plain.ob_off == [0, 0, 0, 0] and plain.ob_masks == []

@@ -26,7 +26,7 @@ class TestOracleAdmissible:
         assert sset(af1, "u2,u3,u4,u5,r2") in fam
         assert sset(af1, "u2,u3,u4,u5,r1,r2") in fam
 
-    def test_members_satisfy_the_predicate_and_nonmembers_fail(self, backend):
+    def test_members_satisfy_the_predicate_and_nonmembers_fail(self):
         for _, af, _ in instance_stream(20, base_seed=777, sizes=(4, 5, 6)):
             fam = oracle_admissible(af)
             member_masks = {s.mask for s in fam}
@@ -36,7 +36,7 @@ class TestOracleAdmissible:
 
 
 class TestOracleConflictFree:
-    def test_matches_the_predicate_exhaustively(self, backend):
+    def test_matches_the_predicate_exhaustively(self):
         for _, af, _ in instance_stream(12, base_seed=888, sizes=(4, 5)):
             member_masks = {s.mask for s in oracle_conflict_free(af)}
             for mask in range(1 << len(af)):
@@ -58,7 +58,7 @@ class TestOracleFamilies:
         fam = oracle_preferred_on(af, af.subset(["a"]))
         assert fam.members == (af.empty_set(),)
 
-    def test_preferred_equals_maximal_admissible(self, backend):
+    def test_preferred_equals_maximal_admissible(self):
         for _, af, _ in instance_stream(25, base_seed=1500):
             assert oracle_preferred(af) == filter_maximal(
                 oracle_admissible(af), order="subset")
