@@ -5,8 +5,8 @@ The kernels work on a search space renumbered to dense local bits
 
 * ``subset_scan`` walks every bit pattern of a (small) search space in
   numeric order and keeps the conflict-free / admissible ones. This is the
-  exhaustive reference path, vectorized with numpy over an ``arange`` of all
-  patterns.
+  exhaustive reference path, vectorized with numpy over ``arange`` blocks
+  of at most ``2^20`` patterns.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
   arguments, pruning conflicting inclusions and branches whose pending
@@ -24,6 +24,9 @@ from .model import bits
 # Machine facts reported by benchmark runs; the package has no JIT backend.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 JIT_ENABLED = False
+
+# patterns per numpy block in ``subset_scan``; bounds its memory whatever k is
+_SCAN_CHUNK = 1 << 20
 
 
 class DeadlineReached(Exception):
@@ -78,19 +81,24 @@ def subset_scan(k: int, conflict, ob_off, ob_masks,
                 require_defence: bool) -> list[int]:
     """All conflict-free (and, on request, admissible) k-bit patterns.
 
-    Arguments follow the :class:`LocalSpace` layout. Patterns come back in
-    increasing numeric order.
+    Arguments follow the :class:`LocalSpace` layout. Patterns are tested
+    in blocks of ``_SCAN_CHUNK`` and come back in increasing numeric order.
     """
     conflict = np.asarray(conflict, dtype=np.int64)
-    subs = np.arange(np.int64(1) << k, dtype=np.int64)
-    ok = np.ones(subs.shape[0], dtype=np.bool_)
-    for i in range(k):
-        member = (subs >> i) & 1 == 1
-        ok &= ~(member & ((subs & conflict[i]) != 0))
-        if require_defence:
-            for t in range(ob_off[i], ob_off[i + 1]):
-                ok &= ~(member & ((subs & ob_masks[t]) == 0))
-    return [int(m) for m in subs[ok]]
+    total = 1 << k
+    out = []
+    for start in range(0, total, _SCAN_CHUNK):
+        subs = np.arange(start, min(start + _SCAN_CHUNK, total),
+                         dtype=np.int64)
+        ok = np.ones(subs.shape[0], dtype=np.bool_)
+        for i in range(k):
+            member = (subs >> i) & 1 == 1
+            ok &= ~(member & ((subs & conflict[i]) != 0))
+            if require_defence:
+                for t in range(ob_off[i], ob_off[i + 1]):
+                    ok &= ~(member & ((subs & ob_masks[t]) == 0))
+        out.extend(subs[ok].tolist())
+    return out
 
 
 def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,

@@ -87,12 +87,17 @@ def _read_input(request: SolveRequest) -> str:
         return handle.read()
 
 
-def _enumerate_family(af, p, request: SolveRequest) -> ExtensionFamily:
-    x = None
+def _base_set(af, p, request: SolveRequest):
+    """The base set of preferred-on-f; ``--on`` is an error elsewhere."""
     if request.semantics == "preferred-on-f":
-        x = af.subset(request.on) if request.on is not None else p.focus
-    elif request.on is not None:
+        return af.subset(request.on) if request.on is not None else p.focus
+    if request.on is not None:
         raise PreconditionViolated("--on is only meaningful with preferred-on-f")
+    return None
+
+
+def _enumerate_family(af, p, request: SolveRequest) -> ExtensionFamily:
+    x = _base_set(af, p, request)
     solver, brute_force = FAMILIES[request.semantics]
     enumerate_with = brute_force if request.engine == "oracle" else solver
     return enumerate_with(af, p, x, request.budget)
@@ -114,6 +119,7 @@ def execute(request: SolveRequest) -> SolveResult:
     elif request.mode == "check":
         s = af.subset(request.check_set or ())
         if request.semantics in PREDICATES:
+            _base_set(af, p, request)
             verdict = PREDICATES[request.semantics](af, p, s)
         else:
             verdict = s in _enumerate_family(af, p, request)

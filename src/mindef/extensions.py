@@ -16,10 +16,21 @@ Min-def extensions are computed by a two-step pipeline: enumerate the
 preferred extensions on the focus, keep those whose unrestricted part is
 maximal, then shrink each one's restricted part to all its minimal
 admissible supports; a final strict-preference filter removes candidates
-dominated across branches.
+dominated across branches. The whole pipeline shares one wall-clock
+deadline.
+
+The shrinking step is an obligation-driven search. A candidate is
+conflict-free, so any subset is too and only defence matters: each attacker
+of a member is an *obligation*, met by the members that attack it. A
+minimal support is a minimal set of restricted members that meets every
+obligation of the unrestricted part and of the restricted members it takes
+in (a minimal transversal, closed under the obligations it brings). The
+search starts from the unrestricted part and branches only on the answerers
+of the first unmet obligation, excluding each answerer from the branches
+after its own; a branch whose restricted part already contains a found
+support is cut, and a last pass keeps the inclusion-minimal leaves.
 """
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -42,7 +53,8 @@ class SearchBudget:
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
     space; exceeding it is a hard error, never a truncated answer. The
     wall-clock ceiling applies to the tree search, which aborts with
-    :class:`BudgetExceeded` when it fires.
+    :class:`BudgetExceeded` when it fires; a min-def request spends one
+    ceiling across all its steps.
     """
 
     max_arguments_for_exhaustive: int = 20
@@ -260,21 +272,46 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     if not is_admissible(af, e):
         raise PreconditionViolated("set must be admissible")
     deadline = (budget or DEFAULT_BUDGET).deadline()
-    eu = e.mask & p.unrestricted.mask
-    er_bits = list(bits(e.mask & p.restricted.mask))
-    minimal = []
-    for size in range(len(er_bits) + 1):
-        for combo in itertools.combinations(er_bits, size):
-            if deadline is not None and time.monotonic() > deadline:
+    att = af.attacker_masks
+    emask = e.mask
+    eu = emask & p.unrestricted.mask
+
+    def unmet(members, inc):
+        # e is conflict-free, so only defence matters: each attacker b of a
+        # member is an obligation, met by any member in att[b] & e
+        return [att[b] & emask for x in bits(members) for b in bits(att[x])
+                if not att[b] & inc]
+
+    leaves = []
+    ticks = 0
+    # depth-first over (included, excluded, unmet obligations); a child
+    # includes one answerer of the first unmet obligation, and siblings to
+    # its right exclude it
+    stack = [(eu, 0, unmet(eu, eu))]
+    while stack:
+        if deadline is not None and ticks & 255 == 0:
+            if time.monotonic() > deadline:
                 raise BudgetExceeded(
                     f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted")
-            rmask = 0
-            for b in combo:
-                rmask |= 1 << b
-            if any(rmask | m == rmask for m in minimal):
-                continue  # strict superset of a known minimal support
-            if is_admissible(af, ArgumentSet(af, eu | rmask)):
-                minimal.append(rmask)
+        ticks += 1
+        inc, excluded, pending = stack.pop()
+        r = inc & ~eu
+        if any(leaf | r == r for leaf in leaves):
+            continue  # contains a recorded support, so is not minimal
+        if not pending:
+            leaves.append(r)
+            continue
+        children = []
+        for c in bits(pending[0] & ~excluded):
+            bit = 1 << c
+            grown = inc | bit
+            left = [m for m in pending if not m & bit] + unmet(bit, grown)
+            children.append((grown, excluded, left))
+            excluded |= bit
+        stack.extend(reversed(children))
+    # a leaf found early may still contain one found later
+    minimal = [m for m in leaves
+               if not any(o != m and o | m == m for o in leaves)]
     return ExtensionFamily(ArgumentSet(af, eu | m) for m in minimal)
 
 
@@ -286,13 +323,33 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
     unrestricted part is inclusion-maximal, minimize each one's restricted
     part, and keep the candidates no other candidate strictly improves on.
     """
-    prefs = preferred_extensions_on(af, p.focus, budget)
-    u_masks = [s.mask & p.unrestricted.mask for s in prefs]
-    max_u = _subset_maximal_masks(u_masks)
-    candidates = []
-    for s in prefs:
-        if s.mask & p.unrestricted.mask in max_u:
-            candidates.extend(minimize_restricted(af, p, s, budget))
+    budget = budget or DEFAULT_BUDGET
+    deadline = budget.deadline()
+
+    def remaining():
+        # each step gets only what is left of the request's one deadline
+        if deadline is None:
+            return budget
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise BudgetExceeded
+        return SearchBudget(budget.max_arguments_for_exhaustive, left)
+
+    try:
+        prefs = preferred_extensions_on(af, p.focus, remaining())
+        u_masks = [s.mask & p.unrestricted.mask for s in prefs]
+        max_u = _subset_maximal_masks(u_masks)
+        candidates = []
+        for s in prefs:
+            if s.mask & p.unrestricted.mask in max_u:
+                candidates.extend(minimize_restricted(af, p, s, remaining()))
+    except BudgetExceeded:
+        if deadline is None or time.monotonic() <= deadline:
+            raise  # not the clock: a search too deep for the kernel
+        # report the request's ceiling, not the slice a step was handed
+        raise BudgetExceeded(
+            f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
+        ) from None
     return filter_maximal(ExtensionFamily(candidates), order="prec", partition=p)
 
 

@@ -39,21 +39,22 @@ def is_conflict_free(af: ArgumentationFramework, s: ArgumentSet) -> bool:
 
 def defends(af: ArgumentationFramework, s: ArgumentSet, a) -> bool:
     """True iff every attacker of ``a`` is attacked by some member of ``s``."""
-    attackers = af.attacker_masks[af.index(a)]
+    att = af.attacker_masks
     smask = s.mask
-    # inlined rather than ``bits``: minimize_restricted runs this per subset
-    while attackers:
-        low = attackers & -attackers
-        b = low.bit_length() - 1
-        attackers ^= low
-        if not af.attacker_masks[b] & smask:
+    for b in bits(att[af.index(a)]):
+        if not att[b] & smask:
             return False
     return True
 
 
 def defends_all(af: ArgumentationFramework, s: ArgumentSet) -> bool:
     """True iff ``s`` defends every one of its members."""
-    return all(defends(af, s, i) for i in bits(s.mask))
+    att = af.attacker_masks
+    smask = s.mask
+    attackers = 0  # an attacker of several members is answered once
+    for i in bits(smask):
+        attackers |= att[i]
+    return all(att[b] & smask for b in bits(attackers))
 
 
 def is_admissible(af: ArgumentationFramework, s: ArgumentSet) -> bool:

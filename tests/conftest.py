@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -52,6 +53,23 @@ def instance_stream(count, base_seed=0, sizes=(4, 5, 6, 7, 8, 9, 10),
             acyclic_only=acyclic)
         af, p = md.random_instance(cfg)
         yield cfg, af, p
+
+
+def subset_walk_minimize(af, p, e):
+    """Reference for ``minimize_restricted``: walk every subset R of the
+    restricted part of ``e`` by increasing size and keep the admissible
+    ``e_u | R`` that contain no support found before. Returns their masks."""
+    eu = e.mask & p.unrestricted.mask
+    er = list(md.ArgumentSet(af, e.mask & p.restricted.mask).indices())
+    minimal = []
+    for size in range(len(er) + 1):
+        for combo in itertools.combinations(er, size):
+            r = sum(1 << b for b in combo)
+            if any(m | r == r for m in minimal):
+                continue
+            if md.is_admissible(af, md.ArgumentSet(af, eu | r)):
+                minimal.append(r)
+    return {eu | m for m in minimal}
 
 
 def walk_defenders(af, a):

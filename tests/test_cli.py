@@ -109,6 +109,14 @@ def test_on_with_other_semantics_is_an_input_error(capsys):
     assert code == 2 and "preferred-on-f" in err
 
 
+def test_on_with_a_pointwise_property_is_an_input_error(capsys):
+    for prop in ("conflict-free", "admissible", "restricted-admissible"):
+        code, out, err = run(capsys, "check", AF3, "--set", "u2",
+                             "--property", prop, "--on", "ghost")
+        assert code == 2 and out == ""
+        assert "--on is only meaningful with preferred-on-f" in err
+
+
 def test_oracle_subcommand_matches_solver(capsys):
     code_s, out_s, _ = run(capsys, "solve", AF3, "--semantics", "min-def")
     code_o, out_o, _ = run(capsys, "oracle", AF3, "--semantics", "min-def")

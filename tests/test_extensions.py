@@ -1,4 +1,5 @@
-import itertools
+import time
+import types
 
 import pytest
 
@@ -6,11 +7,11 @@ import mindef as md
 from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
                     NotWithinFocus, PreconditionViolated, SearchBudget,
                     build_framework, credulous_accepted,
-                    filter_maximal, is_admissible, min_def_extensions,
+                    filter_maximal, min_def_extensions,
                     minimize_restricted, preferred_extensions,
                     preferred_extensions_on, skeptical_accepted)
 
-from conftest import instance_stream, sset
+from conftest import instance_stream, sset, subset_walk_minimize
 
 
 class TestPreferred:
@@ -91,19 +92,40 @@ class TestMinimizeRestricted:
         for _, af, p in instance_stream(25, base_seed=60):
             for e in md.oracle_admissible(af, p.focus):
                 got = {s.mask for s in minimize_restricted(af, p, e)}
-                eu = e.mask & p.unrestricted.mask
-                er_mask = e.mask & p.restricted.mask
-                er = [b for b in range(len(af)) if er_mask >> b & 1]
-                admissible_supports = [
-                    sum(1 << b for b in combo)
-                    for size in range(len(er) + 1)
-                    for combo in itertools.combinations(er, size)
-                    if is_admissible(af, md.ArgumentSet(
-                        af, eu | sum(1 << b for b in combo)))]
-                minimal = {m for m in admissible_supports
-                           if not any(o != m and o | m == m
-                                      for o in admissible_supports)}
-                assert got == {eu | m for m in minimal}
+                assert got == subset_walk_minimize(af, p, e)
+
+    def test_matches_the_subset_walk_above_the_oracle_cap(self):
+        # preferred-on-focus members of frameworks too large for the oracle
+        checked = 0
+        for seed in range(300):
+            n = 60 + seed % 41
+            af, p = md.random_instance(md.GeneratorConfig(
+                n, 2.0 / n, 0.7, 0.4, seed=seed))
+            for e in preferred_extensions_on(af, p.focus):
+                if (e.mask & p.restricted.mask).bit_count() > 14:
+                    continue
+                got = {s.mask for s in minimize_restricted(af, p, e)}
+                assert got == subset_walk_minimize(af, p, e), seed
+                checked += 1
+        assert checked >= 300
+
+    def test_every_minimal_support_of_a_choice_chain_is_found(self):
+        # u is attacked by x1..x4; each xi is countered by ai or bi, and
+        # each ai is itself attacked by yi, which only ci counters
+        names = ["u"]
+        attacks = []
+        restricted = []
+        for i in range(1, 5):
+            x, a, b, y, c = (f"{t}{i}" for t in "xabyc")
+            names += [x, a, b, y, c]
+            restricted += [a, b, c]
+            attacks += [(x, "u"), (a, x), (b, x), (y, a), (c, y)]
+        af = build_framework(names, attacks)
+        e = af.subset(["u"] + restricted)
+        p = md.Partition(af, e, af.subset(restricted))
+        got = {s.mask for s in minimize_restricted(af, p, e)}
+        assert got == subset_walk_minimize(af, p, e)
+        assert len(got) == 2 ** 4
 
 
 class TestFilterMaximal:
@@ -189,6 +211,54 @@ class TestBudget:
         af = build_framework(names, pairs)
         fam = preferred_extensions(af)
         assert len(fam) == 2 ** 8
+
+    def test_min_def_shares_one_deadline_across_its_steps(self, monkeypatch):
+        # three two-cycles: eight preferred extensions on the focus, each
+        # with a maximal unrestricted part, so eight minimisations
+        names = [f"x{i}" for i in range(6)]
+        pairs = []
+        for i in range(0, 6, 2):
+            pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+        af = build_framework(names, pairs)
+        p = md.Partition(af, af.full_set(), af.empty_set())
+        skew = [0.0]
+        real = time.monotonic
+        monkeypatch.setattr(md.extensions, "time", types.SimpleNamespace(
+            monotonic=lambda: real() + skew[0]))
+        minimize = md.extensions.minimize_restricted
+        calls = []
+
+        def slow_minimize(af, p, e, budget):
+            calls.append(budget.wall_clock_seconds)
+            skew[0] += 0.2  # each step takes 0.2 s of the fake clock
+            return minimize(af, p, e, budget)
+
+        monkeypatch.setattr(md.extensions, "minimize_restricted",
+                            slow_minimize)
+        deadlines = []
+        deadline = SearchBudget.deadline
+
+        def counted(budget):
+            deadlines.append(budget)
+            return deadline(budget)
+
+        monkeypatch.setattr(SearchBudget, "deadline", counted)
+        budget = SearchBudget(wall_clock_seconds=0.5)
+        with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
+            min_def_extensions(af, p, budget)
+        # the steps got what was left, and the fourth was never started
+        assert len(calls) == 3
+        assert calls[0] <= 0.5 and calls[2] < 0.1 + 1e-3
+        assert sum(b is budget for b in deadlines) == 1
+
+    def test_roadmap_min_def_probe_answers_within_a_second(self):
+        # |e_r| = 23 here; the subset walk needed far more than 20 s
+        af, p = md.random_instance(md.GeneratorConfig(400, 0.005, 0.7, 0.3,
+                                                      seed=1))
+        fam = min_def_extensions(af, p, SearchBudget(wall_clock_seconds=1.0))
+        assert len(fam) >= 1
+        for s in fam:
+            assert md.is_restrictedly_admissible(af, p, s)
 
 
 def test_two_step_pipeline_matches_the_exhaustive_answer():

@@ -29,3 +29,19 @@ def test_local_space_layout_and_round_trip():
         assert space.to_local(space.to_global(local)) == local
     plain = _kernels.LocalSpace(af, af.subset("abc").mask, defence=False)
     assert plain.ob_off == [0, 0, 0, 0] and plain.ob_masks == []
+
+
+def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
+    spaces = []
+    for k in range(13):
+        cfg = md.GeneratorConfig(argument_count=k, attack_probability=0.2,
+                                 seed=70 + k)
+        af, _ = md.random_instance(cfg)
+        for defence in (False, True):
+            space = _kernels.LocalSpace(af, af.full_mask, defence)
+            args = (k, space.conflict, space.ob_off, space.ob_masks, defence)
+            spaces.append((args, _kernels.subset_scan(*args)))
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+    for args, whole in spaces:
+        assert whole == sorted(whole)
+        assert _kernels.subset_scan(*args) == whole
