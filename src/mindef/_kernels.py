@@ -6,12 +6,16 @@ The kernels work on a search space renumbered to dense local bits
 * ``subset_scan`` walks every bit pattern of a (small) search space in
   numeric order and keeps the conflict-free / admissible ones. This is the
   exhaustive reference path, vectorized with numpy over ``arange`` blocks
-  of at most ``2^20`` patterns.
+  of at most ``2^20`` patterns, with the deadline read between blocks.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
   arguments, pruning conflicting inclusions and branches whose pending
-  defence obligations can no longer be met. It is a recursive pure-Python
-  walk over unbounded ints that reads the clock for wall-clock deadlines.
+  defence obligations can no longer be met. It is a pure-Python loop over
+  unbounded ints with an explicit stack, so any depth fits; it checks
+  incrementally (an inclusion checks the included member's own
+  obligations, an exclusion only the included owners' obligations the
+  excluded member answers) and reads the clock for wall-clock deadlines.
+  One call may search one independent group of a larger space.
 """
 
 import importlib.util
@@ -77,17 +81,21 @@ class LocalSpace:
         return out
 
 
-def subset_scan(k: int, conflict, ob_off, ob_masks,
-                require_defence: bool) -> list[int]:
+def subset_scan(k: int, conflict, ob_off, ob_masks, require_defence: bool,
+                deadline: float | None = None) -> list[int]:
     """All conflict-free (and, on request, admissible) k-bit patterns.
 
     Arguments follow the :class:`LocalSpace` layout. Patterns are tested
     in blocks of ``_SCAN_CHUNK`` and come back in increasing numeric order.
+    The deadline is checked between blocks; raises :class:`DeadlineReached`
+    when it has passed.
     """
     conflict = np.asarray(conflict, dtype=np.int64)
     total = 1 << k
     out = []
     for start in range(0, total, _SCAN_CHUNK):
+        if start and deadline is not None and time.monotonic() > deadline:
+            raise DeadlineReached
         subs = np.arange(start, min(start + _SCAN_CHUNK, total),
                          dtype=np.int64)
         ok = np.ones(subs.shape[0], dtype=np.bool_)
@@ -106,68 +114,110 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,
                   deadline: float | None) -> list[int]:
     """Admissible (or conflict-free, when no obligations) candidate masks.
 
-    Arguments follow the :class:`LocalSpace` layout. ``pos_idx`` lists the
-    branchable candidate indices in fixed order; ``forced_mask`` members are
-    included unconditionally. ``suffix_avail[d]`` must hold the union of
-    bits still branchable at depth ``d``. With ``maximal_only``, branches
-    that provably yield no inclusion-maximal set are cut, so the caller must
-    only use the result for maximality filtering. Raises
-    :class:`DeadlineReached` when the deadline fires; recursion depth grows
-    with ``len(pos_idx)``.
+    Arguments follow the :class:`LocalSpace` layout; a call may search any
+    ``k`` of the space's members that share no conflict or obligation with
+    the rest. ``pos_idx`` lists the branchable member indices in fixed
+    order; ``forced_mask`` members are included unconditionally.
+    ``suffix_avail[d]`` must hold the union of bits still branchable at
+    depth ``d``. With ``maximal_only``, branches that provably yield no
+    inclusion-maximal set are cut, so the caller must only use the result
+    for maximality filtering. Raises :class:`DeadlineReached` when the
+    deadline fires. The walk keeps an explicit stack, so its depth is
+    bounded by memory, not by the interpreter's recursion limit.
     """
     npos = len(pos_idx)
+    branchable = suffix_avail[0]
+    # each member's own obligations; and per branchable bit, the mask of
+    # owners and the (owner bit, obligation) pairs whose last branchable
+    # answerer it is: only excluding that one can strand an obligation,
+    # and only if its owner is included
+    depth_of = {i: d for d, i in enumerate(pos_idx)}
+    own = {}
+    watch = {i: [] for i in pos_idx}
+    owners = dict.fromkeys(pos_idx, 0)
+    for o in bits(forced_mask | branchable):
+        obs = ob_masks[ob_off[o]:ob_off[o + 1]]
+        own[o] = obs
+        for m in obs:
+            if m & forced_mask or m & branchable == 0:
+                continue  # always met, or never: no exclusion changes it
+            last = max(bits(m & branchable), key=depth_of.__getitem__)
+            watch[last].append((1 << o, m))
+            owners[last] |= 1 << o
+    reach = forced_mask | branchable
+    for o in bits(forced_mask):
+        for m in own[o]:
+            if m & reach == 0:
+                return []
+
+    def joinable(inc):
+        # some excluded candidate could still join: the enlarged set is
+        # admissible, so ``inc`` is not maximal
+        for j in bits(branchable & ~inc):
+            if conflict[j] & inc == 0:
+                grown = inc | 1 << j
+                if all(m & grown for m in own[j]):
+                    return True
+        return False
+
     out = []
     ticks = 0
-
-    def walk(depth, inc):
-        nonlocal ticks
+    stack = [(0, forced_mask)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
         ticks += 1
-        if deadline is not None and ticks % 1024 == 0:
+        if deadline is not None and ticks & 1023 == 0:
             if time.monotonic() > deadline:
                 raise DeadlineReached
-        avail = suffix_avail[depth]
-        probe = inc
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            probe ^= low
-            for t in range(ob_off[i], ob_off[i + 1]):
-                m = ob_masks[t]
-                if m & inc == 0 and m & avail == 0:
-                    return
+        depth, inc = pop()
         if depth == npos:
-            if maximal_only:
-                # drop leaves some excluded candidate could still join:
-                # the enlarged set is admissible, so this one is not maximal
-                for i in range(k):
-                    bit = 1 << i
-                    if inc & bit or conflict[i] & inc:
-                        continue
-                    if all(ob_masks[t] & (inc | bit)
-                           for t in range(ob_off[i], ob_off[i + 1])):
-                        return
-            out.append(inc)
-            return
+            if not (maximal_only and joinable(inc)):
+                out.append(inc)
+            continue
         i = pos_idx[depth]
-        bit = 1 << i
-        if conflict[i] & inc == 0:
-            walk(depth + 1, inc | bit)
+        depth += 1
+        avail = suffix_avail[depth]
+        include = exclude = True
+        if conflict[i] & inc:
+            include = False
+        else:
+            obs = own[i]
+            grown = inc | 1 << i
+            # including i adds only i's own obligations
+            reach = grown | avail
+            for m in obs:
+                if m & reach == 0:
+                    include = False
+                    break
             if maximal_only:
-                obligations = range(ob_off[i], ob_off[i + 1])
                 # already defended and non-conflicting: any admissible
                 # superset without i extends by i, so no exclude-leaf is
                 # maximal; same if nothing ahead can ever conflict with i
                 # and i stays defendable by itself
-                if all(ob_masks[t] & inc for t in obligations):
-                    return
-                if (conflict[i] & suffix_avail[depth + 1] == 0
-                        and all(ob_masks[t] & (inc | bit) for t in obligations)):
-                    return
-        walk(depth + 1, inc)
-
-    walk(0, forced_mask)
+                for m in obs:
+                    if m & inc == 0:
+                        break
+                else:
+                    exclude = False
+                if exclude and conflict[i] & avail == 0:
+                    for m in obs:
+                        if m & grown == 0:
+                            break
+                    else:
+                        exclude = False
+        if exclude and inc & owners[i]:
+            # excluding i fails if an included owner loses its last answerer
+            for owner, m in watch[i]:
+                if inc & owner and m & inc == 0:
+                    exclude = False
+                    break
+        if exclude:
+            push((depth, inc))
+        if include:
+            push((depth, grown))
     return out
 
 
-# the name the benchmark tracer reads the recursive ``walk`` helper from
+# the name the benchmark tracer looks the kernel up by
 _dfs_py = dfs_enumerate

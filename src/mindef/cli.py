@@ -3,7 +3,8 @@
 Exit codes: 0 for any answered request (YES and NO verdicts both count as
 answered), 2 for input problems (unreadable or non-UTF-8 files, syntax
 errors, undeclared arguments, bad flag combinations), 3 for an exhausted
-search budget or a search too deep for the recursive kernel.
+search budget (an oracle space over the size cap, or the wall-clock
+ceiling).
 """
 
 import argparse

@@ -10,7 +10,15 @@ The solver explores an include/exclude tree over the candidate arguments
   collective defence inside the space - is included up front, and anything
   in conflict with it is dropped, again to a fixed point. Every maximal
   admissible subset of the space provably contains that core, so this
-  prunes without losing solutions.
+  prunes without losing solutions;
+* the candidates are split into independent groups, linking each member
+  both ways to the members it conflicts with and to the answerers of its
+  attackers. No two groups share a conflict or a defence obligation, so a
+  set qualifies exactly when its part in every group does, and (for
+  maximality) is maximal exactly when every part is. Each group gets its
+  own tree search, maximal searches keep each group's inclusion-maximal
+  sets, and the family is the product of the groups' answers, built under
+  the request's deadline.
 
 Min-def extensions are computed by a two-step pipeline: enumerate the
 preferred extensions on the focus, keep those whose unrestricted part is
@@ -52,9 +60,9 @@ class SearchBudget:
 
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
     space; exceeding it is a hard error, never a truncated answer. The
-    wall-clock ceiling applies to the tree search, which aborts with
-    :class:`BudgetExceeded` when it fires; a min-def request spends one
-    ceiling across all its steps.
+    wall-clock ceiling applies to the tree search and to the oracle's scan,
+    which abort with :class:`BudgetExceeded` when it fires; a min-def
+    request spends one ceiling across all its steps.
     """
 
     max_arguments_for_exhaustive: int = 20
@@ -164,30 +172,82 @@ def _prepare_space(af, space_mask, mode):
             return cand, forced
 
 
+def _components(space, forced):
+    """Local masks of the space's independent groups of members.
+
+    Members are linked, both ways, to their conflicts and to the answerers
+    of their attackers, so no two groups share a conflict or an obligation.
+    Groups made only of ``forced`` members are left out.
+    """
+    link = list(space.conflict)
+    ob_off, ob_masks = space.ob_off, space.ob_masks
+    for i in range(len(link)):
+        for t in range(ob_off[i], ob_off[i + 1]):
+            m = ob_masks[t]
+            link[i] |= m
+            for j in bits(m):
+                link[j] |= 1 << i
+    groups = []
+    rest = (1 << len(link)) - 1 & ~forced
+    while rest:
+        group = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for j in bits(frontier):
+                reach |= link[j]
+            frontier = reach & ~group
+            group |= frontier
+        groups.append(group)
+        rest &= ~group
+    return groups
+
+
+def _product(factors, base, deadline):
+    """Every union of ``base`` with one mask from each factor."""
+    out = [base]
+    # smallest factors first, so the list grows as late as possible
+    for masks in sorted(factors, key=len):
+        grown = []
+        for n, a in enumerate(out):
+            if deadline is not None and n & 1023 == 0:
+                if time.monotonic() > deadline:
+                    raise _kernels.DeadlineReached
+            grown.extend([a | b for b in masks])
+        out = grown
+    return out
+
+
 def _solve_space(af, space_mask, mode, budget):
-    """Global masks of all qualifying subsets of ``space_mask``."""
+    """Global masks of all qualifying subsets of ``space_mask``.
+
+    For ``ADMISSIBLE_MAX`` these are the inclusion-maximal admissible ones.
+    Each independent group of candidates is searched on its own, and the
+    answer is the product of the groups' answers.
+    """
     deadline = (budget or DEFAULT_BUDGET).deadline()
     cand, forced = _prepare_space(af, space_mask, mode)
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
-    k = len(space.members)
     forced_local = space.to_local(forced)
-    pos_idx = [j for j in range(k) if not forced_local >> j & 1]
-    suffix = [0] * (len(pos_idx) + 1)
-    for d in range(len(pos_idx) - 1, -1, -1):
-        suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
+    maximal_only = mode == ADMISSIBLE_MAX
+    factors = []
     try:
-        local_masks = _kernels.dfs_enumerate(
-            k, pos_idx, suffix, forced_local, space.conflict, space.ob_off,
-            space.ob_masks, mode == ADMISSIBLE_MAX, deadline)
+        for group in _components(space, forced_local):
+            pos_idx = list(bits(group & ~forced_local))
+            suffix = [0] * (len(pos_idx) + 1)
+            for d in range(len(pos_idx) - 1, -1, -1):
+                suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
+            local_masks = _kernels.dfs_enumerate(
+                group.bit_count(), pos_idx, suffix, group & forced_local,
+                space.conflict, space.ob_off, space.ob_masks, maximal_only,
+                deadline)
+            if maximal_only:
+                local_masks = _subset_maximal_masks(local_masks)
+            factors.append([space.to_global(lm) for lm in local_masks])
+        return _product(factors, forced, deadline)
     except _kernels.DeadlineReached:
         raise BudgetExceeded(
             f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
         ) from None
-    except RecursionError:
-        raise BudgetExceeded(
-            f"a search over {len(pos_idx)} candidate arguments is too deep "
-            "for the recursive kernel") from None
-    return [space.to_global(lm) for lm in local_masks]
 
 
 def _subset_maximal_masks(masks):
@@ -233,9 +293,10 @@ def admissible_sets(af: ArgumentationFramework, within: ArgumentSet = None,
 def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
-    members = [s for s in admissible_sets(af, p.focus, budget)
-               if is_restrictedly_admissible(af, p, s)]
-    return ExtensionFamily(members)
+    masks = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL, budget)
+    members = (ArgumentSet(af, m) for m in masks)
+    return ExtensionFamily(s for s in members
+                           if is_restrictedly_admissible(af, p, s))
 
 
 def preferred_extensions(af: ArgumentationFramework,
@@ -251,10 +312,8 @@ def preferred_extensions_on(af: ArgumentationFramework, x: ArgumentSet,
     Note this is genuinely different from intersecting the preferred
     extensions with ``x``: a defender outside ``x`` does not count.
     """
-    space = _space_of(af, x)
-    masks = _solve_space(af, space, ADMISSIBLE_MAX, budget)
-    kept = _subset_maximal_masks(masks)
-    return ExtensionFamily(ArgumentSet(af, m) for m in kept)
+    masks = _solve_space(af, _space_of(af, x), ADMISSIBLE_MAX, budget)
+    return ExtensionFamily(ArgumentSet(af, m) for m in masks)
 
 
 def minimize_restricted(af: ArgumentationFramework, p: Partition,
@@ -344,9 +403,8 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
             if s.mask & p.unrestricted.mask in max_u:
                 candidates.extend(minimize_restricted(af, p, s, remaining()))
     except BudgetExceeded:
-        if deadline is None or time.monotonic() <= deadline:
-            raise  # not the clock: a search too deep for the kernel
-        # report the request's ceiling, not the slice a step was handed
+        # only the clock refuses here: report the request's ceiling, not
+        # the slice a step was handed
         raise BudgetExceeded(
             f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
         ) from None

@@ -5,7 +5,8 @@ literal as possible: every bit pattern of the space is generated in numeric
 order and tested against the defining predicate, and maximality is a final
 pairwise pass. No preprocessing, no pruning. Spaces are capped at 20
 arguments; beyond that the run is refused outright rather than left to
-crawl for hours.
+crawl for hours. A wall-clock ceiling is checked between the scan's
+blocks of patterns.
 """
 
 from . import _kernels
@@ -28,9 +29,16 @@ def _scan(af, restrict_to, budget, require_defence):
     if k > cap:
         raise BudgetExceeded(
             f"exhaustive scan over {k} arguments exceeds the cap of {cap}")
+    deadline = (budget or DEFAULT_BUDGET).deadline()
     local = _kernels.LocalSpace(af, space, require_defence)
-    local_masks = _kernels.subset_scan(k, local.conflict, local.ob_off,
-                                       local.ob_masks, require_defence)
+    try:
+        local_masks = _kernels.subset_scan(k, local.conflict, local.ob_off,
+                                           local.ob_masks, require_defence,
+                                           deadline)
+    except _kernels.DeadlineReached:
+        raise BudgetExceeded(
+            f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
+        ) from None
     return [ArgumentSet(af, local.to_global(lm)) for lm in local_masks]
 
 

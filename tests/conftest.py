@@ -1,9 +1,12 @@
 import itertools
 import pathlib
+import random
 
 import pytest
 
 import mindef as md
+from mindef import _kernels, extensions
+from mindef.model import bits
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -53,6 +56,125 @@ def instance_stream(count, base_seed=0, sizes=(4, 5, 6, 7, 8, 9, 10),
             acyclic_only=acyclic)
         af, p = md.random_instance(cfg)
         yield cfg, af, p
+
+
+def structured_framework(shape, size, prefix="x"):
+    """One framework of a named shape, as (names, attacks).
+
+    ``two-cycles``: ``size`` disjoint mutual attacks ``a_i <-> b_i``;
+    ``chain``: the same two-cycles chained by ``b_i -> a_(i+1)``;
+    ``cycle``: ``size`` arguments attacking round a ring (even sizes have
+    two preferred extensions, odd sizes only ``{}``); ``isolated``: ``size``
+    arguments and no attacks.
+    """
+    if shape in ("two-cycles", "chain"):
+        names, attacks = [], []
+        for i in range(size):
+            a, b = f"{prefix}a{i}", f"{prefix}b{i}"
+            names += [a, b]
+            attacks += [(a, b), (b, a)]
+            if shape == "chain" and i:
+                attacks.append((f"{prefix}b{i - 1}", a))
+        return names, attacks
+    names = [f"{prefix}{i}" for i in range(size)]
+    if shape == "cycle":
+        return names, [(names[i], names[(i + 1) % size])
+                       for i in range(size)]
+    if shape == "isolated":
+        return names, []
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def structured_stream(count, base_seed=0, sizes=None):
+    """Deterministic stream of disjoint unions of structured shapes.
+
+    Each item is ``(label, framework)``: one to three parts, each a shape
+    from :func:`structured_framework` with a seeded size from ``sizes``
+    (shape -> range), declared in a seeded interleaved order so that the
+    parts' arguments mix in the search order.
+    """
+    sizes = sizes or {"two-cycles": range(1, 5), "chain": range(1, 9),
+                      "cycle": range(1, 23), "isolated": range(1, 6)}
+    shapes = sorted(sizes)
+    for k in range(count):
+        rng = random.Random(base_seed + k)
+        names, attacks, label = [], [], []
+        for part in range(rng.randint(1, 3)):
+            shape = rng.choice(shapes)
+            size = rng.choice(sizes[shape])
+            part_names, part_attacks = structured_framework(
+                shape, size, prefix=f"p{part}")
+            names += part_names
+            attacks += part_attacks
+            label.append(f"{shape}:{size}")
+        rng.shuffle(names)
+        yield "+".join(label), md.build_framework(names, attacks)
+
+
+def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, conflict,
+                            ob_off, ob_masks, maximal_only):
+    """Reference for ``_kernels.dfs_enumerate``: the recursive walk it
+    replaced, which rescans every included member's obligations at each
+    node and tests leaf maximality over all ``k`` members."""
+    npos = len(pos_idx)
+    out = []
+
+    def walk(depth, inc):
+        avail = suffix_avail[depth]
+        for i in bits(inc):
+            for t in range(ob_off[i], ob_off[i + 1]):
+                m = ob_masks[t]
+                if m & inc == 0 and m & avail == 0:
+                    return
+        if depth == npos:
+            if maximal_only:
+                for i in range(k):
+                    bit = 1 << i
+                    if inc & bit or conflict[i] & inc:
+                        continue
+                    if all(ob_masks[t] & (inc | bit)
+                           for t in range(ob_off[i], ob_off[i + 1])):
+                        return
+            out.append(inc)
+            return
+        i = pos_idx[depth]
+        bit = 1 << i
+        if conflict[i] & inc == 0:
+            walk(depth + 1, inc | bit)
+            if maximal_only:
+                obligations = range(ob_off[i], ob_off[i + 1])
+                if all(ob_masks[t] & inc for t in obligations):
+                    return
+                if (conflict[i] & suffix_avail[depth + 1] == 0
+                        and all(ob_masks[t] & (inc | bit)
+                                for t in obligations)):
+                    return
+        walk(depth + 1, inc)
+
+    walk(0, forced_mask)
+    return out
+
+
+def single_tree_solve_space(af, space_mask, mode):
+    """Reference for ``extensions._solve_space``: one recursive search over
+    the whole prepared space, then for ``ADMISSIBLE_MAX`` one
+    subset-maximality pass over the whole family. Returns a set of masks."""
+    cand, forced = extensions._prepare_space(af, space_mask, mode)
+    space = _kernels.LocalSpace(af, cand, mode != extensions.CONFLICT_FREE)
+    k = len(space.members)
+    forced_local = space.to_local(forced)
+    pos_idx = [j for j in range(k) if not forced_local >> j & 1]
+    suffix = [0] * (len(pos_idx) + 1)
+    for d in range(len(pos_idx) - 1, -1, -1):
+        suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
+    maximal_only = mode == extensions.ADMISSIBLE_MAX
+    local_masks = recursive_dfs_enumerate(
+        k, pos_idx, suffix, forced_local, space.conflict, space.ob_off,
+        space.ob_masks, maximal_only)
+    masks = [space.to_global(lm) for lm in local_masks]
+    if maximal_only:
+        masks = extensions._subset_maximal_masks(masks)
+    return set(masks)
 
 
 def subset_walk_minimize(af, p, e):

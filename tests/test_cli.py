@@ -1,7 +1,9 @@
 import io
 import json
+import time
 
 import mindef as md
+from mindef import _kernels
 from mindef.afp import serialize_afp
 from mindef.cli import (SEMANTICS, SolveRequest, execute, format_set, main,
                         run_cli)
@@ -195,7 +197,9 @@ def test_invalid_utf8_on_standard_input_is_an_input_error(capsys, monkeypatch):
 
 def test_too_deep_search_exits_3(capsys, tmp_path):
     # 1200 two-cycles a_i <-> b_i chained by b_i -> a_(i+1): 2400 candidates
-    # in one tree search, deeper than the recursive kernel can go
+    # in one component, whose tree search grows about cubically with the
+    # chain, so a 1 s ceiling ends it; allowed overshoot: 2 s for parsing,
+    # space preparation and the time between two deadline checks
     lines = []
     for i in range(1200):
         lines += [f"arg(a{i}).\n", f"arg(b{i}).\n",
@@ -204,8 +208,44 @@ def test_too_deep_search_exits_3(capsys, tmp_path):
             lines.append(f"att(b{i - 1},a{i}).\n")
     path = tmp_path / "deep.afp"
     path.write_text("".join(lines))
-    code, out, err = run(capsys, "solve", str(path))
+    started = time.monotonic()
+    code, out, err = run(capsys, "solve", str(path), "--time-limit", "1")
+    assert time.monotonic() - started < 1 + 2
     assert code == 3 and out == "" and err.startswith("error:")
+    assert "wall-clock ceiling of 1.0s exhausted" in err
+
+
+def ring(tmp_path, n):
+    path = tmp_path / f"ring{n}.afp"
+    path.write_text("".join(f"arg(c{i}).\natt(c{i},c{(i + 1) % n}).\n"
+                            for i in range(n)))
+    return str(path)
+
+
+def test_preferred_answers_on_a_long_even_cycle(capsys, tmp_path):
+    # one component of 1200 candidates, far deeper than the recursion limit
+    code, out, _ = run(capsys, "solve", ring(tmp_path, 1200))
+    assert code == 0
+    evens = ",".join(sorted(f"c{i}" for i in range(0, 1200, 2)))
+    odds = ",".join(sorted(f"c{i}" for i in range(1, 1200, 2)))
+    assert out.splitlines() == sorted(["{%s}" % evens, "{%s}" % odds],
+                                      key=lambda line: line[1:-1].split(","))
+
+
+def test_preferred_answers_on_a_long_odd_cycle(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", ring(tmp_path, 2401))
+    assert code == 0 and out == "{}\n"
+
+
+def test_oracle_honours_the_time_limit(capsys, tmp_path, monkeypatch):
+    # blocks of 16 patterns: the deadline is read between them
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+    path = tmp_path / "ten.afp"
+    path.write_text("".join(f"arg(x{i}).\n" for i in range(10)))
+    code, out, err = run(capsys, "oracle", str(path), "-s", "admissible",
+                         "--time-limit", "0")
+    assert code == 3 and out == ""
+    assert err == "error: wall-clock ceiling of 0.0s exhausted\n"
 
 
 def test_budget_exhaustion_exits_3(capsys, tmp_path):

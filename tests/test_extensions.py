@@ -10,8 +10,11 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
                     filter_maximal, min_def_extensions,
                     minimize_restricted, preferred_extensions,
                     preferred_extensions_on, skeptical_accepted)
+from mindef import _kernels, extensions
+from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
-from conftest import instance_stream, sset, subset_walk_minimize
+from conftest import (instance_stream, single_tree_solve_space, sset,
+                      structured_stream, subset_walk_minimize)
 
 
 class TestPreferred:
@@ -126,6 +129,73 @@ class TestMinimizeRestricted:
         got = {s.mask for s in minimize_restricted(af, p, e)}
         assert got == subset_walk_minimize(af, p, e)
         assert len(got) == 2 ** 4
+
+
+class TestComponentSearch:
+    def test_independent_groups_are_searched_apart(self):
+        # two two-cycles, an isolated argument, and z, whose attacker y lies
+        # outside the space: z shares no conflict with x but needs it
+        af = build_framework("abcdexyz", [
+            ("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"),
+            ("y", "z"), ("x", "y")])
+        space = _kernels.LocalSpace(
+            af, af.subset("abcdexz").mask, defence=True)
+        groups = sorted(space.to_global(g)
+                        for g in extensions._components(space, 0))
+        assert groups == sorted(af.subset(names).mask
+                                for names in ("ab", "cd", "e", "xz"))
+        x = af.subset("abcdexz")
+        assert [s.names for s in preferred_extensions_on(af, x)] == [
+            ("a", "c", "e", "x", "z"), ("a", "d", "e", "x", "z"),
+            ("b", "c", "e", "x", "z"), ("b", "d", "e", "x", "z")]
+
+    def test_matches_the_single_tree_search_above_the_oracle_cap(self):
+        # sparse random frameworks at n=60-200: maximal sets of the whole
+        # framework and of its focus, admissible and conflict-free sets of
+        # windows of its first 20 and 14 arguments
+        compared = 0
+        for k in range(24):
+            n = 60 + (k * 37) % 141
+            af, p = md.random_instance(md.GeneratorConfig(
+                n, 1.5 / n, 0.7, 0.3, seed=9100 + k))
+            cases = ((ADMISSIBLE_MAX, af.full_mask),
+                     (ADMISSIBLE_MAX, p.focus.mask),
+                     (ADMISSIBLE_ALL, af.subset(af.names[:20]).mask),
+                     (CONFLICT_FREE, af.subset(af.names[:14]).mask))
+            for mode, space in cases:
+                got = extensions._solve_space(af, space, mode, None)
+                assert len(got) == len(set(got))
+                assert set(got) == single_tree_solve_space(af, space, mode)
+                compared += len(got)
+        assert compared > 24 * 100
+
+    def test_matches_the_single_tree_search_on_structured_shapes(self):
+        small = {"two-cycles": range(1, 4), "chain": range(1, 5),
+                 "cycle": range(1, 10), "isolated": range(1, 4)}
+        for mode, sizes in ((ADMISSIBLE_MAX, None), (ADMISSIBLE_ALL, small),
+                            (CONFLICT_FREE, small)):
+            for label, af in structured_stream(40, 9300, sizes):
+                got = extensions._solve_space(af, af.full_mask, mode, None)
+                assert len(got) == len(set(got)), label
+                assert set(got) == single_tree_solve_space(
+                    af, af.full_mask, mode), label
+
+    def test_restrictedly_admissible_sets_build_one_family(self, monkeypatch):
+        built = []
+
+        class Counted(ExtensionFamily):
+            __slots__ = ()
+
+            def __init__(self, members):
+                built.append(1)
+                super().__init__(members)
+
+        monkeypatch.setattr(extensions, "ExtensionFamily", Counted)
+        for _, af, p in instance_stream(20, base_seed=9500):
+            built.clear()
+            fam = md.restrictedly_admissible_sets(af, p)
+            assert len(built) == 1
+            assert fam == md.oracle_restrictedly_admissible(af, p)
 
 
 class TestFilterMaximal:

@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 import mindef as md
 from mindef import _kernels
 
@@ -45,3 +49,26 @@ def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
     for args, whole in spaces:
         assert whole == sorted(whole)
         assert _kernels.subset_scan(*args) == whole
+
+
+def test_scan_checks_the_deadline_between_blocks(monkeypatch):
+    af = md.build_framework([f"x{i}" for i in range(8)], [])
+    space = _kernels.LocalSpace(af, af.full_mask, True)
+    args = (8, space.conflict, space.ob_off, space.ob_masks, True)
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+    past = time.monotonic() - 1.0
+    with pytest.raises(_kernels.DeadlineReached):
+        _kernels.subset_scan(*args, past)
+    # one block is always scanned whole
+    assert len(_kernels.subset_scan(4, *args[1:], past)) == 16
+    assert len(_kernels.subset_scan(*args, time.monotonic() + 60)) == 256
+
+
+def test_oracle_refuses_once_its_deadline_has_passed(monkeypatch):
+    af = md.build_framework([f"x{i}" for i in range(8)], [])
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+    with pytest.raises(md.BudgetExceeded, match="ceiling of -1.0s exhausted"):
+        md.oracle_admissible(af, budget=md.SearchBudget(
+            wall_clock_seconds=-1.0))
+    assert len(md.oracle_admissible(af, budget=md.SearchBudget(
+        wall_clock_seconds=60.0))) == 256
