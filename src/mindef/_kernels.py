@@ -1,12 +1,18 @@
 """Hot enumeration kernels and the compressed search-space layout they read.
 
-The kernels work on a search space renumbered to dense local bits
-``0..k-1`` (see :class:`LocalSpace`). Two enumeration strategies live here:
+The kernels take a :class:`LocalSpace`: a search space renumbered to dense
+local bits ``0..k-1``, holding per member the mask of its conflicts and a
+list of its defence obligations (per attacker, the mask of members that
+answer it). The space also splits itself into independent groups. Two
+enumeration strategies live here:
 
 * ``subset_scan`` walks every bit pattern of a (small) search space in
-  numeric order and keeps the conflict-free / admissible ones. This is the
-  exhaustive reference path, vectorized with numpy over ``arange`` blocks
-  of at most ``2^20`` patterns, with the deadline read between blocks.
+  numeric order and keeps those that are conflict-free and meet every
+  obligation (a space built without defence has none). This is the
+  exhaustive reference path, vectorized with numpy over int64 ``arange``
+  blocks of at most ``2^20`` patterns, so it takes at most
+  ``SCAN_MAX_ARGUMENTS`` (62) members, and reads the deadline between
+  blocks.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
   arguments, pruning conflicting inclusions and branches whose pending
@@ -31,6 +37,8 @@ JIT_ENABLED = False
 
 # patterns per numpy block in ``subset_scan``; bounds its memory whatever k is
 _SCAN_CHUNK = 1 << 20
+# the most members ``subset_scan`` takes: its patterns are int64
+SCAN_MAX_ARGUMENTS = 62
 
 
 class DeadlineReached(Exception):
@@ -42,13 +50,12 @@ class LocalSpace:
 
     ``members[j]`` is the global index behind local bit ``j``.
     ``conflict[j]`` is the local mask of members that attack member ``j`` or
-    are attacked by it. With ``defence``, ``ob_masks[ob_off[j]:ob_off[j+1]]``
-    holds, per attacker of member ``j``, the local mask of members that
-    counter-attack it; without, every member has no obligations.
+    are attacked by it. ``obligations[j]`` lists, per attacker of member
+    ``j``, the local mask of members that counter-attack it; built without
+    ``defence``, every list is empty.
     """
 
-    __slots__ = ("members", "local_of", "space", "conflict", "ob_off",
-                 "ob_masks")
+    __slots__ = ("members", "local_of", "space", "conflict", "obligations")
 
     def __init__(self, af, space: int, defence: bool):
         att = af.attacker_masks
@@ -58,13 +65,9 @@ class LocalSpace:
         self.local_of = {g: j for j, g in enumerate(self.members)}
         to_local = self.to_local
         self.conflict = [to_local(att[g] | tgt[g]) for g in self.members]
-        self.ob_off = [0]
-        self.ob_masks = []
-        for g in self.members:
-            if defence:
-                for b in bits(att[g]):
-                    self.ob_masks.append(to_local(att[b]))
-            self.ob_off.append(len(self.ob_masks))
+        self.obligations = [
+            [to_local(att[b]) for b in bits(att[g])] if defence else []
+            for g in self.members]
 
     def to_local(self, global_mask: int) -> int:
         local_of = self.local_of
@@ -80,17 +83,46 @@ class LocalSpace:
             out |= 1 << members[j]
         return out
 
+    def components(self, forced: int) -> list[int]:
+        """Local masks of the space's independent groups of members.
 
-def subset_scan(k: int, conflict, ob_off, ob_masks, require_defence: bool,
+        Members are linked, both ways, to their conflicts and to the
+        answerers of their attackers, so no two groups share a conflict or
+        an obligation. Groups made only of ``forced`` members are left out.
+        """
+        link = list(self.conflict)
+        for i, obs in enumerate(self.obligations):
+            for m in obs:
+                link[i] |= m
+                for j in bits(m):
+                    link[j] |= 1 << i
+        groups = []
+        rest = (1 << len(link)) - 1 & ~forced
+        while rest:
+            group = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for j in bits(frontier):
+                    reach |= link[j]
+                frontier = reach & ~group
+                group |= frontier
+            groups.append(group)
+            rest &= ~group
+        return groups
+
+
+def subset_scan(k: int, space: LocalSpace,
                 deadline: float | None = None) -> list[int]:
-    """All conflict-free (and, on request, admissible) k-bit patterns.
+    """All k-bit patterns that are admissible in ``space``.
 
-    Arguments follow the :class:`LocalSpace` layout. Patterns are tested
-    in blocks of ``_SCAN_CHUNK`` and come back in increasing numeric order.
-    The deadline is checked between blocks; raises :class:`DeadlineReached`
-    when it has passed.
+    A space built without defence has no obligations, so every
+    conflict-free pattern qualifies. ``k`` must not exceed
+    ``SCAN_MAX_ARGUMENTS``. Patterns are tested in blocks of ``_SCAN_CHUNK``
+    and come back in increasing numeric order. The deadline is checked
+    between blocks; raises :class:`DeadlineReached` when it has passed.
     """
-    conflict = np.asarray(conflict, dtype=np.int64)
+    conflict = np.asarray(space.conflict, dtype=np.int64)
+    obligations = space.obligations
     total = 1 << k
     out = []
     for start in range(0, total, _SCAN_CHUNK):
@@ -102,22 +134,21 @@ def subset_scan(k: int, conflict, ob_off, ob_masks, require_defence: bool,
         for i in range(k):
             member = (subs >> i) & 1 == 1
             ok &= ~(member & ((subs & conflict[i]) != 0))
-            if require_defence:
-                for t in range(ob_off[i], ob_off[i + 1]):
-                    ok &= ~(member & ((subs & ob_masks[t]) == 0))
+            for m in obligations[i]:
+                ok &= ~(member & ((subs & m) == 0))
         out.extend(subs[ok].tolist())
     return out
 
 
-def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,
-                  ob_off, ob_masks, maximal_only: bool,
+def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
+                  space: LocalSpace, maximal_only: bool,
                   deadline: float | None) -> list[int]:
     """Admissible (or conflict-free, when no obligations) candidate masks.
 
-    Arguments follow the :class:`LocalSpace` layout; a call may search any
-    ``k`` of the space's members that share no conflict or obligation with
-    the rest. ``pos_idx`` lists the branchable member indices in fixed
-    order; ``forced_mask`` members are included unconditionally.
+    A call may search any ``k`` of ``space``'s members that share no
+    conflict or obligation with the rest. ``pos_idx`` lists the branchable
+    member indices in fixed order; ``forced_mask`` members are included
+    unconditionally.
     ``suffix_avail[d]`` must hold the union of bits still branchable at
     depth ``d``. With ``maximal_only``, branches that provably yield no
     inclusion-maximal set are cut, so the caller must only use the result
@@ -127,18 +158,16 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int, conflict,
     """
     npos = len(pos_idx)
     branchable = suffix_avail[0]
-    # each member's own obligations; and per branchable bit, the mask of
-    # owners and the (owner bit, obligation) pairs whose last branchable
-    # answerer it is: only excluding that one can strand an obligation,
-    # and only if its owner is included
+    # per branchable bit, the mask of owners and the (owner bit, obligation)
+    # pairs whose last branchable answerer it is: only excluding that one can
+    # strand an obligation, and only if its owner is included
+    conflict = space.conflict
+    own = space.obligations
     depth_of = {i: d for d, i in enumerate(pos_idx)}
-    own = {}
     watch = {i: [] for i in pos_idx}
     owners = dict.fromkeys(pos_idx, 0)
     for o in bits(forced_mask | branchable):
-        obs = ob_masks[ob_off[o]:ob_off[o + 1]]
-        own[o] = obs
-        for m in obs:
+        for m in own[o]:
             if m & forced_mask or m & branchable == 0:
                 continue  # always met, or never: no exclusion changes it
             last = max(bits(m & branchable), key=depth_of.__getitem__)

@@ -137,10 +137,6 @@ def execute(request: SolveRequest) -> SolveResult:
     return SolveResult(request.semantics, family, verdict, elapsed_ms, stats)
 
 
-def format_set(s) -> str:
-    return "{%s}" % ",".join(sorted(s.names))
-
-
 def _render(result: SolveResult, request: SolveRequest, out) -> None:
     if request.output == "structured":
         doc = {"semantics": result.semantics}
@@ -153,7 +149,7 @@ def _render(result: SolveResult, request: SolveRequest, out) -> None:
         return
     if result.family is not None:
         for s in result.family:
-            out.write(format_set(s) + "\n")
+            out.write(repr(s) + "\n")
     else:
         out.write("YES\n" if result.verdict else "NO\n")
 

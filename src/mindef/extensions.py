@@ -172,36 +172,6 @@ def _prepare_space(af, space_mask, mode):
             return cand, forced
 
 
-def _components(space, forced):
-    """Local masks of the space's independent groups of members.
-
-    Members are linked, both ways, to their conflicts and to the answerers
-    of their attackers, so no two groups share a conflict or an obligation.
-    Groups made only of ``forced`` members are left out.
-    """
-    link = list(space.conflict)
-    ob_off, ob_masks = space.ob_off, space.ob_masks
-    for i in range(len(link)):
-        for t in range(ob_off[i], ob_off[i + 1]):
-            m = ob_masks[t]
-            link[i] |= m
-            for j in bits(m):
-                link[j] |= 1 << i
-    groups = []
-    rest = (1 << len(link)) - 1 & ~forced
-    while rest:
-        group = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for j in bits(frontier):
-                reach |= link[j]
-            frontier = reach & ~group
-            group |= frontier
-        groups.append(group)
-        rest &= ~group
-    return groups
-
-
 def _product(factors, base, deadline):
     """Every union of ``base`` with one mask from each factor."""
     out = [base]
@@ -231,15 +201,14 @@ def _solve_space(af, space_mask, mode, budget):
     maximal_only = mode == ADMISSIBLE_MAX
     factors = []
     try:
-        for group in _components(space, forced_local):
+        for group in space.components(forced_local):
             pos_idx = list(bits(group & ~forced_local))
             suffix = [0] * (len(pos_idx) + 1)
             for d in range(len(pos_idx) - 1, -1, -1):
                 suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
             local_masks = _kernels.dfs_enumerate(
                 group.bit_count(), pos_idx, suffix, group & forced_local,
-                space.conflict, space.ob_off, space.ob_masks, maximal_only,
-                deadline)
+                space, maximal_only, deadline)
             if maximal_only:
                 local_masks = _subset_maximal_masks(local_masks)
             factors.append([space.to_global(lm) for lm in local_masks])

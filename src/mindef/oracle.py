@@ -4,37 +4,31 @@ This module is the trust anchor for the tree-search solver, so it stays as
 literal as possible: every bit pattern of the space is generated in numeric
 order and tested against the defining predicate, and maximality is a final
 pairwise pass. No preprocessing, no pruning. Spaces are capped at 20
-arguments; beyond that the run is refused outright rather than left to
-crawl for hours. A wall-clock ceiling is checked between the scan's
-blocks of patterns.
+arguments by default, and never above the scan's 62; beyond the cap the
+run is refused outright rather than left to crawl for hours. A wall-clock
+ceiling is checked between the scan's blocks of patterns.
 """
 
 from . import _kernels
-from .errors import BudgetExceeded, CrossFrameworkSet
+from .errors import BudgetExceeded
 from .extensions import (DEFAULT_BUDGET, ExtensionFamily, SearchBudget,
-                         filter_maximal)
+                         _space_of, filter_maximal)
 from .model import ArgumentationFramework, ArgumentSet, Partition
 from .semantics import is_restrictedly_admissible
 
 
-def _scan(af, restrict_to, budget, require_defence):
-    if restrict_to is None:
-        space = af.full_mask
-    else:
-        if restrict_to.framework is not af:
-            raise CrossFrameworkSet("set belongs to a different framework")
-        space = restrict_to.mask
+def _scan(af, restrict_to, budget, defence):
+    space = _space_of(af, restrict_to)
     k = space.bit_count()
-    cap = (budget or DEFAULT_BUDGET).max_arguments_for_exhaustive
+    budget = budget or DEFAULT_BUDGET
+    cap = min(budget.max_arguments_for_exhaustive, _kernels.SCAN_MAX_ARGUMENTS)
     if k > cap:
         raise BudgetExceeded(
             f"exhaustive scan over {k} arguments exceeds the cap of {cap}")
-    deadline = (budget or DEFAULT_BUDGET).deadline()
-    local = _kernels.LocalSpace(af, space, require_defence)
+    deadline = budget.deadline()
+    local = _kernels.LocalSpace(af, space, defence)
     try:
-        local_masks = _kernels.subset_scan(k, local.conflict, local.ob_off,
-                                           local.ob_masks, require_defence,
-                                           deadline)
+        local_masks = _kernels.subset_scan(k, local, deadline)
     except _kernels.DeadlineReached:
         raise BudgetExceeded(
             f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
@@ -45,13 +39,13 @@ def _scan(af, restrict_to, budget, require_defence):
 def oracle_conflict_free(af: ArgumentationFramework, restrict_to: ArgumentSet = None,
                          budget: SearchBudget = None) -> ExtensionFamily:
     """All conflict-free subsets of ``restrict_to`` (default: all arguments)."""
-    return ExtensionFamily(_scan(af, restrict_to, budget, require_defence=False))
+    return ExtensionFamily(_scan(af, restrict_to, budget, defence=False))
 
 
 def oracle_admissible(af: ArgumentationFramework, restrict_to: ArgumentSet = None,
                       budget: SearchBudget = None) -> ExtensionFamily:
     """All admissible subsets of ``restrict_to`` (default: all arguments)."""
-    return ExtensionFamily(_scan(af, restrict_to, budget, require_defence=True))
+    return ExtensionFamily(_scan(af, restrict_to, budget, defence=True))
 
 
 def oracle_preferred(af: ArgumentationFramework,

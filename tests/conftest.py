@@ -111,19 +111,19 @@ def structured_stream(count, base_seed=0, sizes=None):
         yield "+".join(label), md.build_framework(names, attacks)
 
 
-def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, conflict,
-                            ob_off, ob_masks, maximal_only):
+def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
+                            maximal_only):
     """Reference for ``_kernels.dfs_enumerate``: the recursive walk it
     replaced, which rescans every included member's obligations at each
     node and tests leaf maximality over all ``k`` members."""
+    conflict, obligations = space.conflict, space.obligations
     npos = len(pos_idx)
     out = []
 
     def walk(depth, inc):
         avail = suffix_avail[depth]
         for i in bits(inc):
-            for t in range(ob_off[i], ob_off[i + 1]):
-                m = ob_masks[t]
+            for m in obligations[i]:
                 if m & inc == 0 and m & avail == 0:
                     return
         if depth == npos:
@@ -132,8 +132,7 @@ def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, conflict,
                     bit = 1 << i
                     if inc & bit or conflict[i] & inc:
                         continue
-                    if all(ob_masks[t] & (inc | bit)
-                           for t in range(ob_off[i], ob_off[i + 1])):
+                    if all(m & (inc | bit) for m in obligations[i]):
                         return
             out.append(inc)
             return
@@ -142,12 +141,10 @@ def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, conflict,
         if conflict[i] & inc == 0:
             walk(depth + 1, inc | bit)
             if maximal_only:
-                obligations = range(ob_off[i], ob_off[i + 1])
-                if all(ob_masks[t] & inc for t in obligations):
+                if all(m & inc for m in obligations[i]):
                     return
                 if (conflict[i] & suffix_avail[depth + 1] == 0
-                        and all(ob_masks[t] & (inc | bit)
-                                for t in obligations)):
+                        and all(m & (inc | bit) for m in obligations[i])):
                     return
         walk(depth + 1, inc)
 
@@ -169,8 +166,7 @@ def single_tree_solve_space(af, space_mask, mode):
         suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
     maximal_only = mode == extensions.ADMISSIBLE_MAX
     local_masks = recursive_dfs_enumerate(
-        k, pos_idx, suffix, forced_local, space.conflict, space.ob_off,
-        space.ob_masks, maximal_only)
+        k, pos_idx, suffix, forced_local, space, maximal_only)
     masks = [space.to_global(lm) for lm in local_masks]
     if maximal_only:
         masks = extensions._subset_maximal_masks(masks)

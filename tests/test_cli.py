@@ -5,8 +5,7 @@ import time
 import mindef as md
 from mindef import _kernels
 from mindef.afp import serialize_afp
-from mindef.cli import (SEMANTICS, SolveRequest, execute, format_set, main,
-                        run_cli)
+from mindef.cli import SEMANTICS, SolveRequest, main, run_cli
 
 from conftest import FIXTURE_DIR, instance_stream
 
@@ -255,6 +254,18 @@ def test_budget_exhaustion_exits_3(capsys, tmp_path):
     assert code == 3 and "error:" in err
 
 
+def test_oracle_refuses_spaces_wider_than_its_scan(capsys, tmp_path):
+    # the scan's int64 patterns hold 62 arguments, whatever --budget allows
+    path = str(tmp_path / "g70.afp")
+    assert run(capsys, "generate", "-n", "70", "-p", "0.05", "--seed", "1",
+               "-o", path)[0] == 0
+    code, out, err = run(capsys, "oracle", path, "--budget", "80",
+                         "--time-limit", "2", "-s", "admissible")
+    assert code == 3 and out == ""
+    assert err == ("error: exhaustive scan over 70 arguments exceeds "
+                   "the cap of 62\n")
+
+
 def test_time_limit_exhaustion_exits_3(capsys, tmp_path):
     names = [f"x{i}" for i in range(28)]
     lines = [f"arg({n}).\n" for n in names]
@@ -305,7 +316,8 @@ def test_run_cli_returns_result_and_exit_code():
 
 
 def test_execute_reports_timing():
-    request = SolveRequest(text=AF2_TEXT, semantics="preferred")
-    result = execute(request)
+    buffer = io.StringIO()
+    result, _ = run_cli(SolveRequest(text=AF2_TEXT, semantics="preferred"),
+                        out=buffer)
     assert result.elapsed_ms >= 0.0
-    assert format_set(result.family.members[0]) == "{o1,o5,r1,r2,r3,u2,u3,u4,u5}"
+    assert buffer.getvalue() == "{o1,o5,r1,r2,r3,u2,u3,u4,u5}\n"

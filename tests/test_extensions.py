@@ -140,8 +140,7 @@ class TestComponentSearch:
             ("y", "z"), ("x", "y")])
         space = _kernels.LocalSpace(
             af, af.subset("abcdexz").mask, defence=True)
-        groups = sorted(space.to_global(g)
-                        for g in extensions._components(space, 0))
+        groups = sorted(space.to_global(g) for g in space.components(0))
         assert groups == sorted(af.subset(names).mask
                                 for names in ("ab", "cd", "e", "xz"))
         x = af.subset("abcdexz")

@@ -26,13 +26,12 @@ def test_local_space_layout_and_round_trip():
     assert space.members == [0, 1, 2]
     assert space.conflict == [0b010, 0b101, 0b010]
     # c's attackers are b (answered by a) and d (answered by nobody inside)
-    assert space.ob_off == [0, 1, 2, 4]
-    assert space.ob_masks == [0b001, 0b010, 0b001, 0b000]
+    assert space.obligations == [[0b001], [0b010], [0b001, 0b000]]
     assert space.to_local(af.subset("bcd").mask) == 0b110
     for local in range(8):
         assert space.to_local(space.to_global(local)) == local
     plain = _kernels.LocalSpace(af, af.subset("abc").mask, defence=False)
-    assert plain.ob_off == [0, 0, 0, 0] and plain.ob_masks == []
+    assert plain.obligations == [[], [], []]
 
 
 def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
@@ -43,7 +42,7 @@ def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
         af, _ = md.random_instance(cfg)
         for defence in (False, True):
             space = _kernels.LocalSpace(af, af.full_mask, defence)
-            args = (k, space.conflict, space.ob_off, space.ob_masks, defence)
+            args = (k, space)
             spaces.append((args, _kernels.subset_scan(*args)))
     monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
     for args, whole in spaces:
@@ -54,7 +53,7 @@ def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
 def test_scan_checks_the_deadline_between_blocks(monkeypatch):
     af = md.build_framework([f"x{i}" for i in range(8)], [])
     space = _kernels.LocalSpace(af, af.full_mask, True)
-    args = (8, space.conflict, space.ob_off, space.ob_masks, True)
+    args = (8, space)
     monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
     past = time.monotonic() - 1.0
     with pytest.raises(_kernels.DeadlineReached):
