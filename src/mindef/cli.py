@@ -141,15 +141,15 @@ def _render(result: SolveResult, request: SolveRequest, out) -> None:
     if request.output == "structured":
         doc = {"semantics": result.semantics}
         if result.family is not None:
-            doc["extensions"] = [sorted(s.names) for s in result.family]
+            doc["extensions"] = list(result.family.member_names())
         else:
             doc["verdict"] = result.verdict
         doc["stats"] = result.stats
         out.write(json.dumps(doc) + "\n")
         return
     if result.family is not None:
-        for s in result.family:
-            out.write(repr(s) + "\n")
+        for names in result.family.member_names():
+            out.write("{%s}\n" % ",".join(names))
     else:
         out.write("YES\n" if result.verdict else "NO\n")
 

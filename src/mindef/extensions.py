@@ -23,9 +23,10 @@ The solver explores an include/exclude tree over the candidate arguments
 Min-def extensions are computed by a two-step pipeline: enumerate the
 preferred extensions on the focus, keep those whose unrestricted part is
 maximal, then shrink each one's restricted part to all its minimal
-admissible supports; a final strict-preference filter removes candidates
-dominated across branches. The whole pipeline shares one wall-clock
-deadline.
+admissible supports; a final pass keeps, among the candidates with the
+same unrestricted part, those with a subset-minimal restricted part, which
+removes the candidates dominated across branches. The whole pipeline shares
+one wall-clock deadline.
 
 The shrinking step is an obligation-driven search. A candidate is
 conflict-free, so any subset is too and only defence matters: each attacker
@@ -41,13 +42,13 @@ support is cut, and a last pass keeps the inclusion-minimal leaves.
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 from . import _kernels
 from .errors import (BudgetExceeded, CrossFrameworkSet, EmptyFamily,
                      NotWithinFocus, PreconditionViolated)
 from .model import ArgumentationFramework, ArgumentSet, Partition, bits
-from .semantics import (BETTER, is_admissible, is_restrictedly_admissible,
-                        prec_order)
+from .semantics import BETTER, _parity_reachable, is_admissible, prec_order
 
 CONFLICT_FREE = "conflict-free"
 ADMISSIBLE_ALL = "admissible-all"
@@ -77,14 +78,56 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
+class _ByteTable(dict):
+    """Maps ``k << 8 | byte`` to ``join`` of the values of the byte's set
+    bits, highest bit first. Bit ``7 - p`` of byte ``k`` has the value
+    ``values[8 * k + p]``.
+
+    Each entry is filled on first use, so a small family pays only for the
+    bytes its members hold, and a large one looks each byte up once.
+    """
+
+    __slots__ = ("values", "join")
+
+    def __init__(self, values, join):
+        super().__init__()
+        self.values = values
+        self.join = join
+
+    def __missing__(self, key):
+        base = key >> 8 << 3
+        entry = self[key] = self.join(
+            compress(self.values[base:base + 8], _HIGH_FIRST[key & 255]))
+        return entry
+
+
+# the bits of each byte value, highest first
+_HIGH_FIRST = [tuple(b >> (7 - p) & 1 for p in range(8)) for b in range(256)]
+
+
 class ExtensionFamily:
     """A duplicate-free, canonically ordered collection of argument sets.
 
     Canonical order is lexicographic on the tuple of sorted member names,
     so identical inputs always serialize identically.
+
+    The order is computed on integers. The arguments the members hold are
+    relabelled by name order: the one of rank ``j`` (0 = smallest name)
+    goes to bit ``W-1-j`` of a rank mask ``r``, where ``W`` is their number
+    rounded up to whole bytes. A member's key is
+
+        ``0 if r == 0 else r.bit_count() + (1 << W) - (r & -r) - r``
+
+    which is its index in the lexicographic order of all sorted name tuples
+    over those ``W`` ranks. The tuples before a nonempty member ``S`` are
+    its ``|S|`` proper prefixes (``()`` included) and, for every rank ``c``
+    missing from ``S`` but below its largest rank, the ``2^(W-1-c)`` tuples
+    that follow ``S`` up to ``c``, take ``c`` next and go on freely above
+    it. ``2^(W-1-c)`` is the bit of rank ``c``, and those bits are all the
+    bits above ``r``'s lowest one that ``r`` lacks: ``2^W - lowbit(r) - r``.
     """
 
-    __slots__ = ("members", "_masks", "framework")
+    __slots__ = ("members", "_masks", "framework", "_ranks", "_by_rank")
 
     def __init__(self, members):
         framework = None
@@ -97,9 +140,63 @@ class ExtensionFamily:
                     "family members belong to different frameworks")
             by_mask[s.mask] = s
         self.framework = framework
-        self.members = tuple(sorted(by_mask.values(),
-                                    key=lambda s: tuple(sorted(s.names))))
         self._masks = frozenset(by_mask)
+        union = 0
+        for m in by_mask:
+            union |= m
+        names = framework.names if framework is not None else ()
+        self._by_rank = sorted(bits(union), key=names.__getitem__)
+        width = -(-len(self._by_rank) // 8) * 8
+        full = (1 << width) - (1 << (width - len(self._by_rank)))
+        if len(by_mask) < 2:
+            # nothing to order, and a lone member is the union
+            self.members = tuple(by_mask.values())
+            self._ranks = [full] * len(by_mask)
+            return
+        nbytes = (union.bit_length() + 7) // 8
+        rank_bit = [0] * (8 * nbytes)
+        for j, i in enumerate(self._by_rank):
+            # the table keeps bit i % 8 of byte i // 8 at i ^ 7
+            rank_bit[i ^ 7] = 1 << (width - 1 - j)
+        # a member's rank mask is that of the union less the ranks of the
+        # union's arguments it lacks, looked up a byte at a time over the
+        # bytes the union uses (rank bits are distinct, so sums are unions);
+        # members close to the union need few lookups
+        table = _ByteTable(rank_bit, sum)
+        used = [(k, k << 8)
+                for k, b in enumerate(union.to_bytes(nbytes, "little")) if b]
+        masks = list(by_mask)
+        ranks = []
+        for m in masks:
+            raw = (union ^ m).to_bytes(nbytes, "little")
+            r = full
+            for k, key in used:
+                if raw[k]:
+                    r -= table[key | raw[k]]
+            ranks.append(r)
+        top = 1 << width
+        keys = [r and r.bit_count() + top - (r & -r) - r for r in ranks]
+        order = sorted(range(len(masks)), key=keys.__getitem__)
+        self.members = tuple([by_mask[masks[i]] for i in order])
+        self._ranks = [ranks[i] for i in order]
+
+    def member_names(self):
+        """Yield each member's names in name order, in the family's order.
+
+        Reads each member's rank mask from the top byte down, through a
+        table from byte position and value to the names of the set bits.
+        """
+        nbytes = -(-len(self._by_rank) // 8)
+        # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
+        by_rank = [self.framework.names[i] for i in self._by_rank]
+        by_rank += [None] * (8 * nbytes - len(by_rank))
+        table = _ByteTable(by_rank, tuple)
+        for r in self._ranks:
+            found = []
+            for q, byte in enumerate(r.to_bytes(nbytes, "big")):
+                if byte:
+                    found += table[q << 8 | byte]
+            yield found
 
     def __iter__(self):
         return iter(self.members)
@@ -263,9 +360,18 @@ def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
     masks = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL, budget)
-    members = (ArgumentSet(af, m) for m in masks)
-    return ExtensionFamily(s for s in members
-                           if is_restrictedly_admissible(af, p, s))
+    # the masks are the admissible subsets of the focus; what is left is
+    # that each restricted member individually defends an unrestricted
+    # one, and a member's defender walk is the same in every set
+    u, r = p.unrestricted.mask, p.restricted.mask
+    used = 0
+    for m in masks:
+        used |= m
+    defended = {x: _parity_reachable(af.target_masks, x)
+                for x in bits(used & r)}
+    return ExtensionFamily(
+        ArgumentSet(af, m) for m in masks
+        if all(defended[x] & m & u for x in bits(m & r)))
 
 
 def preferred_extensions(af: ArgumentationFramework,
@@ -364,20 +470,63 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
         return SearchBudget(budget.max_arguments_for_exhaustive, left)
 
     try:
-        prefs = preferred_extensions_on(af, p.focus, remaining())
-        u_masks = [s.mask & p.unrestricted.mask for s in prefs]
-        max_u = _subset_maximal_masks(u_masks)
+        u = p.unrestricted.mask
+        prefs = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_MAX,
+                             remaining())
+        max_u = set(_subset_maximal_masks([m & u for m in prefs]))
         candidates = []
-        for s in prefs:
-            if s.mask & p.unrestricted.mask in max_u:
-                candidates.extend(minimize_restricted(af, p, s, remaining()))
+        for m in prefs:
+            if m & u in max_u:
+                supports = minimize_restricted(af, p, ArgumentSet(af, m),
+                                               remaining())
+                candidates.extend(s.mask for s in supports)
+        kept = _least_restricted(p, candidates, deadline)
     except BudgetExceeded:
         # only the clock refuses here: report the request's ceiling, not
         # the slice a step was handed
         raise BudgetExceeded(
             f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
         ) from None
-    return filter_maximal(ExtensionFamily(candidates), order="prec", partition=p)
+    return ExtensionFamily(ArgumentSet(af, m) for m in kept)
+
+
+def _least_restricted(p, candidates, deadline):
+    """The candidate masks no other candidate strictly improves on.
+
+    This is ``filter_maximal(..., order="prec")`` for min-def's candidates,
+    in one pass. Each candidate's unrestricted part is inclusion-maximal
+    among those of the preferred extensions on the focus, so two
+    candidates' unrestricted parts are either equal or incomparable. The
+    preference order looks at restricted parts only when the unrestricted
+    parts are equal, so a candidate is dominated exactly when another with
+    the same unrestricted part has a strictly smaller restricted part.
+    Grouping by unrestricted part and keeping each group's subset-minimal
+    restricted parts therefore keeps exactly the undominated candidates.
+
+    Each support is minimal among all admissible shrinkings of its own
+    preferred extension, and a smaller restricted part with the same
+    unrestricted part found in another branch would be one of them; so this
+    pass drops only duplicates in practice. It checks anyway, so that the
+    answer does not rest on that argument.
+    """
+    u, r = p.unrestricted.mask, p.restricted.mask
+    groups = {}
+    for m in candidates:
+        groups.setdefault(m & u, set()).add(m & r)
+    kept = []
+    ticks = 0
+    for eu, parts in groups.items():
+        minimal = []
+        # a strict subset has fewer bits, so it is kept before its supersets
+        for part in sorted(parts, key=int.bit_count):
+            if deadline is not None and ticks & 255 == 0:
+                if time.monotonic() > deadline:
+                    raise BudgetExceeded
+            ticks += 1
+            if not any(k | part == part for k in minimal):
+                minimal.append(part)
+        kept.extend(eu | part for part in minimal)
+    return kept
 
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",

@@ -190,6 +190,35 @@ def subset_walk_minimize(af, p, e):
     return {eu | m for m in minimal}
 
 
+def name_tuple_order(sets):
+    """Reference for ``ExtensionFamily``'s order: the distinct sets sorted
+    by the tuple of their sorted names."""
+    distinct = {s.mask: s for s in sets}
+    return sorted(distinct.values(), key=lambda s: tuple(sorted(s.names)))
+
+
+def pairwise_min_def(af, p):
+    """Reference for ``min_def_extensions``: its two steps, ended by the
+    pairwise ``filter_maximal(..., order="prec")`` over every candidate."""
+    u = p.unrestricted.mask
+    prefs = md.preferred_extensions_on(af, p.focus)
+    max_u = set(extensions._subset_maximal_masks([s.mask & u for s in prefs]))
+    candidates = []
+    for s in prefs:
+        if s.mask & u in max_u:
+            candidates.extend(md.minimize_restricted(af, p, s))
+    return md.filter_maximal(md.ExtensionFamily(candidates), order="prec",
+                             partition=p)
+
+
+def predicate_restrictedly_admissible(af, p):
+    """Reference for ``restrictedly_admissible_sets``: the admissible
+    subsets of the focus that pass ``is_restrictedly_admissible``."""
+    return md.ExtensionFamily(
+        s for s in md.admissible_sets(af, p.focus)
+        if md.is_restrictedly_admissible(af, p, s))
+
+
 def walk_defenders(af, a):
     """Independent check for defender walks: expand every backward attack
     walk layer by layer and collect the vertices on even layers >= 2."""

@@ -1,3 +1,4 @@
+import random
 import time
 import types
 
@@ -13,8 +14,10 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
 from mindef import _kernels, extensions
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
-from conftest import (instance_stream, single_tree_solve_space, sset,
-                      structured_stream, subset_walk_minimize)
+from conftest import (instance_stream, name_tuple_order, pairwise_min_def,
+                      predicate_restrictedly_admissible,
+                      single_tree_solve_space, sset, structured_stream,
+                      subset_walk_minimize)
 
 
 class TestPreferred:
@@ -72,6 +75,20 @@ class TestMinDef:
     def test_matches_oracle_on_random_instances(self):
         for _, af, p in instance_stream(40, base_seed=3000):
             assert min_def_extensions(af, p) == md.oracle_min_def(af, p)
+
+    def test_matches_the_pairwise_prec_filter_above_the_oracle_cap(self):
+        # n=30-60, restricted-heavy focus: many instances have several
+        # candidates with the same unrestricted part
+        shared = 0
+        for seed in range(120):
+            n = 30 + seed % 31
+            af, p = md.random_instance(md.GeneratorConfig(
+                n, (1.0 + seed % 3 / 2) / n, 0.8, 0.5, seed=seed))
+            got = min_def_extensions(af, p)
+            assert got.members == pairwise_min_def(af, p).members, seed
+            u_parts = [s.mask & p.unrestricted.mask for s in got]
+            shared += len(set(u_parts)) < len(u_parts)
+        assert shared >= 10
 
 
 class TestMinimizeRestricted:
@@ -179,6 +196,29 @@ class TestComponentSearch:
                 assert set(got) == single_tree_solve_space(
                     af, af.full_mask, mode), label
 
+    def test_restrictedly_admissible_sets_match_the_predicate(self):
+        # random frameworks above the oracle cap, and structured shapes under
+        # seed-drawn partitions
+        instances = []
+        for seed in range(40):
+            n = 30 + seed % 31
+            instances.append(md.random_instance(md.GeneratorConfig(
+                n, 3.0 / n, 0.8, 0.5, seed=seed)))
+        small = {"two-cycles": range(1, 4), "chain": range(1, 5),
+                 "cycle": range(1, 10), "isolated": range(1, 4)}
+        for k, (_, af) in enumerate(structured_stream(40, 9700, small)):
+            rng = random.Random(k)
+            focus = [a for a in af.names if rng.random() < 0.8]
+            restricted = [a for a in focus if rng.random() < 0.5]
+            instances.append((af, md.build_partition(af, focus, restricted)))
+        members = 0
+        for af, p in instances:
+            got = md.restrictedly_admissible_sets(af, p)
+            assert got.members == predicate_restrictedly_admissible(
+                af, p).members
+            members += len(got)
+        assert members > 1000
+
     def test_restrictedly_admissible_sets_build_one_family(self, monkeypatch):
         built = []
 
@@ -261,6 +301,32 @@ class TestFamily:
         assert [tuple(sorted(s.names)) for s in fam] == [
             (), ("u1", "u5"), ("u2",)]
 
+    def test_canonical_order_matches_the_name_tuple_reference(self):
+        # names whose order differs from declaration order, and widths on
+        # both sides of the 8- and 64-bit boundaries
+        tricky = ["a", "a1", "a10", "a2", "Z", "Z1", "_x", "_", "9", "10",
+                  "09", "b", "B", "aa", "a_", "x1"]
+        rng = random.Random(5)
+        for trial in range(300):
+            n = rng.choice([0, 1, 7, 8, 9, 15, 16, 17, 30, 63, 64, 65, 70])
+            names = rng.sample(tricky + [f"q{i}" for i in range(80)], n)
+            af = build_framework(names, [])
+            sets = [md.ArgumentSet(af, rng.getrandbits(n) & rng.getrandbits(n))
+                    for _ in range(rng.randint(0, 40))]
+            if trial % 3 == 0:
+                sets.append(af.empty_set())
+            fam = ExtensionFamily(sets)
+            want = name_tuple_order(sets)
+            assert list(fam.members) == want, trial
+            assert list(fam.member_names()) == [sorted(s.names) for s in want]
+
+    def test_solver_families_follow_the_name_tuple_reference(self):
+        for _, af, p in instance_stream(40, base_seed=8100):
+            for fam in (md.admissible_sets(af), md.conflict_free_sets(af),
+                        md.restrictedly_admissible_sets(af, p),
+                        min_def_extensions(af, p)):
+                assert list(fam.members) == name_tuple_order(fam.members)
+
 
 class TestBudget:
     def test_wall_clock_ceiling_aborts(self):
@@ -319,6 +385,39 @@ class TestBudget:
         assert len(calls) == 3
         assert calls[0] <= 0.5 and calls[2] < 0.1 + 1e-3
         assert sum(b is budget for b in deadlines) == 1
+
+    def test_min_def_filter_reads_the_deadline(self, monkeypatch):
+        # three two-cycles: the clock jumps past the ceiling after the last
+        # of the eight minimisations, so only the final filter can refuse
+        names = [f"x{i}" for i in range(6)]
+        pairs = []
+        for i in range(0, 6, 2):
+            pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+        af = build_framework(names, pairs)
+        p = md.Partition(af, af.full_set(), af.empty_set())
+        skew = [0.0]
+        real = time.monotonic
+        monkeypatch.setattr(md.extensions, "time", types.SimpleNamespace(
+            monotonic=lambda: real() + skew[0]))
+        minimize = md.extensions.minimize_restricted
+        calls = []
+
+        def minimize_then_jump(af, p, e, budget):
+            calls.append(e)
+            if len(calls) == 8:
+                skew[0] += 1.0
+            return minimize(af, p, e, budget)
+
+        monkeypatch.setattr(md.extensions, "minimize_restricted",
+                            minimize_then_jump)
+        budget = SearchBudget(wall_clock_seconds=0.5)
+        with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
+            min_def_extensions(af, p, budget)
+        assert len(calls) == 8
+        skew[0] = 0.0
+        calls.clear()
+        assert len(min_def_extensions(af, p, SearchBudget(
+            wall_clock_seconds=60.0))) == 8
 
     def test_roadmap_min_def_probe_answers_within_a_second(self):
         # |e_r| = 23 here; the subset walk needed far more than 20 s
