@@ -159,13 +159,15 @@ def run_cli(request: SolveRequest, out=None) -> tuple:
     out = out or sys.stdout
     try:
         result = execute(request)
+        # a family is ordered on first use, before the first line is written,
+        # and under what the request's ceiling has left
+        _render(result, request, out)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 3
     except (MindefError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
-    _render(result, request, out)
     return result, 0
 
 

@@ -17,8 +17,10 @@ The solver explores an include/exclude tree over the candidate arguments
   set qualifies exactly when its part in every group does, and (for
   maximality) is maximal exactly when every part is. Each group gets its
   own tree search, maximal searches keep each group's inclusion-maximal
-  sets, and the family is the product of the groups' answers, built under
-  the request's deadline.
+  sets, and the family holds the groups' answers as the factors of a
+  product (see :class:`ExtensionFamily`). Counts, membership and
+  acceptance are read from the factors; the product is built and ordered
+  only when the members are read, under what the request's deadline left.
 
 Min-def extensions are computed by a two-step pipeline: enumerate the
 preferred extensions on the focus, keep those whose unrestricted part is
@@ -42,7 +44,10 @@ support is cut, and a last pass keeps the inclusion-minimal leaves.
 
 import time
 from dataclasses import dataclass
-from itertools import compress
+from functools import reduce
+from itertools import chain, compress
+from math import prod
+from operator import or_
 
 from . import _kernels
 from .errors import (BudgetExceeded, CrossFrameworkSet, EmptyFamily,
@@ -61,8 +66,9 @@ class SearchBudget:
 
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
     space; exceeding it is a hard error, never a truncated answer. The
-    wall-clock ceiling applies to the tree search and to the oracle's scan,
-    which abort with :class:`BudgetExceeded` when it fires; a min-def
+    wall-clock ceiling applies to the tree search, to the oracle's scan and
+    maximality pass, and to building a returned family's members on first
+    use, which abort with :class:`BudgetExceeded` when it fires; a min-def
     request spends one ceiling across all its steps.
     """
 
@@ -111,10 +117,25 @@ class ExtensionFamily:
     Canonical order is lexicographic on the tuple of sorted member names,
     so identical inputs always serialize identically.
 
+    A family is held in product form: a core mask plus a list of factors,
+    each a list of masks over arguments no other factor or the core uses.
+    Its members are the core joined with one mask from each factor. The
+    solver hands back one factor per independent group of its search
+    space; a family built from a list of sets (``ExtensionFamily(sets)``)
+    is the one-factor case. ``len``, ``in`` and the acceptance queries read
+    the factors and never build the product. The order, ``members``, the
+    member masks behind equality and hashing, and ``member_names()`` are
+    computed on first use. A family returned under a wall-clock ceiling
+    may spend on that first use what the ceiling had left when the family
+    was returned, and raises :class:`BudgetExceeded` past it.
+
     The order is computed on integers. The arguments the members hold are
     relabelled by name order: the one of rank ``j`` (0 = smallest name)
     goes to bit ``W-1-j`` of a rank mask ``r``, where ``W`` is their number
-    rounded up to whole bytes. A member's key is
+    rounded up to whole bytes. Each factor's masks are ranked once,
+    argument by argument, and a member's rank mask is the union of its
+    parts' rank masks, so the product is taken over rank masks. A member's
+    key is
 
         ``0 if r == 0 else r.bit_count() + (1 << W) - (r & -r) - r``
 
@@ -127,58 +148,118 @@ class ExtensionFamily:
     bits above ``r``'s lowest one that ``r`` lacks: ``2^W - lowbit(r) - r``.
     """
 
-    __slots__ = ("members", "_masks", "framework", "_ranks", "_by_rank")
+    __slots__ = ("framework", "_core", "_factors", "_limit", "_parts",
+                 "_by_rank", "_ranks", "_members", "_masks")
 
     def __init__(self, members):
         framework = None
-        by_mask = {}
+        masks = set()
         for s in members:
             if framework is None:
                 framework = s.framework
             elif s.framework is not framework:
                 raise CrossFrameworkSet(
                     "family members belong to different frameworks")
-            by_mask[s.mask] = s
+            masks.add(s.mask)
+        self._setup(framework, 0, [list(masks)], None)
+
+    @classmethod
+    def _product_of(cls, framework, core, factors, budget=None,
+                    deadline=None):
+        """The family of ``core`` joined with one mask from each factor.
+
+        The factors' masks must be distinct within a factor and use
+        arguments disjoint from the core's and from every other factor's.
+        Under a ``deadline``, the lazy work may take what is left of it.
+        """
+        family = cls.__new__(cls)
+        limit = None
+        if deadline is not None:
+            limit = (budget.wall_clock_seconds, deadline - time.monotonic())
+        family._setup(framework, core, factors, limit)
+        return family
+
+    def _setup(self, framework, core, factors, limit):
         self.framework = framework
-        self._masks = frozenset(by_mask)
-        union = 0
-        for m in by_mask:
-            union |= m
-        names = framework.names if framework is not None else ()
-        self._by_rank = sorted(bits(union), key=names.__getitem__)
-        width = -(-len(self._by_rank) // 8) * 8
-        full = (1 << width) - (1 << (width - len(self._by_rank)))
-        if len(by_mask) < 2:
-            # nothing to order, and a lone member is the union
-            self.members = tuple(by_mask.values())
-            self._ranks = [full] * len(by_mask)
-            return
-        nbytes = (union.bit_length() + 7) // 8
-        rank_bit = [0] * (8 * nbytes)
-        for j, i in enumerate(self._by_rank):
-            # the table keeps bit i % 8 of byte i // 8 at i ^ 7
-            rank_bit[i ^ 7] = 1 << (width - 1 - j)
-        # a member's rank mask is that of the union less the ranks of the
-        # union's arguments it lacks, looked up a byte at a time over the
-        # bytes the union uses (rank bits are distinct, so sums are unions);
-        # members close to the union need few lookups
-        table = _ByteTable(rank_bit, sum)
-        used = [(k, k << 8)
-                for k, b in enumerate(union.to_bytes(nbytes, "little")) if b]
-        masks = list(by_mask)
-        ranks = []
-        for m in masks:
-            raw = (union ^ m).to_bytes(nbytes, "little")
-            r = full
-            for k, key in used:
-                if raw[k]:
-                    r -= table[key | raw[k]]
-            ranks.append(r)
-        top = 1 << width
-        keys = [r and r.bit_count() + top - (r & -r) - r for r in ranks]
-        order = sorted(range(len(masks)), key=keys.__getitem__)
-        self.members = tuple([by_mask[masks[i]] for i in order])
-        self._ranks = [ranks[i] for i in order]
+        self._core = core
+        self._factors = factors
+        self._limit = limit
+        self._parts = self._ranks = self._members = self._masks = None
+
+    def _build(self, base, factors):
+        # the lazy product, under what the ceiling had left
+        if self._limit is None:
+            return _product(base, factors, None)
+        ceiling, left = self._limit
+        try:
+            return _product(base, factors, time.monotonic() + left)
+        except _kernels.DeadlineReached:
+            raise _exhausted(ceiling) from None
+
+    def _factor_parts(self):
+        """Per factor: the union, the intersection and the set of its masks."""
+        if self._parts is None:
+            parts = []
+            for masks in self._factors:
+                span = 0
+                common = -1
+                for m in masks:
+                    span |= m
+                    common &= m
+                parts.append((span, common & span, frozenset(masks)))
+            self._parts = parts
+        return self._parts
+
+    def _unordered_masks(self):
+        """The members' masks, in no particular order; nothing is ranked."""
+        return self._build(self._core, self._factors)
+
+    def _ordered(self):
+        """The members' rank masks in canonical order, computed once."""
+        if self._ranks is None:
+            union = reduce(or_, chain.from_iterable(self._factors),
+                           self._core)
+            names = self.framework.names if self.framework else ()
+            by_rank = sorted(bits(union), key=names.__getitem__)
+            width = -(-len(by_rank) // 8) * 8
+            if len(self) == 1:
+                # a lone member holds every rank
+                ranks = [(1 << width) - (1 << (width - len(by_rank)))]
+            else:
+                rank_bit = [0] * union.bit_length()
+                for j, i in enumerate(by_rank):
+                    rank_bit[i] = 1 << (width - 1 - j)
+
+                def rank(m):
+                    return sum(map(rank_bit.__getitem__, bits(m)))
+
+                ranks = self._build(rank(self._core),
+                                    [[rank(m) for m in masks]
+                                     for masks in self._factors])
+                top = 1 << width
+                keys = [r and r.bit_count() + top - (r & -r) - r
+                        for r in ranks]
+                order = sorted(range(len(ranks)), key=keys.__getitem__)
+                ranks = [ranks[i] for i in order]
+            self._by_rank = by_rank
+            self._ranks = ranks
+        return self._ranks
+
+    @property
+    def members(self):
+        """The members as a tuple of :class:`ArgumentSet`, in order."""
+        if self._members is None:
+            ranks = self._ordered()
+            width = -(-len(self._by_rank) // 8) * 8
+            # bit width - 1 - j of a rank mask is argument by_rank[j]
+            arg_bit = [0] * width
+            for j, i in enumerate(self._by_rank):
+                arg_bit[width - 1 - j] = 1 << i
+            af = self.framework
+            self._members = tuple([
+                ArgumentSet(af, sum(map(arg_bit.__getitem__, bits(r))))
+                for r in ranks])
+        return self._members
 
     def member_names(self):
         """Yield each member's names in name order, in the family's order.
@@ -186,12 +267,15 @@ class ExtensionFamily:
         Reads each member's rank mask from the top byte down, through a
         table from byte position and value to the names of the set bits.
         """
+        ranks = self._ordered()
+        if not ranks:
+            return
         nbytes = -(-len(self._by_rank) // 8)
         # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
         by_rank = [self.framework.names[i] for i in self._by_rank]
         by_rank += [None] * (8 * nbytes - len(by_rank))
         table = _ByteTable(by_rank, tuple)
-        for r in self._ranks:
+        for r in ranks:
             found = []
             for q, byte in enumerate(r.to_bytes(nbytes, "big")):
                 if byte:
@@ -202,25 +286,46 @@ class ExtensionFamily:
         return iter(self.members)
 
     def __len__(self):
-        return len(self.members)
+        return prod(map(len, self._factors))
 
     def __contains__(self, s):
-        return (isinstance(s, ArgumentSet)
-                and s.framework is self.framework
-                and s.mask in self._masks)
+        if not (isinstance(s, ArgumentSet) and s.framework is self.framework):
+            return False
+        m = s.mask
+        if m & self._core != self._core:
+            return False
+        m ^= self._core
+        # the part in each factor's arguments must be one of its masks
+        for span, _, masks in self._factor_parts():
+            if m & span not in masks:
+                return False
+            m &= ~span
+        return m == 0
+
+    def _mask_set(self):
+        if self._masks is None:
+            self._masks = frozenset(self._unordered_masks())
+        return self._masks
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionFamily):
             return NotImplemented
-        if len(self) == len(other) == 0:
+        if len(self) != len(other):
+            return False
+        if len(self) == 0:
             return True
-        return self.framework is other.framework and self._masks == other._masks
+        return (self.framework is other.framework
+                and self._mask_set() == other._mask_set())
 
     def __hash__(self):
-        return hash((id(self.framework), self._masks))
+        return hash((id(self.framework), self._mask_set()))
 
     def __repr__(self):
         return "ExtensionFamily[%s]" % ", ".join(repr(m) for m in self.members)
+
+
+def _exhausted(ceiling):
+    return BudgetExceeded(f"wall-clock ceiling of {ceiling}s exhausted")
 
 
 def _prepare_space(af, space_mask, mode):
@@ -269,7 +374,7 @@ def _prepare_space(af, space_mask, mode):
             return cand, forced
 
 
-def _product(factors, base, deadline):
+def _product(base, factors, deadline):
     """Every union of ``base`` with one mask from each factor."""
     out = [base]
     # smallest factors first, so the list grows as late as possible
@@ -284,14 +389,14 @@ def _product(factors, base, deadline):
     return out
 
 
-def _solve_space(af, space_mask, mode, budget):
-    """Global masks of all qualifying subsets of ``space_mask``.
+def _solve_space(af, space_mask, mode, budget, deadline):
+    """The forced core and, per independent group, the masks of its answers.
 
-    For ``ADMISSIBLE_MAX`` these are the inclusion-maximal admissible ones.
-    Each independent group of candidates is searched on its own, and the
-    answer is the product of the groups' answers.
+    The qualifying subsets of ``space_mask`` are the core joined with one
+    mask from each group's list; for ``ADMISSIBLE_MAX`` these are the
+    inclusion-maximal admissible ones. Each group is searched on its own,
+    and its masks leave out the core.
     """
-    deadline = (budget or DEFAULT_BUDGET).deadline()
     cand, forced = _prepare_space(af, space_mask, mode)
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
     forced_local = space.to_local(forced)
@@ -299,7 +404,8 @@ def _solve_space(af, space_mask, mode, budget):
     factors = []
     try:
         for group in space.components(forced_local):
-            pos_idx = list(bits(group & ~forced_local))
+            free = group & ~forced_local
+            pos_idx = list(bits(free))
             suffix = [0] * (len(pos_idx) + 1)
             for d in range(len(pos_idx) - 1, -1, -1):
                 suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
@@ -307,26 +413,32 @@ def _solve_space(af, space_mask, mode, budget):
                 group.bit_count(), pos_idx, suffix, group & forced_local,
                 space, maximal_only, deadline)
             if maximal_only:
-                local_masks = _subset_maximal_masks(local_masks)
-            factors.append([space.to_global(lm) for lm in local_masks])
-        return _product(factors, forced, deadline)
+                local_masks = _subset_maximal_masks(local_masks, deadline)
+            factors.append([space.to_global(lm & free) for lm in local_masks])
     except _kernels.DeadlineReached:
-        raise BudgetExceeded(
-            f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
-        ) from None
+        raise _exhausted(budget.wall_clock_seconds) from None
+    return forced, factors
 
 
-def _subset_maximal_masks(masks):
+def _subset_maximal_masks(masks, deadline=None):
     # a strict superset has strictly more bits, so candidates only need to
-    # be tested against survivors from larger popcount groups
+    # be tested against survivors from larger popcount groups; the deadline
+    # is read every 256 candidates
     groups = {}
     for m in set(masks):
         groups.setdefault(m.bit_count(), []).append(m)
     kept = []
     larger = []
+    ticks = 0
     for pc in sorted(groups, reverse=True):
-        survivors = [m for m in sorted(groups[pc])
-                     if not any(m | k == k for k in larger)]
+        survivors = []
+        for m in sorted(groups[pc]):
+            if deadline is not None and ticks & 255 == 0:
+                if time.monotonic() > deadline:
+                    raise _kernels.DeadlineReached
+            ticks += 1
+            if not any(m | k == k for k in larger):
+                survivors.append(m)
         kept.extend(survivors)
         larger = kept[:]
     return kept
@@ -340,38 +452,53 @@ def _space_of(af, within):
     return within.mask
 
 
+def _solved(af, space_mask, mode, budget):
+    """The family of ``_solve_space``'s answers, in product form."""
+    budget = budget or DEFAULT_BUDGET
+    deadline = budget.deadline()
+    core, factors = _solve_space(af, space_mask, mode, budget, deadline)
+    return ExtensionFamily._product_of(af, core, factors, budget, deadline)
+
+
 def conflict_free_sets(af: ArgumentationFramework, within: ArgumentSet = None,
                        budget: SearchBudget = None) -> ExtensionFamily:
     """Every conflict-free subset of ``within`` (default: all arguments)."""
-    space = _space_of(af, within)
-    masks = _solve_space(af, space, CONFLICT_FREE, budget)
-    return ExtensionFamily(ArgumentSet(af, m) for m in masks)
+    return _solved(af, _space_of(af, within), CONFLICT_FREE, budget)
 
 
 def admissible_sets(af: ArgumentationFramework, within: ArgumentSet = None,
                     budget: SearchBudget = None) -> ExtensionFamily:
     """Every admissible subset of ``within`` (default: all arguments)."""
-    space = _space_of(af, within)
-    masks = _solve_space(af, space, ADMISSIBLE_ALL, budget)
-    return ExtensionFamily(ArgumentSet(af, m) for m in masks)
+    return _solved(af, _space_of(af, within), ADMISSIBLE_ALL, budget)
 
 
 def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
-    masks = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL, budget)
-    # the masks are the admissible subsets of the focus; what is left is
-    # that each restricted member individually defends an unrestricted
-    # one, and a member's defender walk is the same in every set
+    budget = budget or DEFAULT_BUDGET
+    deadline = budget.deadline()
+    # the admissible subsets of the focus, which have an empty core; what
+    # is left is that each restricted member individually defends an
+    # unrestricted one, and a member's defender walk is the same in every set
+    _, factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL,
+                              budget, deadline)
     u, r = p.unrestricted.mask, p.restricted.mask
-    used = 0
-    for m in masks:
-        used |= m
+    spans = [reduce(or_, masks, 0) for masks in factors]
+    used = reduce(or_, spans, 0)
     defended = {x: _parity_reachable(af.target_masks, x)
                 for x in bits(used & r)}
-    return ExtensionFamily(
-        ArgumentSet(af, m) for m in masks
-        if all(defended[x] & m & u for x in bits(m & r)))
+    # the test reads one factor's part alone unless some restricted member
+    # defends a member of another factor; then it reads whole sets
+    if any(defended[x] & used & ~span
+           for span in spans for x in bits(span & r)):
+        try:
+            factors = [_product(0, factors, deadline)]
+        except _kernels.DeadlineReached:
+            raise _exhausted(budget.wall_clock_seconds) from None
+    factors = [[m for m in masks
+                if all(defended[x] & m & u for x in bits(m & r))]
+               for masks in factors]
+    return ExtensionFamily._product_of(af, 0, factors, budget, deadline)
 
 
 def preferred_extensions(af: ArgumentationFramework,
@@ -387,8 +514,7 @@ def preferred_extensions_on(af: ArgumentationFramework, x: ArgumentSet,
     Note this is genuinely different from intersecting the preferred
     extensions with ``x``: a defender outside ``x`` does not count.
     """
-    masks = _solve_space(af, _space_of(af, x), ADMISSIBLE_MAX, budget)
-    return ExtensionFamily(ArgumentSet(af, m) for m in masks)
+    return _solved(af, _space_of(af, x), ADMISSIBLE_MAX, budget)
 
 
 def minimize_restricted(af: ArgumentationFramework, p: Partition,
@@ -425,8 +551,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     while stack:
         if deadline is not None and ticks & 255 == 0:
             if time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted")
+                raise _exhausted(budget.wall_clock_seconds)
         ticks += 1
         inc, excluded, pending = stack.pop()
         r = inc & ~eu
@@ -446,7 +571,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     # a leaf found early may still contain one found later
     minimal = [m for m in leaves
                if not any(o != m and o | m == m for o in leaves)]
-    return ExtensionFamily(ArgumentSet(af, eu | m) for m in minimal)
+    return ExtensionFamily._product_of(af, eu, [minimal], budget, deadline)
 
 
 def min_def_extensions(af: ArgumentationFramework, p: Partition,
@@ -471,23 +596,22 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
 
     try:
         u = p.unrestricted.mask
-        prefs = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_MAX,
-                             remaining())
-        max_u = set(_subset_maximal_masks([m & u for m in prefs]))
+        core, factors = _solve_space(af, _space_of(af, p.focus),
+                                     ADMISSIBLE_MAX, budget, deadline)
+        prefs = _product(core, factors, deadline)
+        max_u = set(_subset_maximal_masks([m & u for m in prefs], deadline))
         candidates = []
         for m in prefs:
             if m & u in max_u:
                 supports = minimize_restricted(af, p, ArgumentSet(af, m),
                                                remaining())
-                candidates.extend(s.mask for s in supports)
+                candidates.extend(supports._unordered_masks())
         kept = _least_restricted(p, candidates, deadline)
-    except BudgetExceeded:
+    except (BudgetExceeded, _kernels.DeadlineReached):
         # only the clock refuses here: report the request's ceiling, not
         # the slice a step was handed
-        raise BudgetExceeded(
-            f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
-        ) from None
-    return ExtensionFamily(ArgumentSet(af, m) for m in kept)
+        raise _exhausted(budget.wall_clock_seconds) from None
+    return ExtensionFamily._product_of(af, 0, [kept], budget, deadline)
 
 
 def _least_restricted(p, candidates, deadline):
@@ -530,54 +654,83 @@ def _least_restricted(p, candidates, deadline):
 
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",
-                   partition: Partition = None) -> ExtensionFamily:
+                   partition: Partition = None, *,
+                   deadline: float = None) -> ExtensionFamily:
     """Members of ``family`` not strictly dominated by another member.
 
     ``order`` is ``"subset"`` (inclusion) or ``"prec"`` (the partition's
     preference order; requires ``partition``, and every member must lie
-    within its focus).
+    within its focus). ``deadline`` is a ``time.monotonic()`` value; once it
+    has passed, the pass raises :class:`BudgetExceeded`.
     """
-    if order == "subset":
-        kept = _subset_maximal_masks([s.mask for s in family])
-        return ExtensionFamily(ArgumentSet(family.framework, m) for m in kept)
-    if order != "prec":
+    if order not in ("subset", "prec"):
         raise ValueError(f"unknown order {order!r}")
-    if partition is None:
-        raise ValueError("prec order needs a partition")
     p = partition
-    if family.framework is not None and family.framework is not p.framework:
-        raise CrossFrameworkSet("family and partition belong to different frameworks")
-    for s in family:
-        if s.mask & ~p.focus.mask:
-            raise NotWithinFocus(f"family member {s!r} is not within the focus")
-    # dominators always rank higher under (|unrestricted|, -|restricted|)
-    masks = sorted({s.mask for s in family},
+    if order == "prec":
+        if p is None:
+            raise ValueError("prec order needs a partition")
+        if (family.framework is not None
+                and family.framework is not p.framework):
+            raise CrossFrameworkSet(
+                "family and partition belong to different frameworks")
+    masks = family._unordered_masks()
+    if order == "prec":
+        if any(m & ~p.focus.mask for m in masks):
+            for s in family:
+                if s.mask & ~p.focus.mask:
+                    raise NotWithinFocus(
+                        f"family member {s!r} is not within the focus")
+    try:
+        if order == "subset":
+            kept = _subset_maximal_masks(masks, deadline)
+        else:
+            kept = _prec_maximal_masks(p, masks, deadline)
+    except _kernels.DeadlineReached:
+        raise BudgetExceeded("wall-clock ceiling exhausted") from None
+    return ExtensionFamily._product_of(family.framework, 0, [kept])
+
+
+def _prec_maximal_masks(p, masks, deadline):
+    # dominators always rank higher under (|unrestricted|, -|restricted|);
+    # the deadline is read every 256 candidates
+    masks = sorted(set(masks),
                    key=lambda m: (-(m & p.unrestricted.mask).bit_count(),
                                   (m & p.restricted.mask).bit_count(), m))
     kept = []
-    for m in masks:
+    for n, m in enumerate(masks):
+        if deadline is not None and n & 255 == 0:
+            if time.monotonic() > deadline:
+                raise _kernels.DeadlineReached
         if not any(prec_order(p, m, k) is BETTER for k in kept):
             kept.append(m)
-    return ExtensionFamily(ArgumentSet(p.framework, m) for m in kept)
+    return kept
 
 
 def credulous_accepted(af: ArgumentationFramework, family: ExtensionFamily,
                        a) -> bool:
-    """True iff ``a`` belongs to at least one member of ``family``."""
+    """True iff ``a`` belongs to at least one member of ``family``.
+
+    Read from the factors: ``a`` is in the core or in some mask of a factor.
+    """
     if len(family) == 0:
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")
     bit = 1 << af.index(a)
-    return any(s.mask & bit for s in family)
+    return bool(bit & family._core or any(
+        bit & span for span, _, _ in family._factor_parts()))
 
 
 def skeptical_accepted(af: ArgumentationFramework, family: ExtensionFamily,
                        a) -> bool:
-    """True iff ``a`` belongs to every member of ``family``."""
+    """True iff ``a`` belongs to every member of ``family``.
+
+    Read from the factors: ``a`` is in the core or in every mask of a factor.
+    """
     if len(family) == 0:
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")
     bit = 1 << af.index(a)
-    return all(s.mask & bit for s in family)
+    return bool(bit & family._core or any(
+        bit & common for _, common, _ in family._factor_parts()))

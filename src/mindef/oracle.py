@@ -6,13 +6,14 @@ order and tested against the defining predicate, and maximality is a final
 pairwise pass. No preprocessing, no pruning. Spaces are capped at 20
 arguments by default, and never above the scan's 62; beyond the cap the
 run is refused outright rather than left to crawl for hours. A wall-clock
-ceiling is checked between the scan's blocks of patterns.
+ceiling is checked between the scan's blocks of patterns and during the
+maximality pass.
 """
 
 from . import _kernels
 from .errors import BudgetExceeded
 from .extensions import (DEFAULT_BUDGET, ExtensionFamily, SearchBudget,
-                         _space_of, filter_maximal)
+                         _exhausted, _space_of, filter_maximal)
 from .model import ArgumentationFramework, ArgumentSet, Partition
 from .semantics import is_restrictedly_admissible
 
@@ -30,9 +31,7 @@ def _scan(af, restrict_to, budget, defence):
     try:
         local_masks = _kernels.subset_scan(k, local, deadline)
     except _kernels.DeadlineReached:
-        raise BudgetExceeded(
-            f"wall-clock ceiling of {budget.wall_clock_seconds}s exhausted"
-        ) from None
+        raise _exhausted(budget.wall_clock_seconds) from None
     return [ArgumentSet(af, local.to_global(lm)) for lm in local_masks]
 
 
@@ -48,16 +47,27 @@ def oracle_admissible(af: ArgumentationFramework, restrict_to: ArgumentSet = Non
     return ExtensionFamily(_scan(af, restrict_to, budget, defence=True))
 
 
+def _maximal(family_of, budget, order="subset", partition=None):
+    """``filter_maximal`` of ``family_of(budget)``, both under one deadline."""
+    budget = budget or DEFAULT_BUDGET
+    deadline = budget.deadline()
+    family = family_of(budget)
+    try:
+        return filter_maximal(family, order, partition, deadline=deadline)
+    except BudgetExceeded:
+        raise _exhausted(budget.wall_clock_seconds) from None
+
+
 def oracle_preferred(af: ArgumentationFramework,
                      budget: SearchBudget = None) -> ExtensionFamily:
     """Inclusion-maximal admissible sets, by scan plus a maximality pass."""
-    return filter_maximal(oracle_admissible(af, None, budget), order="subset")
+    return _maximal(lambda b: oracle_admissible(af, None, b), budget)
 
 
 def oracle_preferred_on(af: ArgumentationFramework, x: ArgumentSet,
                         budget: SearchBudget = None) -> ExtensionFamily:
     """Inclusion-maximal admissible subsets of ``x``."""
-    return filter_maximal(oracle_admissible(af, x, budget), order="subset")
+    return _maximal(lambda b: oracle_admissible(af, x, b), budget)
 
 
 def oracle_restrictedly_admissible(af: ArgumentationFramework, p: Partition,
@@ -71,5 +81,5 @@ def oracle_restrictedly_admissible(af: ArgumentationFramework, p: Partition,
 def oracle_min_def(af: ArgumentationFramework, p: Partition,
                    budget: SearchBudget = None) -> ExtensionFamily:
     """Preference-maximal restrictedly admissible sets, definition-literally."""
-    return filter_maximal(oracle_restrictedly_admissible(af, p, budget),
-                          order="prec", partition=p)
+    return _maximal(lambda b: oracle_restrictedly_admissible(af, p, b),
+                    budget, "prec", p)

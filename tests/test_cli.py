@@ -321,3 +321,60 @@ def test_execute_reports_timing():
                         out=buffer)
     assert result.elapsed_ms >= 0.0
     assert buffer.getvalue() == "{o1,o5,r1,r2,r3,u2,u3,u4,u5}\n"
+
+
+def test_oracle_preferred_exits_3_at_the_ceiling(capsys, tmp_path):
+    # ten two-cycles: the oracle's maximality pass over 3^10 admissible
+    # sets reads the request's deadline; allowed overshoot as in the
+    # library test, plus parsing
+    lines = []
+    for i in range(10):
+        lines += [f"arg(a{i}).\n", f"arg(b{i}).\n",
+                  f"att(a{i},b{i}).\n", f"att(b{i},a{i}).\n"]
+    path = tmp_path / "ten.afp"
+    path.write_text("".join(lines))
+    started = time.monotonic()
+    code, out, err = run(capsys, "oracle", str(path), "-s", "preferred",
+                         "--time-limit", "0.5")
+    assert time.monotonic() - started < 0.5 + 1.5
+    assert code == 3 and out == ""
+    assert err == "error: wall-clock ceiling of 0.5s exhausted\n"
+
+
+def fourteen_two_cycles(tmp_path):
+    lines = []
+    for i in range(14):
+        lines += [f"arg(a{i}).\n", f"arg(b{i}).\n",
+                  f"att(a{i},b{i}).\n", f"att(b{i},a{i}).\n"]
+    path = tmp_path / "fourteen.afp"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def test_ordering_past_the_ceiling_prints_nothing(capsys, tmp_path):
+    # the search answers at once; ordering the 3^14 members is what the
+    # ceiling stops, before the first line is written
+    path = fourteen_two_cycles(tmp_path)
+    for fmt in ("plain", "structured"):
+        code, out, err = run(capsys, "solve", path, "-s", "admissible",
+                             "--format", fmt, "--time-limit", "0.05")
+        assert code == 3 and out == ""
+        assert err == "error: wall-clock ceiling of 0.05s exhausted\n"
+
+
+def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
+                                                                tmp_path):
+    # 3^14 admissible and 2^14 preferred sets; none is built
+    path = fourteen_two_cycles(tmp_path)
+    every_a = ",".join(f"a{i}" for i in range(14))
+    started = time.monotonic()
+    assert run(capsys, "solve", path, "-s", "admissible",
+               "--credulous", "a3")[:2] == (0, "YES\n")
+    assert run(capsys, "solve", path, "-s", "preferred",
+               "--skeptical", "a3")[:2] == (0, "NO\n")
+    assert run(capsys, "check", path, "--property", "preferred",
+               "--set", every_a)[:2] == (0, "YES\n")
+    assert run(capsys, "check", path, "--property", "preferred-on-f",
+               "--set", "a0,b0")[:2] == (0, "NO\n")
+    # allowed: a loaded host; building either family takes seconds
+    assert time.monotonic() - started < 1.0

@@ -179,7 +179,8 @@ class TestComponentSearch:
                      (ADMISSIBLE_ALL, af.subset(af.names[:20]).mask),
                      (CONFLICT_FREE, af.subset(af.names[:14]).mask))
             for mode, space in cases:
-                got = extensions._solve_space(af, space, mode, None)
+                got = extensions._product(
+                    *extensions._solve_space(af, space, mode, None, None), None)
                 assert len(got) == len(set(got))
                 assert set(got) == single_tree_solve_space(af, space, mode)
                 compared += len(got)
@@ -191,7 +192,8 @@ class TestComponentSearch:
         for mode, sizes in ((ADMISSIBLE_MAX, None), (ADMISSIBLE_ALL, small),
                             (CONFLICT_FREE, small)):
             for label, af in structured_stream(40, 9300, sizes):
-                got = extensions._solve_space(af, af.full_mask, mode, None)
+                got = extensions._product(*extensions._solve_space(
+                    af, af.full_mask, mode, None, None), None)
                 assert len(got) == len(set(got)), label
                 assert set(got) == single_tree_solve_space(
                     af, af.full_mask, mode), label
@@ -228,6 +230,11 @@ class TestComponentSearch:
             def __init__(self, members):
                 built.append(1)
                 super().__init__(members)
+
+            @classmethod
+            def _product_of(cls, *args):
+                built.append(1)
+                return super()._product_of(*args)
 
         monkeypatch.setattr(extensions, "ExtensionFamily", Counted)
         for _, af, p in instance_stream(20, base_seed=9500):
@@ -335,8 +342,12 @@ class TestBudget:
         for i in range(0, 28, 2):
             pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
         af = build_framework(names, pairs)
-        with pytest.raises(BudgetExceeded):
-            md.admissible_sets(af, budget=SearchBudget(wall_clock_seconds=0.02))
+        # the search answers in time with fourteen factors of three; building
+        # the 3^14 members is what the ceiling stops
+        fam = md.admissible_sets(af, budget=SearchBudget(wall_clock_seconds=0.02))
+        assert len(fam) == 3 ** 14
+        with pytest.raises(BudgetExceeded, match="ceiling of 0.02s exhausted"):
+            fam.members
 
     def test_enumeration_without_ceiling_completes(self):
         names = [f"x{i}" for i in range(16)]
@@ -439,3 +450,137 @@ def test_solver_families_are_deterministic(af1, p3):
     second = min_def_extensions(af1, p3)
     assert first.members == second.members
     assert [s.names for s in first] == [s.names for s in second]
+
+
+def two_cycles(k):
+    names = [f"x{i}" for i in range(2 * k)]
+    pairs = []
+    for i in range(0, 2 * k, 2):
+        pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+    return build_framework(names, pairs)
+
+
+class TestFactoredFamilies:
+    """Solver families in product form against flat one-factor families
+    built from the single-tree reference search."""
+
+    def assert_same_as_flat(self, af, fam, masks, label):
+        flat = ExtensionFamily(md.ArgumentSet(af, m) for m in masks)
+        assert len(fam) == len(flat) == len(masks), label
+        assert fam.members == flat.members, label
+        assert list(fam.members) == name_tuple_order(flat.members), label
+        assert list(fam.member_names()) == list(flat.member_names()), label
+        assert fam == flat and hash(fam) == hash(flat), label
+        member_masks = set(masks)
+        for m in masks[:40]:
+            assert md.ArgumentSet(af, m) in fam, label
+            for i in range(len(af)):
+                near = m ^ (1 << i)
+                assert (md.ArgumentSet(af, near) in fam) == (
+                    near in member_masks), label
+        for a in af.names:
+            bit = 1 << af.index(a)
+            assert credulous_accepted(af, fam, a) == any(
+                m & bit for m in masks), label
+            assert skeptical_accepted(af, fam, a) == all(
+                m & bit for m in masks), label
+
+    def cases(self, af, p):
+        window20 = af.subset(af.names[:20])
+        window14 = af.subset(af.names[:14])
+        return (
+            ("conflict-free", md.conflict_free_sets(af, window14),
+             CONFLICT_FREE, window14.mask),
+            ("admissible", md.admissible_sets(af, window20),
+             ADMISSIBLE_ALL, window20.mask),
+            ("preferred", preferred_extensions(af),
+             ADMISSIBLE_MAX, af.full_mask),
+            ("preferred-on-f", preferred_extensions_on(af, p.focus),
+             ADMISSIBLE_MAX, p.focus.mask))
+
+    def test_random_instances_above_the_oracle_cap(self):
+        factored = 0
+        for k in range(16):
+            n = 30 + (k * 53) % 171
+            af, p = md.random_instance(md.GeneratorConfig(
+                n, 1.5 / n, 0.7, 0.3, seed=9900 + k))
+            for label, fam, mode, space in self.cases(af, p):
+                masks = sorted(single_tree_solve_space(af, space, mode))
+                self.assert_same_as_flat(af, fam, masks, (k, label))
+                factored += len(fam._factors) > 1
+        assert factored > 16
+
+    def test_structured_shapes(self):
+        small = {"two-cycles": range(1, 5), "chain": range(1, 7),
+                 "cycle": range(1, 12), "isolated": range(1, 5)}
+        for k, (label, af) in enumerate(structured_stream(40, 9950, small)):
+            rng = random.Random(k)
+            focus = [a for a in af.names if rng.random() < 0.8]
+            p = md.build_partition(af, focus, [])
+            for sem, fam, mode, space in self.cases(af, p):
+                masks = sorted(single_tree_solve_space(af, space, mode))
+                self.assert_same_as_flat(af, fam, masks, (label, sem))
+
+    def test_len_in_and_queries_never_build_the_product(self, monkeypatch):
+        af = two_cycles(14)
+        families = [md.admissible_sets(af), md.conflict_free_sets(af),
+                    preferred_extensions(af),
+                    preferred_extensions_on(af, af.full_set())]
+
+        def refuse(*args):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(extensions, "_product", refuse)
+        monkeypatch.setattr(ExtensionFamily, "_ordered", refuse)
+        member = af.subset([f"x{i}" for i in range(0, 28, 2)])
+        for fam, size in zip(families, (3 ** 14, 3 ** 14, 2 ** 14, 2 ** 14)):
+            assert len(fam) == size
+            assert member in fam
+            assert af.subset(["x0", "x1"]) not in fam
+            assert (af.empty_set() in fam) == (size == 3 ** 14)
+            assert credulous_accepted(af, fam, "x3")
+            assert not skeptical_accepted(af, fam, "x3")
+
+    def test_queries_on_fourteen_two_cycles_answer_quickly(self):
+        af = two_cycles(14)
+        started = time.perf_counter()
+        assert credulous_accepted(af, md.admissible_sets(af), "x3")
+        assert not skeptical_accepted(af, preferred_extensions(af), "x3")
+        # allowed overshoot: a loaded host; the product would take seconds
+        assert time.perf_counter() - started < 0.5
+
+    def test_min_def_orders_only_its_result(self, monkeypatch):
+        ordered = []
+        original = ExtensionFamily._ordered
+
+        def counted(self):
+            ordered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ExtensionFamily, "_ordered", counted)
+        for _, af, p in instance_stream(30, base_seed=9980):
+            ordered.clear()
+            fam = min_def_extensions(af, p)
+            assert ordered == []
+            fam.members
+            assert ordered == [fam]
+
+    def test_restricted_defence_across_groups_reads_whole_sets(self):
+        # x (restricted) defends z by the walk x>b>y>c>z through arguments
+        # outside the focus, while z's attacker c is answered by w; so x and
+        # {z, w} sit in different groups, and {x} qualifies only next to z
+        af = build_framework(
+            ["x", "b", "y", "c", "z", "w"],
+            [("x", "b"), ("b", "y"), ("y", "c"), ("c", "z"), ("w", "c")])
+        p = md.build_partition(af, ["x", "z", "w"], ["x"])
+        fam = md.restrictedly_admissible_sets(af, p)
+        assert fam == predicate_restrictedly_admissible(af, p)
+        assert sset(af, "x,z,w") in fam and sset(af, "x,w") not in fam
+        assert len(fam._factors) == 1
+
+    def test_restricted_admissible_families_keep_their_factors(self):
+        af = two_cycles(9)
+        p = md.build_partition(af, af.names, ["x0", "x3", "x5"])
+        fam = md.restrictedly_admissible_sets(af, p)
+        assert len(fam._factors) == 9
+        assert fam.members == predicate_restrictedly_admissible(af, p).members

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import mindef as md
@@ -87,3 +89,36 @@ class TestOracleCap:
         af = build_framework([f"x{i}" for i in range(30)], [])
         x = af.subset([f"x{i}" for i in range(12)])
         assert len(oracle_admissible(af, x)) == 1 << 12
+
+
+class TestOracleDeadline:
+    @staticmethod
+    def two_cycles(k):
+        names = [f"x{i}" for i in range(2 * k)]
+        pairs = []
+        for i in range(0, 2 * k, 2):
+            pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+        return build_framework(names, pairs)
+
+    def test_maximality_pass_honours_the_ceiling(self):
+        # 3^10 admissible sets and 2^10 preferred ones: the pairwise pass
+        # alone takes seconds; allowed overshoot: 1 s for a loaded host and
+        # one 256-candidate stretch between two deadline reads
+        af = self.two_cycles(10)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
+            oracle_preferred(af, SearchBudget(wall_clock_seconds=0.5))
+        assert time.monotonic() - started < 0.5 + 1.0
+
+    def test_filter_maximal_reads_its_deadline(self):
+        af = self.two_cycles(3)
+        fam = oracle_admissible(af)
+        with pytest.raises(BudgetExceeded):
+            filter_maximal(fam, deadline=time.monotonic() - 1.0)
+        with pytest.raises(BudgetExceeded):
+            filter_maximal(oracle_min_def(af, md.Partition(
+                af, af.full_set(), af.empty_set())), "prec",
+                md.Partition(af, af.full_set(), af.empty_set()),
+                deadline=time.monotonic() - 1.0)
+        kept = filter_maximal(fam, deadline=time.monotonic() + 60.0)
+        assert kept == filter_maximal(fam) and len(kept) == 8
