@@ -11,7 +11,7 @@ enumeration strategies live here:
   obligation (a space built without defence has none). This is the
   exhaustive reference path, vectorized with numpy over int64 ``arange``
   blocks of at most ``2^20`` patterns, so it takes at most
-  ``SCAN_MAX_ARGUMENTS`` (62) members, and reads the deadline between
+  ``SCAN_MAX_ARGUMENTS`` (62) members, and reads the ceiling between
   blocks.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
@@ -20,8 +20,13 @@ enumeration strategies live here:
   unbounded ints with an explicit stack, so any depth fits; it checks
   incrementally (an inclusion checks the included member's own
   obligations, an exclusion only the included owners' obligations the
-  excluded member answers) and reads the clock for wall-clock deadlines.
-  One call may search one independent group of a larger space.
+  excluded member answers). One call may search one independent group of
+  a larger space.
+
+Both read the request's wall-clock ceiling, a started :class:`Ceiling` or
+``None`` for none, and refuse with :class:`~mindef.errors.BudgetExceeded`
+once it has passed or once a call has collected more than ``MAX_SETS``
+sets, so that no answer grows past memory.
 """
 
 import importlib.util
@@ -29,6 +34,7 @@ import time
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .model import bits
 
 # Machine facts reported by benchmark runs; the package has no JIT backend.
@@ -39,10 +45,40 @@ JIT_ENABLED = False
 _SCAN_CHUNK = 1 << 20
 # the most members ``subset_scan`` takes: its patterns are int64
 SCAN_MAX_ARGUMENTS = 62
+# the most sets a kernel call collects, or a family holds, before refusing
+MAX_SETS = 1 << 23
 
 
-class DeadlineReached(Exception):
-    """Internal signal: the wall-clock ceiling fired mid-search."""
+def too_many_sets():
+    return BudgetExceeded(f"answer exceeds the cap of {MAX_SETS} sets")
+
+
+class Ceiling:
+    """A request's started wall-clock ceiling.
+
+    Holds the ceiling's ``seconds`` and the ``time.monotonic()`` value at
+    which it expires, ``left`` seconds after it was made (by default all of
+    them). ``check()`` refuses once that has passed; ``deadline()`` returns
+    the ceiling itself, so a started ceiling stands in wherever a
+    :class:`~mindef.extensions.SearchBudget` would be started.
+    """
+
+    __slots__ = ("seconds", "expiry")
+
+    def __init__(self, seconds: float, left: float | None = None):
+        self.seconds = seconds
+        self.expiry = time.monotonic() + (seconds if left is None else left)
+
+    def left(self) -> float:
+        return self.expiry - time.monotonic()
+
+    def check(self) -> None:
+        if time.monotonic() > self.expiry:
+            raise BudgetExceeded(
+                f"wall-clock ceiling of {self.seconds}s exhausted")
+
+    def deadline(self) -> "Ceiling":
+        return self
 
 
 class LocalSpace:
@@ -112,22 +148,22 @@ class LocalSpace:
 
 
 def subset_scan(k: int, space: LocalSpace,
-                deadline: float | None = None) -> list[int]:
+                deadline: Ceiling | None = None) -> list[int]:
     """All k-bit patterns that are admissible in ``space``.
 
     A space built without defence has no obligations, so every
     conflict-free pattern qualifies. ``k`` must not exceed
     ``SCAN_MAX_ARGUMENTS``. Patterns are tested in blocks of ``_SCAN_CHUNK``
-    and come back in increasing numeric order. The deadline is checked
-    between blocks; raises :class:`DeadlineReached` when it has passed.
+    and come back in increasing numeric order. The ceiling is checked
+    between blocks, and the ``MAX_SETS`` cap after each.
     """
     conflict = np.asarray(space.conflict, dtype=np.int64)
     obligations = space.obligations
     total = 1 << k
     out = []
     for start in range(0, total, _SCAN_CHUNK):
-        if start and deadline is not None and time.monotonic() > deadline:
-            raise DeadlineReached
+        if start and deadline is not None:
+            deadline.check()
         subs = np.arange(start, min(start + _SCAN_CHUNK, total),
                          dtype=np.int64)
         ok = np.ones(subs.shape[0], dtype=np.bool_)
@@ -137,12 +173,14 @@ def subset_scan(k: int, space: LocalSpace,
             for m in obligations[i]:
                 ok &= ~(member & ((subs & m) == 0))
         out.extend(subs[ok].tolist())
+        if len(out) > MAX_SETS:
+            raise too_many_sets()
     return out
 
 
 def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
                   space: LocalSpace, maximal_only: bool,
-                  deadline: float | None) -> list[int]:
+                  deadline: Ceiling | None) -> list[int]:
     """Admissible (or conflict-free, when no obligations) candidate masks.
 
     A call may search any ``k`` of ``space``'s members that share no
@@ -152,9 +190,9 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     ``suffix_avail[d]`` must hold the union of bits still branchable at
     depth ``d``. With ``maximal_only``, branches that provably yield no
     inclusion-maximal set are cut, so the caller must only use the result
-    for maximality filtering. Raises :class:`DeadlineReached` when the
-    deadline fires. The walk keeps an explicit stack, so its depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    for maximality filtering. Refuses past the ceiling or past ``MAX_SETS``
+    sets. The walk keeps an explicit stack, so its depth is bounded by
+    memory, not by the interpreter's recursion limit.
     """
     npos = len(pos_idx)
     branchable = suffix_avail[0]
@@ -190,6 +228,7 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
         return False
 
     out = []
+    cap = MAX_SETS
     ticks = 0
     stack = [(0, forced_mask)]
     pop = stack.pop
@@ -197,12 +236,13 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     while stack:
         ticks += 1
         if deadline is not None and ticks & 1023 == 0:
-            if time.monotonic() > deadline:
-                raise DeadlineReached
+            deadline.check()
         depth, inc = pop()
         if depth == npos:
             if not (maximal_only and joinable(inc)):
                 out.append(inc)
+                if len(out) > cap:
+                    raise too_many_sets()
             continue
         i = pos_idx[depth]
         depth += 1

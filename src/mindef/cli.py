@@ -184,6 +184,18 @@ def _budget_from(ns) -> SearchBudget | None:
         wall_clock_seconds=ns.time_limit)
 
 
+def _non_negative(kind):
+    """An argparse type: a ``kind`` value that is neither negative nor NaN."""
+    def parse(raw):
+        value = kind(raw)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a non-negative number, got {raw!r}")
+        return value
+    parse.__name__ = kind.__name__  # for argparse's "invalid float value"
+    return parse
+
+
 def _add_common(sub, with_engine=True):
     sub.add_argument("input", nargs="?", default="-",
                      help="AFP file to read ('-' or omitted: standard input)")
@@ -196,9 +208,10 @@ def _add_common(sub, with_engine=True):
     sub.add_argument("--on", metavar="NAMES",
                      help="comma-separated base set for preferred-on-f "
                           "(default: the file's focus)")
-    sub.add_argument("--budget", type=int, metavar="N",
+    sub.add_argument("--budget", type=_non_negative(int), metavar="N",
                      help="cap on exhaustive search spaces (default 20)")
-    sub.add_argument("--time-limit", type=float, metavar="SECONDS",
+    sub.add_argument("--time-limit", type=_non_negative(float),
+                     metavar="SECONDS",
                      help="wall-clock ceiling for the search")
 
 

@@ -20,15 +20,15 @@ The solver explores an include/exclude tree over the candidate arguments
   sets, and the family holds the groups' answers as the factors of a
   product (see :class:`ExtensionFamily`). Counts, membership and
   acceptance are read from the factors; the product is built and ordered
-  only when the members are read, under what the request's deadline left.
+  only when the members are read, under what the request's ceiling left.
 
 Min-def extensions are computed by a two-step pipeline: enumerate the
 preferred extensions on the focus, keep those whose unrestricted part is
 maximal, then shrink each one's restricted part to all its minimal
 admissible supports; a final pass keeps, among the candidates with the
 same unrestricted part, those with a subset-minimal restricted part, which
-removes the candidates dominated across branches. The whole pipeline shares
-one wall-clock deadline.
+removes the candidates dominated across branches. Every step reads the
+request's one started wall-clock ceiling.
 
 The shrinking step is an obligation-driven search. A candidate is
 conflict-free, so any subset is too and only defence matters: each attacker
@@ -42,7 +42,6 @@ after its own; a branch whose restricted part already contains a found
 support is cut, and a last pass keeps the inclusion-minimal leaves.
 """
 
-import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
@@ -50,8 +49,8 @@ from math import prod
 from operator import or_
 
 from . import _kernels
-from .errors import (BudgetExceeded, CrossFrameworkSet, EmptyFamily,
-                     NotWithinFocus, PreconditionViolated)
+from .errors import (CrossFrameworkSet, EmptyFamily, NotWithinFocus,
+                     PreconditionViolated)
 from .model import ArgumentationFramework, ArgumentSet, Partition, bits
 from .semantics import BETTER, _parity_reachable, is_admissible, prec_order
 
@@ -65,20 +64,22 @@ class SearchBudget:
     """Limits for a single solver or oracle invocation.
 
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
-    space; exceeding it is a hard error, never a truncated answer. The
-    wall-clock ceiling applies to the tree search, to the oracle's scan and
-    maximality pass, and to building a returned family's members on first
-    use, which abort with :class:`BudgetExceeded` when it fires; a min-def
-    request spends one ceiling across all its steps.
+    space; exceeding it is a hard error, never a truncated answer.
+    ``deadline()`` starts the wall-clock ceiling, a
+    :class:`mindef._kernels.Ceiling` (``None`` without one). A request
+    starts it once and hands it to every step that reads the clock: the
+    tree search, the oracle's scan and maximality pass, each of min-def's
+    steps, and the building of a returned family's members on first use.
+    Each raises :class:`BudgetExceeded` once the ceiling has passed.
     """
 
     max_arguments_for_exhaustive: int = 20
     wall_clock_seconds: float | None = None
 
-    def deadline(self) -> float | None:
+    def deadline(self) -> _kernels.Ceiling | None:
         if self.wall_clock_seconds is None:
             return None
-        return time.monotonic() + self.wall_clock_seconds
+        return _kernels.Ceiling(self.wall_clock_seconds)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -164,19 +165,16 @@ class ExtensionFamily:
         self._setup(framework, 0, [list(masks)], None)
 
     @classmethod
-    def _product_of(cls, framework, core, factors, budget=None,
-                    deadline=None):
+    def _product_of(cls, framework, core, factors, deadline=None):
         """The family of ``core`` joined with one mask from each factor.
 
         The factors' masks must be distinct within a factor and use
         arguments disjoint from the core's and from every other factor's.
-        Under a ``deadline``, the lazy work may take what is left of it.
+        Under a started ceiling, the lazy work may take what is left of it.
         """
         family = cls.__new__(cls)
-        limit = None
-        if deadline is not None:
-            limit = (budget.wall_clock_seconds, deadline - time.monotonic())
-        family._setup(framework, core, factors, limit)
+        family._setup(framework, core, factors, None if deadline is None
+                      else (deadline.seconds, deadline.left()))
         return family
 
     def _setup(self, framework, core, factors, limit):
@@ -188,13 +186,9 @@ class ExtensionFamily:
 
     def _build(self, base, factors):
         # the lazy product, under what the ceiling had left
-        if self._limit is None:
-            return _product(base, factors, None)
-        ceiling, left = self._limit
-        try:
-            return _product(base, factors, time.monotonic() + left)
-        except _kernels.DeadlineReached:
-            raise _exhausted(ceiling) from None
+        limit = self._limit
+        return _product(base, factors,
+                        None if limit is None else _kernels.Ceiling(*limit))
 
     def _factor_parts(self):
         """Per factor: the union, the intersection and the set of its masks."""
@@ -318,14 +312,12 @@ class ExtensionFamily:
                 and self._mask_set() == other._mask_set())
 
     def __hash__(self):
+        if len(self) == 0:
+            return 0  # equal to every other empty family
         return hash((id(self.framework), self._mask_set()))
 
     def __repr__(self):
         return "ExtensionFamily[%s]" % ", ".join(repr(m) for m in self.members)
-
-
-def _exhausted(ceiling):
-    return BudgetExceeded(f"wall-clock ceiling of {ceiling}s exhausted")
 
 
 def _prepare_space(af, space_mask, mode):
@@ -376,20 +368,21 @@ def _prepare_space(af, space_mask, mode):
 
 def _product(base, factors, deadline):
     """Every union of ``base`` with one mask from each factor."""
+    if prod(map(len, factors)) > _kernels.MAX_SETS:
+        raise _kernels.too_many_sets()
     out = [base]
     # smallest factors first, so the list grows as late as possible
     for masks in sorted(factors, key=len):
         grown = []
         for n, a in enumerate(out):
             if deadline is not None and n & 1023 == 0:
-                if time.monotonic() > deadline:
-                    raise _kernels.DeadlineReached
+                deadline.check()
             grown.extend([a | b for b in masks])
         out = grown
     return out
 
 
-def _solve_space(af, space_mask, mode, budget, deadline):
+def _solve_space(af, space_mask, mode, deadline):
     """The forced core and, per independent group, the masks of its answers.
 
     The qualifying subsets of ``space_mask`` are the core joined with one
@@ -402,21 +395,18 @@ def _solve_space(af, space_mask, mode, budget, deadline):
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX
     factors = []
-    try:
-        for group in space.components(forced_local):
-            free = group & ~forced_local
-            pos_idx = list(bits(free))
-            suffix = [0] * (len(pos_idx) + 1)
-            for d in range(len(pos_idx) - 1, -1, -1):
-                suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
-            local_masks = _kernels.dfs_enumerate(
-                group.bit_count(), pos_idx, suffix, group & forced_local,
-                space, maximal_only, deadline)
-            if maximal_only:
-                local_masks = _subset_maximal_masks(local_masks, deadline)
-            factors.append([space.to_global(lm & free) for lm in local_masks])
-    except _kernels.DeadlineReached:
-        raise _exhausted(budget.wall_clock_seconds) from None
+    for group in space.components(forced_local):
+        free = group & ~forced_local
+        pos_idx = list(bits(free))
+        suffix = [0] * (len(pos_idx) + 1)
+        for d in range(len(pos_idx) - 1, -1, -1):
+            suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
+        local_masks = _kernels.dfs_enumerate(
+            group.bit_count(), pos_idx, suffix, group & forced_local,
+            space, maximal_only, deadline)
+        if maximal_only:
+            local_masks = _subset_maximal_masks(local_masks, deadline)
+        factors.append([space.to_global(lm & free) for lm in local_masks])
     return forced, factors
 
 
@@ -434,8 +424,7 @@ def _subset_maximal_masks(masks, deadline=None):
         survivors = []
         for m in sorted(groups[pc]):
             if deadline is not None and ticks & 255 == 0:
-                if time.monotonic() > deadline:
-                    raise _kernels.DeadlineReached
+                deadline.check()
             ticks += 1
             if not any(m | k == k for k in larger):
                 survivors.append(m)
@@ -454,10 +443,9 @@ def _space_of(af, within):
 
 def _solved(af, space_mask, mode, budget):
     """The family of ``_solve_space``'s answers, in product form."""
-    budget = budget or DEFAULT_BUDGET
-    deadline = budget.deadline()
-    core, factors = _solve_space(af, space_mask, mode, budget, deadline)
-    return ExtensionFamily._product_of(af, core, factors, budget, deadline)
+    deadline = (budget or DEFAULT_BUDGET).deadline()
+    core, factors = _solve_space(af, space_mask, mode, deadline)
+    return ExtensionFamily._product_of(af, core, factors, deadline)
 
 
 def conflict_free_sets(af: ArgumentationFramework, within: ArgumentSet = None,
@@ -475,13 +463,12 @@ def admissible_sets(af: ArgumentationFramework, within: ArgumentSet = None,
 def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
-    budget = budget or DEFAULT_BUDGET
-    deadline = budget.deadline()
+    deadline = (budget or DEFAULT_BUDGET).deadline()
     # the admissible subsets of the focus, which have an empty core; what
     # is left is that each restricted member individually defends an
     # unrestricted one, and a member's defender walk is the same in every set
     _, factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL,
-                              budget, deadline)
+                              deadline)
     u, r = p.unrestricted.mask, p.restricted.mask
     spans = [reduce(or_, masks, 0) for masks in factors]
     used = reduce(or_, spans, 0)
@@ -491,14 +478,11 @@ def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
     # defends a member of another factor; then it reads whole sets
     if any(defended[x] & used & ~span
            for span in spans for x in bits(span & r)):
-        try:
-            factors = [_product(0, factors, deadline)]
-        except _kernels.DeadlineReached:
-            raise _exhausted(budget.wall_clock_seconds) from None
+        factors = [_product(0, factors, deadline)]
     factors = [[m for m in masks
                 if all(defended[x] & m & u for x in bits(m & r))]
                for masks in factors]
-    return ExtensionFamily._product_of(af, 0, factors, budget, deadline)
+    return ExtensionFamily._product_of(af, 0, factors, deadline)
 
 
 def preferred_extensions(af: ArgumentationFramework,
@@ -518,12 +502,15 @@ def preferred_extensions_on(af: ArgumentationFramework, x: ArgumentSet,
 
 
 def minimize_restricted(af: ArgumentationFramework, p: Partition,
-                        e: ArgumentSet, budget: SearchBudget = None) -> ExtensionFamily:
+                        e: ArgumentSet,
+                        budget: SearchBudget | _kernels.Ceiling = None
+                        ) -> ExtensionFamily:
     """All admissible shrinkings of ``e`` that keep its unrestricted part.
 
     Every result is ``e_u`` plus a subset of ``e_r`` that is minimal for
     inclusion among those keeping the whole set admissible. ``e`` itself
-    qualifies as a support, so the family is never empty.
+    qualifies as a support, so the family is never empty. ``budget`` may
+    also be an already started ceiling, which the search then shares.
     """
     if e.framework is not af:
         raise CrossFrameworkSet("set belongs to a different framework")
@@ -550,8 +537,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     stack = [(eu, 0, unmet(eu, eu))]
     while stack:
         if deadline is not None and ticks & 255 == 0:
-            if time.monotonic() > deadline:
-                raise _exhausted(budget.wall_clock_seconds)
+            deadline.check()
         ticks += 1
         inc, excluded, pending = stack.pop()
         r = inc & ~eu
@@ -571,7 +557,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     # a leaf found early may still contain one found later
     minimal = [m for m in leaves
                if not any(o != m and o | m == m for o in leaves)]
-    return ExtensionFamily._product_of(af, eu, [minimal], budget, deadline)
+    return ExtensionFamily._product_of(af, eu, [minimal], deadline)
 
 
 def min_def_extensions(af: ArgumentationFramework, p: Partition,
@@ -582,36 +568,20 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
     unrestricted part is inclusion-maximal, minimize each one's restricted
     part, and keep the candidates no other candidate strictly improves on.
     """
-    budget = budget or DEFAULT_BUDGET
-    deadline = budget.deadline()
-
-    def remaining():
-        # each step gets only what is left of the request's one deadline
-        if deadline is None:
-            return budget
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise BudgetExceeded
-        return SearchBudget(budget.max_arguments_for_exhaustive, left)
-
-    try:
-        u = p.unrestricted.mask
-        core, factors = _solve_space(af, _space_of(af, p.focus),
-                                     ADMISSIBLE_MAX, budget, deadline)
-        prefs = _product(core, factors, deadline)
-        max_u = set(_subset_maximal_masks([m & u for m in prefs], deadline))
-        candidates = []
-        for m in prefs:
-            if m & u in max_u:
-                supports = minimize_restricted(af, p, ArgumentSet(af, m),
-                                               remaining())
-                candidates.extend(supports._unordered_masks())
-        kept = _least_restricted(p, candidates, deadline)
-    except (BudgetExceeded, _kernels.DeadlineReached):
-        # only the clock refuses here: report the request's ceiling, not
-        # the slice a step was handed
-        raise _exhausted(budget.wall_clock_seconds) from None
-    return ExtensionFamily._product_of(af, 0, [kept], budget, deadline)
+    deadline = (budget or DEFAULT_BUDGET).deadline()
+    u = p.unrestricted.mask
+    core, factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_MAX,
+                                 deadline)
+    prefs = _product(core, factors, deadline)
+    max_u = set(_subset_maximal_masks([m & u for m in prefs], deadline))
+    candidates = []
+    for m in prefs:
+        if m & u in max_u:
+            supports = minimize_restricted(af, p, ArgumentSet(af, m),
+                                           deadline)
+            candidates.extend(supports._unordered_masks())
+    kept = _least_restricted(p, candidates, deadline)
+    return ExtensionFamily._product_of(af, 0, [kept], deadline)
 
 
 def _least_restricted(p, candidates, deadline):
@@ -644,8 +614,7 @@ def _least_restricted(p, candidates, deadline):
         # a strict subset has fewer bits, so it is kept before its supersets
         for part in sorted(parts, key=int.bit_count):
             if deadline is not None and ticks & 255 == 0:
-                if time.monotonic() > deadline:
-                    raise BudgetExceeded
+                deadline.check()
             ticks += 1
             if not any(k | part == part for k in minimal):
                 minimal.append(part)
@@ -655,13 +624,14 @@ def _least_restricted(p, candidates, deadline):
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",
                    partition: Partition = None, *,
-                   deadline: float = None) -> ExtensionFamily:
+                   deadline: _kernels.Ceiling = None) -> ExtensionFamily:
     """Members of ``family`` not strictly dominated by another member.
 
     ``order`` is ``"subset"`` (inclusion) or ``"prec"`` (the partition's
     preference order; requires ``partition``, and every member must lie
-    within its focus). ``deadline`` is a ``time.monotonic()`` value; once it
-    has passed, the pass raises :class:`BudgetExceeded`.
+    within its focus). ``deadline`` is a started ceiling, as made by
+    ``SearchBudget(wall_clock_seconds=...).deadline()``; once it has
+    passed, the pass raises :class:`BudgetExceeded`.
     """
     if order not in ("subset", "prec"):
         raise ValueError(f"unknown order {order!r}")
@@ -680,13 +650,10 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
                 if s.mask & ~p.focus.mask:
                     raise NotWithinFocus(
                         f"family member {s!r} is not within the focus")
-    try:
-        if order == "subset":
-            kept = _subset_maximal_masks(masks, deadline)
-        else:
-            kept = _prec_maximal_masks(p, masks, deadline)
-    except _kernels.DeadlineReached:
-        raise BudgetExceeded("wall-clock ceiling exhausted") from None
+    if order == "subset":
+        kept = _subset_maximal_masks(masks, deadline)
+    else:
+        kept = _prec_maximal_masks(p, masks, deadline)
     return ExtensionFamily._product_of(family.framework, 0, [kept])
 
 
@@ -699,8 +666,7 @@ def _prec_maximal_masks(p, masks, deadline):
     kept = []
     for n, m in enumerate(masks):
         if deadline is not None and n & 255 == 0:
-            if time.monotonic() > deadline:
-                raise _kernels.DeadlineReached
+            deadline.check()
         if not any(prec_order(p, m, k) is BETTER for k in kept):
             kept.append(m)
     return kept

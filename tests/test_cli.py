@@ -266,6 +266,38 @@ def test_oracle_refuses_spaces_wider_than_its_scan(capsys, tmp_path):
                    "the cap of 62\n")
 
 
+def test_answers_past_the_output_cap_exit_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_SETS", 100)
+    path = tmp_path / "isolated.afp"
+    path.write_text("".join(f"arg(x{i}).\n" for i in range(12)))
+    for args in (["solve", "-s", "conflict-free"],
+                 ["solve", "-s", "admissible", "--format", "structured"],
+                 ["oracle", "-s", "conflict-free"]):
+        code, out, err = run(capsys, args[0], str(path), *args[1:])
+        assert code == 3 and out == ""
+        assert err == "error: answer exceeds the cap of 100 sets\n"
+    # a query reads the 4096 sets' factors and builds nothing
+    assert run(capsys, "solve", str(path), "-s", "conflict-free",
+               "--credulous", "x0")[:2] == (0, "YES\n")
+
+
+def test_nan_or_negative_time_limit_exits_2(capsys):
+    for value in ("nan", "-3", "-0.5"):
+        code, out, err = run(capsys, "solve", AF3, "--time-limit", value)
+        assert code == 2 and out == ""
+        assert f"argument --time-limit: expected a non-negative number, " \
+               f"got '{value}'" in err
+    # zero is a ceiling that has already passed, not an input error
+    assert run(capsys, "oracle", AF3, "--time-limit", "0")[0] == 3
+
+
+def test_negative_budget_exits_2(capsys):
+    code, out, err = run(capsys, "oracle", AF3, "--budget", "-3")
+    assert code == 2 and out == ""
+    assert "argument --budget: expected a non-negative number, got '-3'" in err
+    assert run(capsys, "oracle", AF3, "--budget", "0")[0] == 3
+
+
 def test_time_limit_exhaustion_exits_3(capsys, tmp_path):
     names = [f"x{i}" for i in range(28)]
     lines = [f"arg({n}).\n" for n in names]

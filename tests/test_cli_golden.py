@@ -6,7 +6,9 @@ stdout]``. The cases are the fixtures under every semantics and format,
 seeded instances renamed so that name order and declaration order differ
 (names such as ``a``, ``a1``, ``a10``, ``Z``, ``_x`` and ``9``), families
 whose members span 7 to 129 names (across the 8- and 64-bit boundaries),
-and families that hold ``{}``.
+and families that hold ``{}``. The error cases (ids starting ``error:``)
+map to ``[exit code, stderr]`` instead: input errors and the refusals that
+do not depend on the clock.
 
 To re-record after a deliberate change of the output, run from the
 repository root::
@@ -119,6 +121,34 @@ def cases():
 CASES = cases()
 
 
+def _isolated(n):
+    return "".join(f"arg(x{i}).\n" for i in range(n)).encode()
+
+
+AF3 = (FIXTURE_DIR / "af3.afp").read_bytes()
+# (case id, input bytes, CLI arguments, "{input}" standing for the file)
+ERROR_CASES = [
+    ("error: undeclared argument in an attack",
+     b"arg(a).\natt(a,b).\n", ["solve", "{input}"]),
+    ("error: undeclared argument in --set", AF3,
+     ["check", "{input}", "--set", "u2,ghost", "--property", "admissible"]),
+    ("error: undeclared argument in a query", AF3,
+     ["solve", "{input}", "--credulous", "ghost"]),
+    ("error: --on with a pointwise property", AF3,
+     ["check", "{input}", "--set", "u2", "--property", "admissible",
+      "--on", "ghost"]),
+    ("error: --on with another semantics", AF3,
+     ["solve", "{input}", "-s", "preferred", "--on", "u2"]),
+    ("error: non-UTF-8 input", b"arg(a).\xff\n", ["solve", "{input}"]),
+    ("error: oracle size cap", _isolated(21),
+     ["oracle", "{input}", "-s", "admissible"]),
+    ("error: oracle size cap under --budget", _isolated(21),
+     ["oracle", "{input}", "-s", "preferred", "--budget", "12"]),
+    ("error: 62-argument scan cap", _isolated(63),
+     ["oracle", "{input}", "-s", "admissible", "--budget", "100"]),
+]
+
+
 def run_case(tmp_dir, text, args):
     path = pathlib.Path(tmp_dir) / "input.afp"
     path.write_text(text, encoding="utf-8")
@@ -128,13 +158,23 @@ def run_case(tmp_dir, text, args):
     return [code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
 
 
+def run_error_case(tmp_dir, data, args):
+    path = pathlib.Path(tmp_dir) / "input.afp"
+    path.write_bytes(data)
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main([str(path) if a == "{input}" else a for a in args])
+    return [code, stderr.getvalue()]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
 
 
 def test_golden_file_covers_exactly_the_cases(golden):
-    assert sorted(golden) == sorted(case_id for case_id, _, _ in CASES)
+    assert sorted(golden) == sorted(case_id for case_id, _, _
+                                    in CASES + ERROR_CASES)
 
 
 @pytest.mark.parametrize("case_id,text,args", CASES,
@@ -144,10 +184,19 @@ def test_cli_stdout_matches_the_recorded_digest(tmp_path, golden, case_id,
     assert run_case(tmp_path, text, args) == golden[case_id]
 
 
+@pytest.mark.parametrize("case_id,data,args", ERROR_CASES,
+                         ids=[case_id for case_id, _, _ in ERROR_CASES])
+def test_cli_error_matches_the_recorded_stderr(tmp_path, golden, case_id,
+                                               data, args):
+    assert run_error_case(tmp_path, data, args) == golden[case_id]
+
+
 def record(tmp_dir):
     GOLDEN.parent.mkdir(exist_ok=True)
     digests = {case_id: run_case(tmp_dir, text, args)
                for case_id, text, args in CASES}
+    digests.update((case_id, run_error_case(tmp_dir, data, args))
+                   for case_id, data, args in ERROR_CASES)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} cases in {GOLDEN}", file=sys.stderr)
 

@@ -180,7 +180,7 @@ class TestComponentSearch:
                      (CONFLICT_FREE, af.subset(af.names[:14]).mask))
             for mode, space in cases:
                 got = extensions._product(
-                    *extensions._solve_space(af, space, mode, None, None), None)
+                    *extensions._solve_space(af, space, mode, None), None)
                 assert len(got) == len(set(got))
                 assert set(got) == single_tree_solve_space(af, space, mode)
                 compared += len(got)
@@ -193,7 +193,7 @@ class TestComponentSearch:
                             (CONFLICT_FREE, small)):
             for label, af in structured_stream(40, 9300, sizes):
                 got = extensions._product(*extensions._solve_space(
-                    af, af.full_mask, mode, None, None), None)
+                    af, af.full_mask, mode, None), None)
                 assert len(got) == len(set(got)), label
                 assert set(got) == single_tree_solve_space(
                     af, af.full_mask, mode), label
@@ -327,12 +327,110 @@ class TestFamily:
             assert list(fam.members) == want, trial
             assert list(fam.member_names()) == [sorted(s.names) for s in want]
 
+    def test_empty_families_hash_alike(self, af1):
+        # equal families, whatever their framework or form, share a hash
+        empty = [ExtensionFamily([]),
+                 ExtensionFamily._product_of(af1, 0, [[]]),
+                 ExtensionFamily._product_of(af1, 0, [[1, 2], []])]
+        assert all(x == empty[0] for x in empty)
+        assert len({hash(x) for x in empty}) == 1 and len(set(empty)) == 1
+
     def test_solver_families_follow_the_name_tuple_reference(self):
         for _, af, p in instance_stream(40, base_seed=8100):
             for fam in (md.admissible_sets(af), md.conflict_free_sets(af),
                         md.restrictedly_admissible_sets(af, p),
                         min_def_extensions(af, p)):
                 assert list(fam.members) == name_tuple_order(fam.members)
+
+
+# twelve unattacked arguments, all in the focus, none restricted
+ISOLATED = build_framework([f"x{i}" for i in range(12)], [])
+ISOLATED_P = md.Partition(ISOLATED, ISOLATED.full_set(),
+                          ISOLATED.empty_set())
+TWO_CYCLE = build_framework(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def _dfs_over(af, deadline):
+    space = _kernels.LocalSpace(af, af.full_mask, False)
+    pos_idx = list(range(len(af)))
+    suffix = [(1 << len(af)) - (1 << d) for d in range(len(af) + 1)]
+    return _kernels.dfs_enumerate(len(af), pos_idx, suffix, 0, space, False,
+                                  deadline)
+
+
+# every stage that reads the request's ceiling, called with one that has
+# already passed; each must refuse on its first read
+CLOCK_STAGES = {
+    "subset_scan": lambda past: _kernels.subset_scan(
+        8, _kernels.LocalSpace(ISOLATED, 255, True), past),
+    "dfs_enumerate": lambda past: _dfs_over(ISOLATED, past),
+    "product": lambda past: extensions._product(0, [[1, 2], [4, 8]], past),
+    "lazy build": lambda past: ExtensionFamily._product_of(
+        ISOLATED, 0, [[1, 2], [4, 8]], past).members,
+    "per-group maximality pass": lambda past: extensions._solve_space(
+        TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
+    "minimize_restricted": lambda past: minimize_restricted(
+        ISOLATED, ISOLATED_P, ISOLATED.subset(["x0"]), past),
+    "_least_restricted": lambda past: extensions._least_restricted(
+        ISOLATED_P, [1, 3], past),
+    "filter_maximal subset": lambda past: filter_maximal(
+        md.admissible_sets(ISOLATED), deadline=past),
+    "filter_maximal prec": lambda past: filter_maximal(
+        md.admissible_sets(ISOLATED), "prec", ISOLATED_P, deadline=past),
+}
+
+
+@pytest.mark.parametrize("stage", CLOCK_STAGES)
+def test_every_clock_stage_refuses_naming_the_ceiling(stage, monkeypatch):
+    # blocks of 16 patterns, so the 256-pattern scan reads the clock
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+    past = SearchBudget(wall_clock_seconds=-1.0).deadline()
+    with pytest.raises(BudgetExceeded,
+                       match=r"^wall-clock ceiling of -1\.0s exhausted$"):
+        CLOCK_STAGES[stage](past)
+    # and each answers under a ceiling that has not passed
+    CLOCK_STAGES[stage](SearchBudget(wall_clock_seconds=60.0).deadline())
+
+
+class TestOutputCap:
+    """``_kernels.MAX_SETS``, patched small: every place that collects or
+    builds sets refuses past it instead of running out of memory."""
+
+    CAP = r"^answer exceeds the cap of 100 sets$"
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_SETS", 100)
+
+    def test_the_tree_kernel_refuses_a_group_past_the_cap(self):
+        # z attacks x0..x9, so all eleven form one group of 2^10 + 1
+        # conflict-free sets
+        names = ["z"] + [f"x{i}" for i in range(10)]
+        af = build_framework(names, [("z", x) for x in names[1:]])
+        with pytest.raises(BudgetExceeded, match=self.CAP):
+            md.conflict_free_sets(af)
+        assert len(md.preferred_extensions(af)) == 1
+
+    def test_the_product_refuses_before_building(self):
+        # twelve groups of two sets each: every group is under the cap, the
+        # family of 4096 is not; it is counted and queried, never built
+        fam = md.conflict_free_sets(ISOLATED)
+        assert len(fam) == 4096 and ISOLATED.subset(["x3"]) in fam
+        assert credulous_accepted(ISOLATED, fam, "x0")
+        for read in (lambda: fam.members, lambda: list(fam.member_names()),
+                     lambda: hash(fam)):
+            with pytest.raises(BudgetExceeded, match=self.CAP):
+                read()
+        with pytest.raises(BudgetExceeded, match=self.CAP):
+            extensions._product(0, [[0, 1]] * 7, None)
+        assert len(extensions._product(0, [[0, 1]] * 6, None)) == 64
+
+    def test_the_scan_refuses_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
+        with pytest.raises(BudgetExceeded, match=self.CAP):
+            md.oracle_conflict_free(ISOLATED)
+        assert len(md.oracle_conflict_free(
+            ISOLATED, ISOLATED.subset(["x0", "x1", "x2", "x3"]))) == 16
 
 
 class TestBudget:
@@ -369,33 +467,33 @@ class TestBudget:
         p = md.Partition(af, af.full_set(), af.empty_set())
         skew = [0.0]
         real = time.monotonic
-        monkeypatch.setattr(md.extensions, "time", types.SimpleNamespace(
+        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
             monotonic=lambda: real() + skew[0]))
         minimize = md.extensions.minimize_restricted
         calls = []
 
-        def slow_minimize(af, p, e, budget):
-            calls.append(budget.wall_clock_seconds)
+        def slow_minimize(af, p, e, deadline):
+            calls.append(deadline)
             skew[0] += 0.2  # each step takes 0.2 s of the fake clock
-            return minimize(af, p, e, budget)
+            return minimize(af, p, e, deadline)
 
         monkeypatch.setattr(md.extensions, "minimize_restricted",
                             slow_minimize)
-        deadlines = []
+        started = []
         deadline = SearchBudget.deadline
 
         def counted(budget):
-            deadlines.append(budget)
-            return deadline(budget)
+            started.append(deadline(budget))
+            return started[-1]
 
         monkeypatch.setattr(SearchBudget, "deadline", counted)
         budget = SearchBudget(wall_clock_seconds=0.5)
         with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
             min_def_extensions(af, p, budget)
-        # the steps got what was left, and the fourth was never started
-        assert len(calls) == 3
-        assert calls[0] <= 0.5 and calls[2] < 0.1 + 1e-3
-        assert sum(b is budget for b in deadlines) == 1
+        # the ceiling is started once and every step gets it; the third
+        # step refuses, 0.6 s into the fake clock
+        assert len(started) == 1 and isinstance(started[0], _kernels.Ceiling)
+        assert len(calls) == 3 and all(d is started[0] for d in calls)
 
     def test_min_def_filter_reads_the_deadline(self, monkeypatch):
         # three two-cycles: the clock jumps past the ceiling after the last
@@ -408,7 +506,7 @@ class TestBudget:
         p = md.Partition(af, af.full_set(), af.empty_set())
         skew = [0.0]
         real = time.monotonic
-        monkeypatch.setattr(md.extensions, "time", types.SimpleNamespace(
+        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
             monotonic=lambda: real() + skew[0]))
         minimize = md.extensions.minimize_restricted
         calls = []

@@ -113,12 +113,14 @@ class TestOracleDeadline:
     def test_filter_maximal_reads_its_deadline(self):
         af = self.two_cycles(3)
         fam = oracle_admissible(af)
+        past = SearchBudget(wall_clock_seconds=-1.0).deadline()
         with pytest.raises(BudgetExceeded):
-            filter_maximal(fam, deadline=time.monotonic() - 1.0)
+            filter_maximal(fam, deadline=past)
         with pytest.raises(BudgetExceeded):
             filter_maximal(oracle_min_def(af, md.Partition(
                 af, af.full_set(), af.empty_set())), "prec",
                 md.Partition(af, af.full_set(), af.empty_set()),
-                deadline=time.monotonic() - 1.0)
-        kept = filter_maximal(fam, deadline=time.monotonic() + 60.0)
+                deadline=past)
+        kept = filter_maximal(fam, deadline=SearchBudget(
+            wall_clock_seconds=60.0).deadline())
         assert kept == filter_maximal(fam) and len(kept) == 8
