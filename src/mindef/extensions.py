@@ -3,14 +3,17 @@
 The solver explores an include/exclude tree over the candidate arguments
 (see :mod:`mindef._kernels`). Before searching it shrinks the problem:
 
-* arguments that can never sit in a conflict-free set (self-attackers) or
-  can never be defended inside the search space are dropped, to a fixed
-  point;
+* self-attackers are dropped, then the members that can never be defended
+  inside the search space, to a fixed point;
 * for maximality searches, the "forced core" - the least fixed point of
-  collective defence inside the space - is included up front, and anything
-  in conflict with it is dropped, again to a fixed point. Every maximal
-  admissible subset of the space provably contains that core, so this
-  prunes without losing solutions;
+  collective defence inside the space - is then computed once and included
+  up front. Every maximal admissible subset of the space provably contains
+  it, so this prunes without losing solutions. No member left conflicts
+  with it: one that attacks a core member is attacked by a core member, and
+  one attacked by a core member has an answerer of it left, which is itself
+  attacked by a core member that joined the core earlier; by induction on
+  the joining order, neither can survive the drop. So nothing needs
+  dropping or recomputing after the core;
 * the candidates are split into independent groups, linking each member
   both ways to the members it conflicts with and to the answerers of its
   attackers. No two groups share a conflict or a defence obligation, so a
@@ -39,7 +42,8 @@ in (a minimal transversal, closed under the obligations it brings). The
 search starts from the unrestricted part and branches only on the answerers
 of the first unmet obligation, excluding each answerer from the branches
 after its own; a branch whose restricted part already contains a found
-support is cut, and a last pass keeps the inclusion-minimal leaves.
+support is cut, and a last pass, which reads the ceiling too, keeps the
+inclusion-minimal leaves.
 """
 
 from dataclasses import dataclass
@@ -323,47 +327,35 @@ class ExtensionFamily:
 def _prepare_space(af, space_mask, mode):
     """Shrink the search space; returns (candidate mask, forced mask)."""
     att = af.attacker_masks
-    tgt = af.target_masks
     cand = space_mask
     for i in bits(space_mask):
         if att[i] >> i & 1:
             cand &= ~(1 << i)  # self-attackers are never conflict-free
     if mode == CONFLICT_FREE:
         return cand, 0
+    # drop members with an attacker nobody in the space can answer
+    dropping = True
+    while dropping:
+        dropping = False
+        for i in bits(cand):
+            for b in bits(att[i]):
+                if att[b] & cand == 0:
+                    cand &= ~(1 << i)
+                    dropping = True
+                    break
+    if mode != ADMISSIBLE_MAX:
+        return cand, 0
+    # least fixed point of collective defence inside the space; no member
+    # left conflicts with it (see the module docstring)
     forced = 0
     while True:
-        changed = False
-        # drop members with an attacker nobody in the space can answer
-        dropping = True
-        while dropping:
-            dropping = False
-            for i in bits(cand):
-                for b in bits(att[i]):
-                    if att[b] & cand == 0:
-                        cand &= ~(1 << i)
-                        dropping = changed = True
-                        break
-        if mode != ADMISSIBLE_MAX:
-            return cand, 0
-        # least fixed point of collective defence inside the space
-        forced = 0
-        while True:
-            grown = forced
-            for i in bits(cand & ~forced):
-                if all(att[b] & forced for b in bits(att[i])):
-                    grown |= 1 << i
-            if grown == forced:
-                break
-            forced = grown
-        conflicted = 0
+        grown = forced
         for i in bits(cand & ~forced):
-            if (att[i] | tgt[i]) & forced:
-                conflicted |= 1 << i
-        if conflicted:
-            cand &= ~conflicted
-            changed = True
-        if not changed:
+            if all(att[b] & forced for b in bits(att[i])):
+                grown |= 1 << i
+        if grown == forced:
             return cand, forced
+        forced = grown
 
 
 def _product(base, factors, deadline):
@@ -411,25 +403,31 @@ def _solve_space(af, space_mask, mode, deadline):
 
 
 def _subset_maximal_masks(masks, deadline=None):
-    # a strict superset has strictly more bits, so candidates only need to
-    # be tested against survivors from larger popcount groups; the deadline
-    # is read every 256 candidates
-    groups = {}
+    # the maximal masks are the complements, within the masks' union, of
+    # the minimal complements
+    union = reduce(or_, masks, 0)
+    return [union ^ c for c in _subset_minimal_masks(
+        [union ^ m for m in masks], deadline)]
+
+
+def _subset_minimal_masks(masks, deadline=None):
+    # each distinct mask once; a strict subset has strictly fewer bits, so a
+    # mask is tested only against survivors of smaller popcounts; the
+    # deadline is read every 256 masks
+    layers = {}
     for m in set(masks):
-        groups.setdefault(m.bit_count(), []).append(m)
+        layers.setdefault(m.bit_count(), []).append(m)
     kept = []
-    larger = []
     ticks = 0
-    for pc in sorted(groups, reverse=True):
+    for pc in sorted(layers):
         survivors = []
-        for m in sorted(groups[pc]):
+        for m in layers[pc]:
             if deadline is not None and ticks & 255 == 0:
                 deadline.check()
             ticks += 1
-            if not any(m | k == k for k in larger):
+            if not any(k | m == m for k in kept):
                 survivors.append(m)
-        kept.extend(survivors)
-        larger = kept[:]
+        kept += survivors
     return kept
 
 
@@ -512,8 +510,9 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     qualifies as a support, so the family is never empty. ``budget`` may
     also be an already started ceiling, which the search then shares.
     """
-    if e.framework is not af:
-        raise CrossFrameworkSet("set belongs to a different framework")
+    if e.framework is not af or p.framework is not af:
+        raise CrossFrameworkSet(
+            "set and partition must belong to the framework")
     if e.mask & ~p.focus.mask:
         raise PreconditionViolated("set must lie within the partition's focus")
     if not is_admissible(af, e):
@@ -555,8 +554,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
             excluded |= bit
         stack.extend(reversed(children))
     # a leaf found early may still contain one found later
-    minimal = [m for m in leaves
-               if not any(o != m and o | m == m for o in leaves)]
+    minimal = _subset_minimal_masks(leaves, deadline)
     return ExtensionFamily._product_of(af, eu, [minimal], deadline)
 
 
@@ -603,23 +601,12 @@ def _least_restricted(p, candidates, deadline):
     pass drops only duplicates in practice. It checks anyway, so that the
     answer does not rest on that argument.
     """
-    u, r = p.unrestricted.mask, p.restricted.mask
+    u = p.unrestricted.mask
     groups = {}
     for m in candidates:
-        groups.setdefault(m & u, set()).add(m & r)
-    kept = []
-    ticks = 0
-    for eu, parts in groups.items():
-        minimal = []
-        # a strict subset has fewer bits, so it is kept before its supersets
-        for part in sorted(parts, key=int.bit_count):
-            if deadline is not None and ticks & 255 == 0:
-                deadline.check()
-            ticks += 1
-            if not any(k | part == part for k in minimal):
-                minimal.append(part)
-        kept.extend(eu | part for part in minimal)
-    return kept
+        groups.setdefault(m & u, []).append(m)
+    return [m for same_u in groups.values()
+            for m in _subset_minimal_masks(same_u, deadline)]
 
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",

@@ -152,11 +152,60 @@ def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
     return out
 
 
+def fixed_point_prepare_space(af, space_mask, mode):
+    """Reference for ``extensions._prepare_space``: the loop it replaced,
+    which recomputes the forced core after every change until nothing is
+    dropped. Returns (candidate mask, forced mask)."""
+    att = af.attacker_masks
+    tgt = af.target_masks
+    cand = space_mask
+    for i in bits(space_mask):
+        if att[i] >> i & 1:
+            cand &= ~(1 << i)  # self-attackers are never conflict-free
+    if mode == extensions.CONFLICT_FREE:
+        return cand, 0
+    forced = 0
+    while True:
+        changed = False
+        # drop members with an attacker nobody in the space can answer
+        dropping = True
+        while dropping:
+            dropping = False
+            for i in bits(cand):
+                for b in bits(att[i]):
+                    if att[b] & cand == 0:
+                        cand &= ~(1 << i)
+                        dropping = changed = True
+                        break
+        if mode != extensions.ADMISSIBLE_MAX:
+            return cand, 0
+        # least fixed point of collective defence inside the space
+        forced = 0
+        while True:
+            grown = forced
+            for i in bits(cand & ~forced):
+                if all(att[b] & forced for b in bits(att[i])):
+                    grown |= 1 << i
+            if grown == forced:
+                break
+            forced = grown
+        conflicted = 0
+        for i in bits(cand & ~forced):
+            if (att[i] | tgt[i]) & forced:
+                conflicted |= 1 << i
+        if conflicted:
+            cand &= ~conflicted
+            changed = True
+        if not changed:
+            return cand, forced
+
+
 def single_tree_solve_space(af, space_mask, mode):
     """Reference for ``extensions._solve_space``: one recursive search over
-    the whole prepared space, then for ``ADMISSIBLE_MAX`` one
-    subset-maximality pass over the whole family. Returns a set of masks."""
-    cand, forced = extensions._prepare_space(af, space_mask, mode)
+    the whole space as the reference preparation leaves it, then for
+    ``ADMISSIBLE_MAX`` one subset-maximality pass over the whole family.
+    Returns a set of masks."""
+    cand, forced = fixed_point_prepare_space(af, space_mask, mode)
     space = _kernels.LocalSpace(af, cand, mode != extensions.CONFLICT_FREE)
     k = len(space.members)
     forced_local = space.to_local(forced)
@@ -188,6 +237,30 @@ def subset_walk_minimize(af, p, e):
             if md.is_admissible(af, md.ArgumentSet(af, eu | r)):
                 minimal.append(r)
     return {eu | m for m in minimal}
+
+
+def pairwise_minimal_masks(masks):
+    """Reference for ``extensions._subset_minimal_masks``: the pairwise
+    pass that ``minimize_restricted`` ran over its leaves, which tests each
+    mask against every other."""
+    return [m for m in masks
+            if not any(o != m and o | m == m for o in masks)]
+
+
+def many_supports(k):
+    """A min-def instance with ``2^k`` minimal supports: the unrestricted
+    ``u`` is attacked by ``b1..bk``, and each ``bi`` by two restricted
+    focus arguments ``ri_a`` and ``ri_b``; the ``bi`` lie outside the focus.
+    Returns (framework, partition)."""
+    names, restricted, attacks = ["u"], [], []
+    for i in range(1, k + 1):
+        names.append(f"b{i}")
+        attacks.append((f"b{i}", "u"))
+        for side in "ab":
+            restricted.append(f"r{i}_{side}")
+            attacks.append((f"r{i}_{side}", f"b{i}"))
+    af = md.build_framework(names + restricted, attacks)
+    return af, md.build_partition(af, ["u"] + restricted, restricted)
 
 
 def name_tuple_order(sets):

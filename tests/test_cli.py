@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import time
+
+from hypothesis import given, settings, strategies as st
 
 import mindef as md
 from mindef import _kernels
 from mindef.afp import serialize_afp
 from mindef.cli import SEMANTICS, SolveRequest, main, run_cli
+from mindef.extensions import SearchBudget
 
 from conftest import FIXTURE_DIR, instance_stream
 
@@ -410,3 +414,71 @@ def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
                "--set", "a0,b0")[:2] == (0, "NO\n")
     # allowed: a loaded host; building either family takes seconds
     assert time.monotonic() - started < 1.0
+
+
+# fuzzing: the CLI promises exit codes 0, 2 and 3 and nothing else
+FIXTURE_TEXTS = [path.read_text()
+                 for path in sorted(FIXTURE_DIR.glob("*.afp"))]
+FUZZ_SETTINGS = settings(max_examples=400, derandomize=True, database=None,
+                         deadline=None)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's text after a few character and whole-line edits."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 6))):
+        lines = text.splitlines(keepends=True)
+        at = draw(st.integers(0, len(text)))
+        line = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(
+            ("insert", "delete", "drop line", "repeat line", "swap lines")))
+        if edit == "insert":
+            text = text[:at] + draw(st.text(
+                "(),.#_ \nargtfocusrestricted0123456789", max_size=6)
+            ) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif lines:
+            other = draw(st.integers(0, len(lines) - 1))
+            if edit == "drop line":
+                del lines[line]
+            elif edit == "repeat line":
+                lines.insert(other, lines[line])
+            else:
+                lines[line], lines[other] = lines[other], lines[line]
+            text = "".join(lines)
+    return text
+
+
+def assert_exits_0_2_or_3(request):
+    """Run one request under a small budget: it answers with nothing on
+    stderr, or exits 2 or 3 with an ``error:`` line."""
+    request.budget = SearchBudget(20, 2.0)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _, code = run_cli(request, out=io.StringIO())
+    assert code in (0, 2, 3)
+    assert err.getvalue() == "" if code == 0 else (
+        err.getvalue().startswith("error:"))
+
+
+@FUZZ_SETTINGS
+@given(mutated_fixtures(), st.sampled_from(SEMANTICS),
+       st.sampled_from(("solver", "oracle")))
+def test_mutated_fixture_text_exits_0_2_or_3(text, semantics, engine):
+    assert_exits_0_2_or_3(SolveRequest(text=text, semantics=semantics,
+                                       engine=engine))
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(st.binary(max_size=300),
+                 st.sampled_from(FIXTURE_TEXTS).map(str.encode).flatmap(
+                     lambda raw: st.binary(max_size=40).map(
+                         lambda tail: raw[:len(raw) // 2] + tail))),
+       st.sampled_from(SEMANTICS))
+def test_arbitrary_bytes_in_a_file_exit_0_2_or_3(tmp_path_factory, raw,
+                                                 semantics):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.afp"
+    path.write_bytes(raw)
+    assert_exits_0_2_or_3(SolveRequest(source=str(path), semantics=semantics))

@@ -14,7 +14,9 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
 from mindef import _kernels, extensions
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
-from conftest import (instance_stream, name_tuple_order, pairwise_min_def,
+from conftest import (fixed_point_prepare_space, instance_stream,
+                      many_supports, name_tuple_order, pairwise_min_def,
+                      pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
                       single_tree_solve_space, sset, structured_stream,
                       subset_walk_minimize)
@@ -108,6 +110,13 @@ class TestMinimizeRestricted:
         with pytest.raises(PreconditionViolated):
             minimize_restricted(af1, p3, sset(af1, "o1"))
 
+    def test_requires_the_partition_of_the_framework(self, af1):
+        # the same AF3 built a second time is another framework
+        _, other_p3 = md.builtin_fixtures()["AF3"]
+        with pytest.raises(md.CrossFrameworkSet):
+            minimize_restricted(af1, other_p3,
+                                sset(af1, "u2,u3,u4,u5,r1,r2,r3"))
+
     def test_outputs_are_minimal_and_complete(self):
         for _, af, p in instance_stream(25, base_seed=60):
             for e in md.oracle_admissible(af, p.focus):
@@ -146,6 +155,79 @@ class TestMinimizeRestricted:
         got = {s.mask for s in minimize_restricted(af, p, e)}
         assert got == subset_walk_minimize(af, p, e)
         assert len(got) == 2 ** 4
+
+    def test_every_support_of_many_independent_choices_is_found(self):
+        # eight attackers of u, each countered by either of two restricted
+        # arguments: 256 minimal supports, all of one size
+        af, p = many_supports(8)
+        e = p.focus
+        got = {s.mask for s in minimize_restricted(af, p, e)}
+        assert got == subset_walk_minimize(af, p, e)
+        assert len(got) == 2 ** 8
+
+
+class TestSubsetMinimalMasks:
+    def test_matches_the_pairwise_pass(self):
+        # seeded lists over 3-12 bits, with duplicates and the empty mask
+        for seed in range(300):
+            rng = random.Random(seed)
+            width = 3 + seed % 10
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 60))]
+            masks += rng.sample(masks, len(masks) // 3)
+            if seed % 4 == 0:
+                masks.append(0)
+            rng.shuffle(masks)
+            got = extensions._subset_minimal_masks(masks)
+            assert len(got) == len(set(got)), seed
+            assert set(got) == set(pairwise_minimal_masks(masks)), seed
+            maximal = {m for m in masks
+                       if not any(o != m and m | o == o for o in masks)}
+            assert set(extensions._subset_maximal_masks(masks)) == maximal
+
+    def test_one_layer_of_incomparable_masks_is_kept_whole(self):
+        # one of each of ten bit pairs: 2^10 masks of ten bits, none
+        # containing another; their supersets and duplicates go
+        layer = [sum(1 << (2 * i + (n >> i & 1)) for i in range(10))
+                 for n in range(1 << 10)]
+        masks = layer + [m | 1 << 20 for m in layer[::7]] + layer[::5]
+        random.Random(1).shuffle(masks)
+        got = extensions._subset_minimal_masks(masks)
+        assert sorted(got) == sorted(layer)
+        assert set(got) == set(pairwise_minimal_masks(masks))
+
+
+class TestPrepareSpace:
+    """The one-pass preparation against the loop that recomputed the core
+    after every change, in every mode, on the focus and the whole space."""
+
+    @staticmethod
+    def assert_same(af, focus_mask):
+        for mode in (CONFLICT_FREE, ADMISSIBLE_ALL, ADMISSIBLE_MAX):
+            for space in (af.full_mask, focus_mask):
+                assert (extensions._prepare_space(af, space, mode)
+                        == fixed_point_prepare_space(af, space, mode))
+
+    def test_random_instances(self):
+        for _, af, p in instance_stream(300, base_seed=6000):
+            self.assert_same(af, p.focus.mask)
+
+    def test_structured_shapes(self):
+        for k, (_, af) in enumerate(structured_stream(60, 6500)):
+            rng = random.Random(k)
+            self.assert_same(af, af.subset(
+                a for a in af.names if rng.random() < 0.7).mask)
+
+    def test_sparse_frameworks_above_the_oracle_cap(self):
+        # the population the min-def benchmark draws from
+        dropped = 0
+        for n in range(100, 301, 2):
+            af, p = md.random_instance(md.GeneratorConfig(
+                n, 2 / n, 0.7, 0.3, seed=7000 + n))
+            self.assert_same(af, p.focus.mask)
+            cand, _ = extensions._prepare_space(af, af.full_mask,
+                                                ADMISSIBLE_MAX)
+            dropped += cand != af.full_mask
+        assert dropped > 50
 
 
 class TestComponentSearch:
@@ -373,6 +455,8 @@ CLOCK_STAGES = {
         ISOLATED, ISOLATED_P, ISOLATED.subset(["x0"]), past),
     "_least_restricted": lambda past: extensions._least_restricted(
         ISOLATED_P, [1, 3], past),
+    "_subset_minimal_masks": lambda past: extensions._subset_minimal_masks(
+        [1, 3], past),
     "filter_maximal subset": lambda past: filter_maximal(
         md.admissible_sets(ISOLATED), deadline=past),
     "filter_maximal prec": lambda past: filter_maximal(
@@ -496,8 +580,9 @@ class TestBudget:
         assert len(calls) == 3 and all(d is started[0] for d in calls)
 
     def test_min_def_filter_reads_the_deadline(self, monkeypatch):
-        # three two-cycles: the clock jumps past the ceiling after the last
-        # of the eight minimisations, so only the final filter can refuse
+        # three two-cycles: the clock jumps past the ceiling once the last
+        # of the eight minimisations has returned, so only the final filter
+        # can refuse
         names = [f"x{i}" for i in range(6)]
         pairs = []
         for i in range(0, 6, 2):
@@ -513,20 +598,56 @@ class TestBudget:
 
         def minimize_then_jump(af, p, e, budget):
             calls.append(e)
+            supports = minimize(af, p, e, budget)
             if len(calls) == 8:
                 skew[0] += 1.0
-            return minimize(af, p, e, budget)
+            return supports
+
+        least_restricted = extensions._least_restricted
+        refused = []
+
+        def spied_filter(p, candidates, deadline):
+            try:
+                return least_restricted(p, candidates, deadline)
+            except BudgetExceeded:
+                refused.append(len(candidates))
+                raise
 
         monkeypatch.setattr(md.extensions, "minimize_restricted",
                             minimize_then_jump)
+        monkeypatch.setattr(extensions, "_least_restricted", spied_filter)
         budget = SearchBudget(wall_clock_seconds=0.5)
         with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
             min_def_extensions(af, p, budget)
-        assert len(calls) == 8
+        assert len(calls) == 8 and refused == [8]
         skew[0] = 0.0
         calls.clear()
         assert len(min_def_extensions(af, p, SearchBudget(
             wall_clock_seconds=60.0))) == 8
+
+    def test_the_last_pass_over_the_supports_reads_the_deadline(
+            self, monkeypatch):
+        # the clock jumps once the search has found all 2^6 supports, so
+        # only the pass that keeps the minimal ones can refuse
+        af, p = many_supports(6)
+        skew = [0.0]
+        real = time.monotonic
+        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
+            monotonic=lambda: real() + skew[0]))
+        minimal = extensions._subset_minimal_masks
+        passes = []
+
+        def jump_then_filter(masks, deadline=None):
+            passes.append(len(masks))
+            skew[0] += 1.0
+            return minimal(masks, deadline)
+
+        monkeypatch.setattr(extensions, "_subset_minimal_masks",
+                            jump_then_filter)
+        with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
+            minimize_restricted(af, p, p.focus,
+                                SearchBudget(wall_clock_seconds=0.5))
+        assert passes == [2 ** 6]
 
     def test_roadmap_min_def_probe_answers_within_a_second(self):
         # |e_r| = 23 here; the subset walk needed far more than 20 s
