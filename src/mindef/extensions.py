@@ -20,17 +20,19 @@ The solver explores an include/exclude tree over the candidate arguments
   set qualifies exactly when its part in every group does, and (for
   maximality) is maximal exactly when every part is. Each group gets its
   own tree search, maximal searches keep each group's inclusion-maximal
-  sets, and the family holds the groups' answers as the factors of a
-  product (see :class:`ExtensionFamily`). Counts, membership and
-  acceptance are read from the factors; the product is built and ordered
-  only when the members are read, under what the request's ceiling left.
+  sets, and the family holds the groups' answers, forced members
+  included, as the factors of a product (see :class:`ExtensionFamily`);
+  the forced members that share no group with a candidate form one more
+  factor of one mask. Counts, membership and acceptance are read from the
+  factors; the product is built and ordered only when the members are
+  read, under what the request's ceiling left.
 
-Min-def extensions are computed by a two-step pipeline: enumerate the
-preferred extensions on the focus, keep those whose unrestricted part is
-maximal, then shrink each one's restricted part to all its minimal
-admissible supports; a final pass keeps, among the candidates with the
-same unrestricted part, those with a subset-minimal restricted part, which
-removes the candidates dominated across branches. Every step reads the
+Min-def extensions are computed by a two-step pipeline, one factor of the
+preferred extensions on the focus at a time: keep the factor's masks whose
+unrestricted part is maximal, then shrink each one's restricted part to
+all its minimal admissible supports. The factor's distinct supports are
+its answer, and the family is their product; no pass over the whole
+family follows (see :func:`min_def_extensions`). Every step reads the
 request's one started wall-clock ceiling.
 
 The shrinking step is an obligation-driven search. A candidate is
@@ -90,7 +92,7 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 class _ByteTable(dict):
-    """Maps ``k << 8 | byte`` to ``join`` of the values of the byte's set
+    """Maps ``k << 8 | byte`` to the tuple of the values of the byte's set
     bits, highest bit first. Bit ``7 - p`` of byte ``k`` has the value
     ``values[8 * k + p]``.
 
@@ -98,16 +100,15 @@ class _ByteTable(dict):
     bytes its members hold, and a large one looks each byte up once.
     """
 
-    __slots__ = ("values", "join")
+    __slots__ = ("values",)
 
-    def __init__(self, values, join):
+    def __init__(self, values):
         super().__init__()
         self.values = values
-        self.join = join
 
     def __missing__(self, key):
         base = key >> 8 << 3
-        entry = self[key] = self.join(
+        entry = self[key] = tuple(
             compress(self.values[base:base + 8], _HIGH_FIRST[key & 255]))
         return entry
 
@@ -122,17 +123,17 @@ class ExtensionFamily:
     Canonical order is lexicographic on the tuple of sorted member names,
     so identical inputs always serialize identically.
 
-    A family is held in product form: a core mask plus a list of factors,
-    each a list of masks over arguments no other factor or the core uses.
-    Its members are the core joined with one mask from each factor. The
-    solver hands back one factor per independent group of its search
-    space; a family built from a list of sets (``ExtensionFamily(sets)``)
-    is the one-factor case. ``len``, ``in`` and the acceptance queries read
-    the factors and never build the product. The order, ``members``, the
-    member masks behind equality and hashing, and ``member_names()`` are
-    computed on first use. A family returned under a wall-clock ceiling
-    may spend on that first use what the ceiling had left when the family
-    was returned, and raises :class:`BudgetExceeded` past it.
+    A family is held in product form: a list of factors, each a list of
+    masks over arguments no other factor uses. Its members are the unions
+    of one mask from each factor. The solver hands back one factor per
+    independent group of its search space; a family built from a list of
+    sets (``ExtensionFamily(sets)``) is the one-factor case. ``len``,
+    ``in`` and the acceptance queries read the factors and never build the
+    product. The order, ``members``, the member masks behind equality and
+    hashing, and ``member_names()`` are computed on first use. A family
+    returned under a wall-clock ceiling may spend on that first use what
+    the ceiling had left when the family was returned, and raises
+    :class:`BudgetExceeded` past it.
 
     The order is computed on integers. The arguments the members hold are
     relabelled by name order: the one of rank ``j`` (0 = smallest name)
@@ -153,7 +154,7 @@ class ExtensionFamily:
     bits above ``r``'s lowest one that ``r`` lacks: ``2^W - lowbit(r) - r``.
     """
 
-    __slots__ = ("framework", "_core", "_factors", "_limit", "_parts",
+    __slots__ = ("framework", "_factors", "_limit", "_parts",
                  "_by_rank", "_ranks", "_members", "_masks")
 
     def __init__(self, members):
@@ -166,32 +167,31 @@ class ExtensionFamily:
                 raise CrossFrameworkSet(
                     "family members belong to different frameworks")
             masks.add(s.mask)
-        self._setup(framework, 0, [list(masks)], None)
+        self._setup(framework, [list(masks)], None)
 
     @classmethod
-    def _product_of(cls, framework, core, factors, deadline=None):
-        """The family of ``core`` joined with one mask from each factor.
+    def _product_of(cls, framework, factors, deadline=None):
+        """The family of the unions of one mask from each factor.
 
         The factors' masks must be distinct within a factor and use
-        arguments disjoint from the core's and from every other factor's.
-        Under a started ceiling, the lazy work may take what is left of it.
+        arguments disjoint from every other factor's. Under a started
+        ceiling, the lazy work may take what is left of it.
         """
         family = cls.__new__(cls)
-        family._setup(framework, core, factors, None if deadline is None
+        family._setup(framework, factors, None if deadline is None
                       else (deadline.seconds, deadline.left()))
         return family
 
-    def _setup(self, framework, core, factors, limit):
+    def _setup(self, framework, factors, limit):
         self.framework = framework
-        self._core = core
         self._factors = factors
         self._limit = limit
         self._parts = self._ranks = self._members = self._masks = None
 
-    def _build(self, base, factors):
+    def _build(self, factors):
         # the lazy product, under what the ceiling had left
         limit = self._limit
-        return _product(base, factors,
+        return _product(factors,
                         None if limit is None else _kernels.Ceiling(*limit))
 
     def _factor_parts(self):
@@ -210,13 +210,12 @@ class ExtensionFamily:
 
     def _unordered_masks(self):
         """The members' masks, in no particular order; nothing is ranked."""
-        return self._build(self._core, self._factors)
+        return self._build(self._factors)
 
     def _ordered(self):
         """The members' rank masks in canonical order, computed once."""
         if self._ranks is None:
-            union = reduce(or_, chain.from_iterable(self._factors),
-                           self._core)
+            union = reduce(or_, chain.from_iterable(self._factors), 0)
             names = self.framework.names if self.framework else ()
             by_rank = sorted(bits(union), key=names.__getitem__)
             width = -(-len(by_rank) // 8) * 8
@@ -231,8 +230,7 @@ class ExtensionFamily:
                 def rank(m):
                     return sum(map(rank_bit.__getitem__, bits(m)))
 
-                ranks = self._build(rank(self._core),
-                                    [[rank(m) for m in masks]
+                ranks = self._build([[rank(m) for m in masks]
                                      for masks in self._factors])
                 top = 1 << width
                 keys = [r and r.bit_count() + top - (r & -r) - r
@@ -272,7 +270,7 @@ class ExtensionFamily:
         # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
         by_rank = [self.framework.names[i] for i in self._by_rank]
         by_rank += [None] * (8 * nbytes - len(by_rank))
-        table = _ByteTable(by_rank, tuple)
+        table = _ByteTable(by_rank)
         for r in ranks:
             found = []
             for q, byte in enumerate(r.to_bytes(nbytes, "big")):
@@ -290,9 +288,6 @@ class ExtensionFamily:
         if not (isinstance(s, ArgumentSet) and s.framework is self.framework):
             return False
         m = s.mask
-        if m & self._core != self._core:
-            return False
-        m ^= self._core
         # the part in each factor's arguments must be one of its masks
         for span, _, masks in self._factor_parts():
             if m & span not in masks:
@@ -358,11 +353,11 @@ def _prepare_space(af, space_mask, mode):
         forced = grown
 
 
-def _product(base, factors, deadline):
-    """Every union of ``base`` with one mask from each factor."""
+def _product(factors, deadline):
+    """Every union of one mask from each factor."""
     if prod(map(len, factors)) > _kernels.MAX_SETS:
         raise _kernels.too_many_sets()
-    out = [base]
+    out = [0]
     # smallest factors first, so the list grows as late as possible
     for masks in sorted(factors, key=len):
         grown = []
@@ -375,18 +370,21 @@ def _product(base, factors, deadline):
 
 
 def _solve_space(af, space_mask, mode, deadline):
-    """The forced core and, per independent group, the masks of its answers.
+    """Per independent group of the space, the masks of its answers.
 
-    The qualifying subsets of ``space_mask`` are the core joined with one
-    mask from each group's list; for ``ADMISSIBLE_MAX`` these are the
+    The qualifying subsets of ``space_mask`` are the unions of one mask
+    from each factor; for ``ADMISSIBLE_MAX`` these are the
     inclusion-maximal admissible ones. Each group is searched on its own,
-    and its masks leave out the core.
+    and its masks hold its forced members. The forced members that share
+    no group with a candidate form one more factor of one mask, when there
+    are any.
     """
     cand, forced = _prepare_space(af, space_mask, mode)
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX
     factors = []
+    alone = forced_local
     for group in space.components(forced_local):
         free = group & ~forced_local
         pos_idx = list(bits(free))
@@ -398,8 +396,11 @@ def _solve_space(af, space_mask, mode, deadline):
             space, maximal_only, deadline)
         if maximal_only:
             local_masks = _subset_maximal_masks(local_masks, deadline)
-        factors.append([space.to_global(lm & free) for lm in local_masks])
-    return forced, factors
+        factors.append([space.to_global(lm) for lm in local_masks])
+        alone &= ~group
+    if alone:
+        factors.append([space.to_global(alone)])
+    return factors
 
 
 def _subset_maximal_masks(masks, deadline=None):
@@ -442,8 +443,8 @@ def _space_of(af, within):
 def _solved(af, space_mask, mode, budget):
     """The family of ``_solve_space``'s answers, in product form."""
     deadline = (budget or DEFAULT_BUDGET).deadline()
-    core, factors = _solve_space(af, space_mask, mode, deadline)
-    return ExtensionFamily._product_of(af, core, factors, deadline)
+    return ExtensionFamily._product_of(
+        af, _solve_space(af, space_mask, mode, deadline), deadline)
 
 
 def conflict_free_sets(af: ArgumentationFramework, within: ArgumentSet = None,
@@ -462,11 +463,11 @@ def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
     deadline = (budget or DEFAULT_BUDGET).deadline()
-    # the admissible subsets of the focus, which have an empty core; what
-    # is left is that each restricted member individually defends an
-    # unrestricted one, and a member's defender walk is the same in every set
-    _, factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL,
-                              deadline)
+    # the admissible subsets of the focus; what is left is that each
+    # restricted member individually defends an unrestricted one, and a
+    # member's defender walk is the same in every set
+    factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL,
+                           deadline)
     u, r = p.unrestricted.mask, p.restricted.mask
     spans = [reduce(or_, masks, 0) for masks in factors]
     used = reduce(or_, spans, 0)
@@ -476,11 +477,11 @@ def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
     # defends a member of another factor; then it reads whole sets
     if any(defended[x] & used & ~span
            for span in spans for x in bits(span & r)):
-        factors = [_product(0, factors, deadline)]
+        factors = [_product(factors, deadline)]
     factors = [[m for m in masks
                 if all(defended[x] & m & u for x in bits(m & r))]
                for masks in factors]
-    return ExtensionFamily._product_of(af, 0, factors, deadline)
+    return ExtensionFamily._product_of(af, factors, deadline)
 
 
 def preferred_extensions(af: ArgumentationFramework,
@@ -555,58 +556,46 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
         stack.extend(reversed(children))
     # a leaf found early may still contain one found later
     minimal = _subset_minimal_masks(leaves, deadline)
-    return ExtensionFamily._product_of(af, eu, [minimal], deadline)
+    return ExtensionFamily._product_of(af, [[eu | r for r in minimal]],
+                                       deadline)
 
 
 def min_def_extensions(af: ArgumentationFramework, p: Partition,
                        budget: SearchBudget = None) -> ExtensionFamily:
     """The preference-maximal restrictedly admissible sets.
 
-    Two-step computation: take the preferred extensions on the focus whose
-    unrestricted part is inclusion-maximal, minimize each one's restricted
-    part, and keep the candidates no other candidate strictly improves on.
+    Two-step computation on each factor of the preferred extensions on the
+    focus: keep the masks whose unrestricted part is inclusion-maximal
+    within the factor, and minimize each one's restricted part; the
+    factor's answer is the set of their supports.
+
+    The factors' groups share no conflict or obligation, so three things
+    hold group by group: a product member's unrestricted part is maximal
+    exactly when every factor's part is; its minimal supports are the
+    product of its parts' supports; and a support is dominated exactly when
+    its part in one factor is dominated there. Inside a factor, the kept
+    unrestricted parts are equal or incomparable, and the preference order
+    reads restricted parts only between equal unrestricted parts. So a
+    support ``eu | r`` dominated by another candidate's support is
+    dominated by some ``eu | r2`` with ``r2`` strictly inside ``r``; that
+    set is an admissible shrinking of the support's own preferred
+    extension, against the support's minimality there. Dropping duplicates
+    is all that remains.
     """
     deadline = (budget or DEFAULT_BUDGET).deadline()
     u = p.unrestricted.mask
-    core, factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_MAX,
-                                 deadline)
-    prefs = _product(core, factors, deadline)
-    max_u = set(_subset_maximal_masks([m & u for m in prefs], deadline))
-    candidates = []
-    for m in prefs:
-        if m & u in max_u:
-            supports = minimize_restricted(af, p, ArgumentSet(af, m),
-                                           deadline)
-            candidates.extend(supports._unordered_masks())
-    kept = _least_restricted(p, candidates, deadline)
-    return ExtensionFamily._product_of(af, 0, [kept], deadline)
-
-
-def _least_restricted(p, candidates, deadline):
-    """The candidate masks no other candidate strictly improves on.
-
-    This is ``filter_maximal(..., order="prec")`` for min-def's candidates,
-    in one pass. Each candidate's unrestricted part is inclusion-maximal
-    among those of the preferred extensions on the focus, so two
-    candidates' unrestricted parts are either equal or incomparable. The
-    preference order looks at restricted parts only when the unrestricted
-    parts are equal, so a candidate is dominated exactly when another with
-    the same unrestricted part has a strictly smaller restricted part.
-    Grouping by unrestricted part and keeping each group's subset-minimal
-    restricted parts therefore keeps exactly the undominated candidates.
-
-    Each support is minimal among all admissible shrinkings of its own
-    preferred extension, and a smaller restricted part with the same
-    unrestricted part found in another branch would be one of them; so this
-    pass drops only duplicates in practice. It checks anyway, so that the
-    answer does not rest on that argument.
-    """
-    u = p.unrestricted.mask
-    groups = {}
-    for m in candidates:
-        groups.setdefault(m & u, []).append(m)
-    return [m for same_u in groups.values()
-            for m in _subset_minimal_masks(same_u, deadline)]
+    kept = []
+    for masks in _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_MAX,
+                              deadline):
+        max_u = set(_subset_maximal_masks([m & u for m in masks], deadline))
+        supports = set()
+        for m in masks:
+            if m & u in max_u:
+                # one factor: the support masks, read without ordering them
+                supports.update(minimize_restricted(
+                    af, p, ArgumentSet(af, m), deadline)._factors[0])
+        kept.append(list(supports))
+    return ExtensionFamily._product_of(af, kept, deadline)
 
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",
@@ -641,7 +630,7 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
         kept = _subset_maximal_masks(masks, deadline)
     else:
         kept = _prec_maximal_masks(p, masks, deadline)
-    return ExtensionFamily._product_of(family.framework, 0, [kept])
+    return ExtensionFamily._product_of(family.framework, [kept])
 
 
 def _prec_maximal_masks(p, masks, deadline):
@@ -663,27 +652,25 @@ def credulous_accepted(af: ArgumentationFramework, family: ExtensionFamily,
                        a) -> bool:
     """True iff ``a`` belongs to at least one member of ``family``.
 
-    Read from the factors: ``a`` is in the core or in some mask of a factor.
+    Read from the factors: ``a`` is in some mask of a factor.
     """
     if len(family) == 0:
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")
     bit = 1 << af.index(a)
-    return bool(bit & family._core or any(
-        bit & span for span, _, _ in family._factor_parts()))
+    return any(bit & span for span, _, _ in family._factor_parts())
 
 
 def skeptical_accepted(af: ArgumentationFramework, family: ExtensionFamily,
                        a) -> bool:
     """True iff ``a`` belongs to every member of ``family``.
 
-    Read from the factors: ``a`` is in the core or in every mask of a factor.
+    Read from the factors: ``a`` is in every mask of a factor.
     """
     if len(family) == 0:
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")
     bit = 1 << af.index(a)
-    return bool(bit & family._core or any(
-        bit & common for _, common, _ in family._factor_parts()))
+    return any(bit & common for _, common, _ in family._factor_parts())

@@ -262,7 +262,7 @@ class TestComponentSearch:
                      (CONFLICT_FREE, af.subset(af.names[:14]).mask))
             for mode, space in cases:
                 got = extensions._product(
-                    *extensions._solve_space(af, space, mode, None), None)
+                    extensions._solve_space(af, space, mode, None), None)
                 assert len(got) == len(set(got))
                 assert set(got) == single_tree_solve_space(af, space, mode)
                 compared += len(got)
@@ -274,7 +274,7 @@ class TestComponentSearch:
         for mode, sizes in ((ADMISSIBLE_MAX, None), (ADMISSIBLE_ALL, small),
                             (CONFLICT_FREE, small)):
             for label, af in structured_stream(40, 9300, sizes):
-                got = extensions._product(*extensions._solve_space(
+                got = extensions._product(extensions._solve_space(
                     af, af.full_mask, mode, None), None)
                 assert len(got) == len(set(got)), label
                 assert set(got) == single_tree_solve_space(
@@ -412,8 +412,8 @@ class TestFamily:
     def test_empty_families_hash_alike(self, af1):
         # equal families, whatever their framework or form, share a hash
         empty = [ExtensionFamily([]),
-                 ExtensionFamily._product_of(af1, 0, [[]]),
-                 ExtensionFamily._product_of(af1, 0, [[1, 2], []])]
+                 ExtensionFamily._product_of(af1, [[]]),
+                 ExtensionFamily._product_of(af1, [[1, 2], []])]
         assert all(x == empty[0] for x in empty)
         assert len({hash(x) for x in empty}) == 1 and len(set(empty)) == 1
 
@@ -446,15 +446,13 @@ CLOCK_STAGES = {
     "subset_scan": lambda past: _kernels.subset_scan(
         8, _kernels.LocalSpace(ISOLATED, 255, True), past),
     "dfs_enumerate": lambda past: _dfs_over(ISOLATED, past),
-    "product": lambda past: extensions._product(0, [[1, 2], [4, 8]], past),
+    "product": lambda past: extensions._product([[1, 2], [4, 8]], past),
     "lazy build": lambda past: ExtensionFamily._product_of(
-        ISOLATED, 0, [[1, 2], [4, 8]], past).members,
+        ISOLATED, [[1, 2], [4, 8]], past).members,
     "per-group maximality pass": lambda past: extensions._solve_space(
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
     "minimize_restricted": lambda past: minimize_restricted(
         ISOLATED, ISOLATED_P, ISOLATED.subset(["x0"]), past),
-    "_least_restricted": lambda past: extensions._least_restricted(
-        ISOLATED_P, [1, 3], past),
     "_subset_minimal_masks": lambda past: extensions._subset_minimal_masks(
         [1, 3], past),
     "filter_maximal subset": lambda past: filter_maximal(
@@ -506,8 +504,8 @@ class TestOutputCap:
             with pytest.raises(BudgetExceeded, match=self.CAP):
                 read()
         with pytest.raises(BudgetExceeded, match=self.CAP):
-            extensions._product(0, [[0, 1]] * 7, None)
-        assert len(extensions._product(0, [[0, 1]] * 6, None)) == 64
+            extensions._product([[0, 1]] * 7, None)
+        assert len(extensions._product([[0, 1]] * 6, None)) == 64
 
     def test_the_scan_refuses_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
@@ -541,8 +539,8 @@ class TestBudget:
         assert len(fam) == 2 ** 8
 
     def test_min_def_shares_one_deadline_across_its_steps(self, monkeypatch):
-        # three two-cycles: eight preferred extensions on the focus, each
-        # with a maximal unrestricted part, so eight minimisations
+        # three two-cycles: three factors of two preferred masks on the
+        # focus, each with a maximal unrestricted part, so six minimisations
         names = [f"x{i}" for i in range(6)]
         pairs = []
         for i in range(0, 6, 2):
@@ -581,13 +579,9 @@ class TestBudget:
 
     def test_min_def_filter_reads_the_deadline(self, monkeypatch):
         # three two-cycles: the clock jumps past the ceiling once the last
-        # of the eight minimisations has returned, so only the final filter
-        # can refuse
-        names = [f"x{i}" for i in range(6)]
-        pairs = []
-        for i in range(0, 6, 2):
-            pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
-        af = build_framework(names, pairs)
+        # of the six minimisations has returned, so min-def answers, and
+        # reading its members is what refuses
+        af = two_cycles(3)
         p = md.Partition(af, af.full_set(), af.empty_set())
         skew = [0.0]
         real = time.monotonic
@@ -599,31 +593,20 @@ class TestBudget:
         def minimize_then_jump(af, p, e, budget):
             calls.append(e)
             supports = minimize(af, p, e, budget)
-            if len(calls) == 8:
+            if len(calls) == 6:
                 skew[0] += 1.0
             return supports
 
-        least_restricted = extensions._least_restricted
-        refused = []
-
-        def spied_filter(p, candidates, deadline):
-            try:
-                return least_restricted(p, candidates, deadline)
-            except BudgetExceeded:
-                refused.append(len(candidates))
-                raise
-
         monkeypatch.setattr(md.extensions, "minimize_restricted",
                             minimize_then_jump)
-        monkeypatch.setattr(extensions, "_least_restricted", spied_filter)
-        budget = SearchBudget(wall_clock_seconds=0.5)
+        fam = min_def_extensions(af, p, SearchBudget(wall_clock_seconds=0.5))
+        assert len(calls) == 6 and len(fam) == 8
         with pytest.raises(BudgetExceeded, match="ceiling of 0.5s exhausted"):
-            min_def_extensions(af, p, budget)
-        assert len(calls) == 8 and refused == [8]
+            fam.members
         skew[0] = 0.0
         calls.clear()
         assert len(min_def_extensions(af, p, SearchBudget(
-            wall_clock_seconds=60.0))) == 8
+            wall_clock_seconds=60.0)).members) == 8
 
     def test_the_last_pass_over_the_supports_reads_the_deadline(
             self, monkeypatch):
@@ -745,14 +728,17 @@ class TestFactoredFamilies:
         families = [md.admissible_sets(af), md.conflict_free_sets(af),
                     preferred_extensions(af),
                     preferred_extensions_on(af, af.full_set())]
+        unrestricted = md.Partition(af, af.full_set(), af.empty_set())
 
         def refuse(*args):
             raise AssertionError("the product was built")
 
         monkeypatch.setattr(extensions, "_product", refuse)
         monkeypatch.setattr(ExtensionFamily, "_ordered", refuse)
+        families.append(min_def_extensions(af, unrestricted))
         member = af.subset([f"x{i}" for i in range(0, 28, 2)])
-        for fam, size in zip(families, (3 ** 14, 3 ** 14, 2 ** 14, 2 ** 14)):
+        for fam, size in zip(families,
+                             (3 ** 14, 3 ** 14, 2 ** 14, 2 ** 14, 2 ** 14)):
             assert len(fam) == size
             assert member in fam
             assert af.subset(["x0", "x1"]) not in fam
@@ -803,3 +789,36 @@ class TestFactoredFamilies:
         fam = md.restrictedly_admissible_sets(af, p)
         assert len(fam._factors) == 9
         assert fam.members == predicate_restrictedly_admissible(af, p).members
+
+    def test_min_def_drops_supports_repeated_within_a_factor(self):
+        # u's attacker b is answered by r1, so {r1, u} is forced and shares
+        # no group with the two-cycle r2 <-> r3; both of that group's
+        # preferred masks minimise to the same empty support
+        af = build_framework(["u", "b", "r1", "r2", "r3"],
+                             [("b", "u"), ("r1", "b"), ("r2", "r3"),
+                              ("r3", "r2")])
+        p = md.build_partition(af, ["u", "r1", "r2", "r3"],
+                               ["r1", "r2", "r3"])
+        fam = min_def_extensions(af, p)
+        assert fam == md.oracle_min_def(af, p) == pairwise_min_def(af, p)
+        assert fam.members == (sset(af, "r1,u"),)
+        assert fam._factors == [[0], [sset(af, "r1,u").mask]]
+
+    def test_min_def_keeps_its_factors(self, monkeypatch):
+        # twelve two-cycles, every fourth argument restricted: six groups
+        # keep only their unrestricted mask and six keep both, so 6 + 12
+        # minimisations, where the flat product would need 2^6
+        af = two_cycles(12)
+        p = md.build_partition(af, af.names, af.names[::4])
+        minimize = extensions.minimize_restricted
+        calls = []
+
+        def counted(af, p, e, budget):
+            calls.append(e)
+            return minimize(af, p, e, budget)
+
+        monkeypatch.setattr(extensions, "minimize_restricted", counted)
+        fam = min_def_extensions(af, p)
+        assert len(calls) == 18
+        assert len(fam._factors) == 12 and len(fam) == 2 ** 6
+        assert fam == pairwise_min_def(af, p)
