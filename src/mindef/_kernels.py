@@ -6,13 +6,14 @@ list of its defence obligations (per attacker, the mask of members that
 answer it). The space also splits itself into independent groups. Two
 enumeration strategies live here:
 
-* ``subset_scan`` walks every bit pattern of a (small) search space in
-  numeric order and keeps those that are conflict-free and meet every
+* ``subset_scan`` tests every bit pattern of a (small) search space and
+  keeps, in numeric order, those that are conflict-free and meet every
   obligation (a space built without defence has none). This is the
-  exhaustive reference path, vectorized with numpy over int64 ``arange``
-  blocks of at most ``2^20`` patterns, so it takes at most
-  ``SCAN_MAX_ARGUMENTS`` (62) members, and reads the ceiling between
-  blocks.
+  exhaustive reference path. It is bit-sliced over plain Python ints: one
+  int holds one yes/no answer for each of a block's ``_SCAN_CHUNK``
+  patterns, so a handful of int operations per member tests the whole
+  block. It takes at most ``SCAN_MAX_ARGUMENTS`` (62) members, and reads
+  the ceiling between blocks.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
   arguments, pruning conflicting inclusions and branches whose pending
@@ -29,10 +30,10 @@ once it has passed or once a call has collected more than ``MAX_SETS``
 sets, so that no answer grows past memory.
 """
 
+import functools
 import importlib.util
 import time
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import BudgetExceeded
 from .model import bits
@@ -41,9 +42,12 @@ from .model import bits
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 JIT_ENABLED = False
 
-# patterns per numpy block in ``subset_scan``; bounds its memory whatever k is
-_SCAN_CHUNK = 1 << 20
-# the most members ``subset_scan`` takes: its patterns are int64
+# patterns per block in ``subset_scan``, a power of two; bounds its memory
+# whatever k is. Its 2^16-bit (8 KiB) ints scanned random k=20 spaces in
+# 1-2 ms, against 14-26 ms with 2^20-bit ones (2-core VM, Python 3.11).
+_SCAN_CHUNK = 1 << 16
+# the most members ``subset_scan`` takes: 2^62 patterns is past any ceiling,
+# and refusals quote this cap
 SCAN_MAX_ARGUMENTS = 62
 # the most sets a kernel call collects, or a family holds, before refusing
 MAX_SETS = 1 << 23
@@ -147,6 +151,23 @@ class LocalSpace:
         return groups
 
 
+@functools.cache
+def _columns(w: int) -> tuple[int, ...]:
+    """Per bit ``i < w``, the ``2^w``-bit int whose bit ``p`` is set when
+    ``p`` has bit ``i`` set: runs of ``2^i`` zeros and ``2^i`` ones, built
+    by doubling. Cached, as ``w`` is at most ``log2(_SCAN_CHUNK)``."""
+    columns = []
+    for i in range(w):
+        run = 1 << i
+        col = ((1 << run) - 1) << run
+        period = run << 1
+        while period >> w == 0:
+            col |= col << period
+            period <<= 1
+        columns.append(col)
+    return tuple(columns)
+
+
 def subset_scan(k: int, space: LocalSpace,
                 deadline: Ceiling | None = None) -> list[int]:
     """All k-bit patterns that are admissible in ``space``.
@@ -156,23 +177,68 @@ def subset_scan(k: int, space: LocalSpace,
     ``SCAN_MAX_ARGUMENTS``. Patterns are tested in blocks of ``_SCAN_CHUNK``
     and come back in increasing numeric order. The ceiling is checked
     between blocks, and the ``MAX_SETS`` cap after each.
+
+    The test is bit-sliced over plain ints. A block holds the ``2^w``
+    patterns that share their bits at and above ``w``, and bit ``p`` of an
+    int stands for the block's pattern ``p``. Member ``i``'s column has bit
+    ``p`` set when pattern ``p`` holds ``i``; for ``i >= w`` it is all ones
+    or zero. A pattern is bad when it holds a member ``i`` and one of
+    ``conflict[i]``, or holds ``i`` and none of the answerers in one of
+    ``i``'s obligations. Every pattern is tested; the block's survivors are
+    the patterns that are not bad.
     """
-    conflict = np.asarray(space.conflict, dtype=np.int64)
-    obligations = space.obligations
-    total = 1 << k
+    w = min(k, _SCAN_CHUNK.bit_length() - 1)
+    span = 1 << w
+    full = (1 << span) - 1
+    column = _columns(w)
+    low = span - 1
+    memo = {}
+
+    def none_of(mask):
+        # the column of the patterns holding no member of ``mask`` below w
+        mask &= low
+        col = memo.get(mask)
+        if col is None:
+            col = 0
+            for j in bits(mask):
+                col |= column[j]
+            col = memo[mask] = full ^ col
+        return col
+
+    # per member: its conflicts' bits at and above w, and the column of the
+    # patterns holding one below w; per obligation, the answerers' bits at
+    # and above w, and the column of the patterns holding none below w
+    checks = [(conflict >> w, full ^ none_of(conflict),
+               [(m >> w, none_of(m)) for m in obligations])
+              for conflict, obligations in zip(space.conflict,
+                                               space.obligations)]
     out = []
-    for start in range(0, total, _SCAN_CHUNK):
-        if start and deadline is not None:
+    for block in range(1 << k - w):
+        if block and deadline is not None:
             deadline.check()
-        subs = np.arange(start, min(start + _SCAN_CHUNK, total),
-                         dtype=np.int64)
-        ok = np.ones(subs.shape[0], dtype=np.bool_)
-        for i in range(k):
-            member = (subs >> i) & 1 == 1
-            ok &= ~(member & ((subs & conflict[i]) != 0))
-            for m in obligations[i]:
-                ok &= ~(member & ((subs & m) == 0))
-        out.extend(subs[ok].tolist())
+        bad = 0
+        for i, (conflict_high, conflict_col, obligations) in enumerate(checks):
+            if i < w:
+                held = column[i]
+            elif block >> i - w & 1:
+                held = full
+            else:
+                continue
+            hit = full if conflict_high & block else conflict_col
+            for answer_high, unmet in obligations:
+                if not answer_high & block:
+                    hit |= unmet
+            bad |= held & hit
+        good = full ^ bad
+        if good:
+            # split the binary digits, lowest first and without the top one,
+            # at each set bit: a run of zeros and the set bit after it span
+            # len + 1 patterns, so the running sum lands on each survivor
+            found = accumulate(
+                map((1).__add__, map(len, bin(good)[:2:-1].split("1"))),
+                initial=(block << w) - 1)
+            next(found)
+            out.extend(found)
         if len(out) > MAX_SETS:
             raise too_many_sets()
     return out

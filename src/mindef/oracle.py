@@ -5,7 +5,9 @@ literal as possible: every bit pattern of the space is generated in numeric
 order and tested against the defining predicate, and maximality is one
 ``filter_maximal`` pass over the whole family, which tests a set only
 against the kept sets of larger popcount (inclusion) or of higher rank
-(preference). No preprocessing, no pruning. Spaces are capped at 20
+(preference). No preprocessing, no pruning: the scan
+(:func:`~mindef._kernels.subset_scan`) tests every pattern, a block of
+them at a time in bit-sliced Python ints. Spaces are capped at 20
 arguments by default, and never above the scan's 62; beyond the cap the
 run is refused outright rather than left to crawl for hours. One started
 wall-clock ceiling is checked between the scan's blocks of patterns and

@@ -2,6 +2,7 @@ import itertools
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 import mindef as md
@@ -149,6 +150,27 @@ def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
         walk(depth + 1, inc)
 
     walk(0, forced_mask)
+    return out
+
+
+def numpy_subset_scan(k, space):
+    """Reference for ``_kernels.subset_scan``: the numpy scan it replaced,
+    which tests every pattern of int64 ``arange`` blocks of ``2^20`` as a
+    vector of booleans. No ceiling and no cap."""
+    chunk = 1 << 20
+    conflict = np.asarray(space.conflict, dtype=np.int64)
+    obligations = space.obligations
+    total = 1 << k
+    out = []
+    for start in range(0, total, chunk):
+        subs = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        ok = np.ones(subs.shape[0], dtype=np.bool_)
+        for i in range(k):
+            member = (subs >> i) & 1 == 1
+            ok &= ~(member & ((subs & conflict[i]) != 0))
+            for m in obligations[i]:
+                ok &= ~(member & ((subs & m) == 0))
+        out.extend(subs[ok].tolist())
     return out
 
 

@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 import mindef as md
+from conftest import REPO_ROOT, numpy_subset_scan
 from mindef import _kernels
 
 
@@ -32,20 +38,58 @@ def test_local_space_layout_and_round_trip():
     assert plain.obligations == [[], [], []]
 
 
-def test_chunked_scan_matches_the_one_chunk_scan(monkeypatch):
-    spaces = []
-    for k in range(13):
-        cfg = md.GeneratorConfig(argument_count=k, attack_probability=0.2,
-                                 seed=70 + k)
+def _random_spaces(max_k):
+    """Per k up to ``max_k``, a seeded random space with and without
+    defence; sparse attacks at small k give dense answers."""
+    for k in range(max_k + 1):
+        rng = random.Random(k)
+        p = rng.choice((0.05, 0.15, 0.3) if k <= 14 else (0.15, 0.3))
+        cfg = md.GeneratorConfig(argument_count=k, attack_probability=p,
+                                 seed=rng.randrange(1 << 30))
         af, _ = md.random_instance(cfg)
         for defence in (False, True):
-            space = _kernels.LocalSpace(af, af.full_mask, defence)
-            args = (k, space)
-            spaces.append((args, _kernels.subset_scan(*args)))
+            yield k, _kernels.LocalSpace(af, af.full_mask, defence)
+
+
+@pytest.fixture(scope="module")
+def scans_with_reference():
+    return [(k, space, numpy_subset_scan(k, space))
+            for k, space in _random_spaces(22)]
+
+
+@pytest.mark.parametrize("chunk, max_k", [(None, 22), (1 << 4, 12)])
+def test_scan_matches_the_numpy_reference(chunk, max_k, scans_with_reference,
+                                          monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
+    w = _kernels._SCAN_CHUNK.bit_length() - 1
+    assert w + 1 <= max_k  # one block, and two, are both covered
+    for k, space, expected in scans_with_reference:
+        if k <= max_k:
+            assert _kernels.subset_scan(k, space) == expected, k
+
+
+def test_scan_refuses_past_the_cap_after_a_block(monkeypatch):
+    af = md.build_framework([f"x{i}" for i in range(5)], [])
+    space = _kernels.LocalSpace(af, af.full_mask, True)
     monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
-    for args, whole in spaces:
-        assert whole == sorted(whole)
-        assert _kernels.subset_scan(*args) == whole
+    monkeypatch.setattr(_kernels, "MAX_SETS", 16)
+    # one block of 16 survivors reaches the cap without passing it
+    assert _kernels.subset_scan(4, space) == list(range(16))
+    # the second block passes it
+    with pytest.raises(md.BudgetExceeded,
+                       match=r"^answer exceeds the cap of 16 sets$"):
+        _kernels.subset_scan(5, space)
+
+
+def test_importing_mindef_loads_no_numpy():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, mindef; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_scan_checks_the_deadline_between_blocks(monkeypatch):
