@@ -13,13 +13,16 @@ and around statements. Statements may appear in any order. A file with no
 focus/restricted statements denotes the vacuous partition: the focus is the
 whole argument universe, with nothing restricted. Repeated statements are
 idempotent; any other statement form is a hard error.
+
+Each attack name is looked up once, in one dict of the declared names, and
+the index pairs go to the framework, which holds the relation only as
+masks; its ``attacks`` is a sorted, duplicate-free view derived from them.
 """
 
 import re
 
 from .errors import AfpSyntaxError, UndeclaredArgument
-from .model import (ArgumentationFramework, Partition, build_framework,
-                    build_partition)
+from .model import ArgumentationFramework, Partition, build_partition
 
 _STATEMENT = re.compile(
     r"^(?P<kind>arg|att|focus|restricted)\s*\(\s*(?P<first>[A-Za-z0-9_]+)"
@@ -29,16 +32,15 @@ _STATEMENT = re.compile(
 def parse_afp(text: str) -> tuple:
     """Parse AFP text into a framework and partition.
 
-    Syntax problems raise :class:`AfpSyntaxError`; statements naming an
-    argument never declared anywhere in the file raise
-    :class:`UndeclaredArgument`. Both carry the offending line number.
+    Syntax problems raise :class:`AfpSyntaxError`; a name never declared
+    anywhere in the file raises :class:`UndeclaredArgument`, checked in
+    the attacks in file order (attacker first), then the focus, then the
+    restricted statements. Both carry the offending line number.
     """
-    names = []
-    declared = set()
+    index_of = {}  # declared names, in declaration order
     attacks = []   # (line, a, b)
     focus = []     # (line, name)
     restricted = []
-    saw_partition = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,29 +57,25 @@ def parse_afp(text: str) -> tuple:
         if second is not None:
             raise AfpSyntaxError(f"{kind} takes a single argument", lineno)
         if kind == "arg":
-            if first not in declared:
-                declared.add(first)
-                names.append(first)
+            index_of.setdefault(first, len(index_of))
         elif kind == "focus":
-            saw_partition = True
             focus.append((lineno, first))
         else:
-            saw_partition = True
             restricted.append((lineno, first))
+    pairs = []  # each attack name is looked up once
     for lineno, a, b in attacks:
-        for name in (a, b):
-            if name not in declared:
-                raise UndeclaredArgument(name, line=lineno)
+        i, j = index_of.get(a), index_of.get(b)
+        if i is None or j is None:
+            raise UndeclaredArgument(a if i is None else b, line=lineno)
+        pairs.append((i, j))
     for lineno, name in focus + restricted:
-        if name not in declared:
+        if name not in index_of:
             raise UndeclaredArgument(name, line=lineno)
-    af = build_framework(names, [(a, b) for _, a, b in attacks])
-    if saw_partition:
-        p = build_partition(af, [name for _, name in focus],
-                            [name for _, name in restricted])
-    else:
-        p = build_partition(af, names, [])
-    return af, p
+    af = ArgumentationFramework(tuple(index_of), pairs)
+    if focus or restricted:
+        return af, build_partition(af, [name for _, name in focus],
+                                   [name for _, name in restricted])
+    return af, Partition(af, af.full_set(), af.empty_set())
 
 
 def serialize_afp(af: ArgumentationFramework, p: Partition = None) -> str:
@@ -89,10 +87,11 @@ def serialize_afp(af: ArgumentationFramework, p: Partition = None) -> str:
     partition, or focus = everything with nothing restricted) emits no
     partition statements at all, which is what it parses back from.
     """
-    lines = [f"# {len(af.names)} arguments, {len(af.attacks)} attacks"]
+    attacks = af.attacks
+    lines = [f"# {len(af.names)} arguments, {len(attacks)} attacks"]
     for name in af.names:
         lines.append(f"arg({name}).")
-    for a, b in sorted((af.names[a], af.names[b]) for a, b in af.attacks):
+    for a, b in sorted((af.names[a], af.names[b]) for a, b in attacks):
         lines.append(f"att({a},{b}).")
     vacuous = p is None or (p.focus.mask == af.full_mask
                             and not p.restricted.mask)

@@ -129,7 +129,7 @@ def execute(request: SolveRequest) -> SolveResult:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats = {
         "arguments": len(af),
-        "attacks": len(af.attacks),
+        "attacks": sum(m.bit_count() for m in af.target_masks),
         "focus": len(p.focus),
         "unrestricted": len(p.unrestricted),
         "restricted": len(p.restricted),
@@ -178,10 +178,9 @@ def _names(raw: str) -> tuple:
 def _budget_from(ns) -> SearchBudget | None:
     if ns.budget is None and ns.time_limit is None:
         return None
-    return SearchBudget(
-        max_arguments_for_exhaustive=(
-            ns.budget if ns.budget is not None else 20),
-        wall_clock_seconds=ns.time_limit)
+    if ns.budget is None:
+        return SearchBudget(wall_clock_seconds=ns.time_limit)
+    return SearchBudget(ns.budget, ns.time_limit)
 
 
 def _non_negative(kind):
@@ -209,7 +208,8 @@ def _add_common(sub, with_engine=True):
                      help="comma-separated base set for preferred-on-f "
                           "(default: the file's focus)")
     sub.add_argument("--budget", type=_non_negative(int), metavar="N",
-                     help="cap on exhaustive search spaces (default 20)")
+                     help="cap on exhaustive search spaces (default "
+                          f"{SearchBudget.max_arguments_for_exhaustive})")
     sub.add_argument("--time-limit", type=_non_negative(float),
                      metavar="SECONDS",
                      help="wall-clock ceiling for the search")

@@ -74,9 +74,11 @@ class SearchBudget:
     ``deadline()`` starts the wall-clock ceiling, a
     :class:`mindef._kernels.Ceiling` (``None`` without one). A request
     starts it once and hands it to every step that reads the clock: the
-    tree search, the oracle's scan and maximality pass, each of min-def's
-    steps, and the building of a returned family's members on first use.
-    Each raises :class:`BudgetExceeded` once the ceiling has passed.
+    tree search, the oracle's scan, the passes over the scanned sets and
+    the maximality pass, each of min-def's steps, and the building and
+    ordering of a returned family's members on first use. Each raises
+    :class:`BudgetExceeded` once the ceiling has passed; the CLI's
+    default oracle cap is this class's ``max_arguments_for_exhaustive``.
     """
 
     max_arguments_for_exhaustive: int = 20
@@ -188,11 +190,10 @@ class ExtensionFamily:
         self._limit = limit
         self._parts = self._ranks = self._members = self._masks = None
 
-    def _build(self, factors):
-        # the lazy product, under what the ceiling had left
+    def _deadline(self):
+        # the lazy work's ceiling: what the request's had left
         limit = self._limit
-        return _product(factors,
-                        None if limit is None else _kernels.Ceiling(*limit))
+        return None if limit is None else _kernels.Ceiling(*limit)
 
     def _factor_parts(self):
         """Per factor: the union, the intersection and the set of its masks."""
@@ -210,7 +211,7 @@ class ExtensionFamily:
 
     def _unordered_masks(self):
         """The members' masks, in no particular order; nothing is ranked."""
-        return self._build(self._factors)
+        return _product(self._factors, self._deadline())
 
     def _ordered(self):
         """The members' rank masks in canonical order, computed once."""
@@ -230,12 +231,19 @@ class ExtensionFamily:
                 def rank(m):
                     return sum(map(rank_bit.__getitem__, bits(m)))
 
-                ranks = self._build([[rank(m) for m in masks]
-                                     for masks in self._factors])
+                # the product reads the ceiling first, after the ranking,
+                # and it is read again after the keys and after the sort
+                deadline = self._deadline()
+                ranks = _product([[rank(m) for m in masks]
+                                  for masks in self._factors], deadline)
                 top = 1 << width
                 keys = [r and r.bit_count() + top - (r & -r) - r
                         for r in ranks]
+                if deadline is not None:
+                    deadline.check()
                 order = sorted(range(len(ranks)), key=keys.__getitem__)
+                if deadline is not None:
+                    deadline.check()
                 ranks = [ranks[i] for i in order]
             self._by_rank = by_rank
             self._ranks = ranks
@@ -607,7 +615,8 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
     preference order; requires ``partition``, and every member must lie
     within its focus). ``deadline`` is a started ceiling, as made by
     ``SearchBudget(wall_clock_seconds=...).deadline()``; once it has
-    passed, the pass raises :class:`BudgetExceeded`.
+    passed, the pass raises :class:`BudgetExceeded`, and the returned
+    family is ordered under what it had left.
     """
     if order not in ("subset", "prec"):
         raise ValueError(f"unknown order {order!r}")
@@ -630,7 +639,7 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
         kept = _subset_maximal_masks(masks, deadline)
     else:
         kept = _prec_maximal_masks(p, masks, deadline)
-    return ExtensionFamily._product_of(family.framework, [kept])
+    return ExtensionFamily._product_of(family.framework, [kept], deadline)
 
 
 def _prec_maximal_masks(p, masks, deadline):

@@ -8,7 +8,7 @@ byte-identical instances from the same configuration.
 
 from dataclasses import dataclass
 
-from .model import build_framework, build_partition
+from .model import ArgumentationFramework, build_framework, build_partition
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,13 +86,13 @@ def random_instance(cfg: GeneratorConfig) -> tuple:
             for j in range(n):
                 if i != j and rank[i] < rank[j]:
                     if rng.next_float() < cfg.attack_probability:
-                        pairs.append((names[i], names[j]))
+                        pairs.append((i, j))
     else:
         for i in range(n):
             for j in range(n):
                 if rng.next_float() < cfg.attack_probability:
-                    pairs.append((names[i], names[j]))
-    af = build_framework(names, pairs)
+                    pairs.append((i, j))
+    af = ArgumentationFramework(tuple(names), pairs)
     sample = list(range(n))
     rng.shuffle(sample)
     focus_size = int(cfg.focus_fraction * n + 0.5)

@@ -1,9 +1,10 @@
 """Attack graph, argument partition, and bit-vector set arithmetic.
 
 Arguments are opaque names mapped to dense indices at construction time;
-every set of arguments is a bitmask over those indices. All structures are
-immutable after construction and safe to share between concurrent solver
-runs.
+every set of arguments is a bitmask over those indices, and so is the
+attack relation: per argument, the mask of its attackers and the mask of
+its targets. All structures are immutable after construction and safe to
+share between concurrent solver runs.
 """
 
 from collections.abc import Iterable, Iterator
@@ -22,18 +23,17 @@ def bits(mask: int) -> Iterator[int]:
 class ArgumentationFramework:
     """A finite set of arguments plus a directed attack relation.
 
-    ``attacks`` holds index pairs ``(a, b)`` meaning "a attacks b". Both
-    adjacency directions are precomputed as bitmasks so that membership
-    tests and set algebra stay O(1) per argument.
+    The relation comes as index pairs ``(a, b)``, "a attacks b", in any
+    order and with any repeats, and is held only as the masks of both
+    adjacency directions; ``attacks`` derives the sorted distinct pairs.
     """
 
-    __slots__ = ("names", "index_of", "attacks", "attacker_masks",
-                 "target_masks", "full_mask")
+    __slots__ = ("names", "index_of", "attacker_masks", "target_masks",
+                 "full_mask")
 
-    def __init__(self, names: tuple, attacks: tuple):
+    def __init__(self, names: tuple, attacks: Iterable):
         self.names = names
         self.index_of = {name: i for i, name in enumerate(names)}
-        self.attacks = attacks
         n = len(names)
         attacker_masks = [0] * n
         target_masks = [0] * n
@@ -43,6 +43,12 @@ class ArgumentationFramework:
         self.attacker_masks = tuple(attacker_masks)
         self.target_masks = tuple(target_masks)
         self.full_mask = (1 << n) - 1
+
+    @property
+    def attacks(self) -> tuple:
+        """The distinct attack pairs ``(a, b)``, sorted."""
+        return tuple((a, b) for a, targets in enumerate(self.target_masks)
+                     for b in bits(targets))
 
     # -- lookups ---------------------------------------------------------
 
@@ -190,26 +196,22 @@ class Partition:
 def build_framework(names: Iterable, attack_pairs: Iterable) -> ArgumentationFramework:
     """Build a framework from declared names and (attacker, target) pairs.
 
-    Repeated declarations are deduplicated silently; indices follow first
-    appearance. A pair naming an undeclared argument raises
-    :class:`UndeclaredArgument`.
+    Repeated declarations and pairs are deduplicated silently; indices
+    follow first appearance. A pair naming an undeclared argument raises
+    :class:`UndeclaredArgument`, for the attacker first.
     """
     seen = {}
     for name in names:
         if name not in seen:
             seen[name] = len(seen)
     pairs = []
-    pair_seen = set()
     for a, b in attack_pairs:
         if a not in seen:
             raise UndeclaredArgument(a)
         if b not in seen:
             raise UndeclaredArgument(b)
-        pair = (seen[a], seen[b])
-        if pair not in pair_seen:
-            pair_seen.add(pair)
-            pairs.append(pair)
-    return ArgumentationFramework(tuple(seen), tuple(sorted(pairs)))
+        pairs.append((seen[a], seen[b]))
+    return ArgumentationFramework(tuple(seen), pairs)
 
 
 def build_partition(af: ArgumentationFramework, focus: Iterable,
@@ -238,9 +240,7 @@ def is_well_founded(af: ArgumentationFramework) -> bool:
     checks used in the test suite.
     """
     n = len(af.names)
-    indegree = [0] * n
-    for _, b in af.attacks:
-        indegree[b] += 1
+    indegree = [m.bit_count() for m in af.attacker_masks]
     ready = [i for i in range(n) if indegree[i] == 0]
     peeled = 0
     while ready:

@@ -1,21 +1,79 @@
 import itertools
 import pathlib
 import random
+import re
+import time
+import types
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import mindef as md
 from mindef import _kernels, extensions
-from mindef.model import bits
+from mindef.errors import AfpSyntaxError, UndeclaredArgument
+from mindef.model import ArgumentationFramework, bits, build_partition
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
+FIXTURE_TEXTS = [path.read_text()
+                 for path in sorted(FIXTURE_DIR.glob("*.afp"))]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's text after a few character and whole-line edits."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 6))):
+        lines = text.splitlines(keepends=True)
+        at = draw(st.integers(0, len(text)))
+        line = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(
+            ("insert", "delete", "drop line", "repeat line", "swap lines")))
+        if edit == "insert":
+            text = text[:at] + draw(st.text(
+                "(),.#_ \nargtfocusrestricted0123456789", max_size=6)
+            ) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif lines:
+            other = draw(st.integers(0, len(lines) - 1))
+            if edit == "drop line":
+                del lines[line]
+            elif edit == "repeat line":
+                lines.insert(other, lines[line])
+            else:
+                lines[line], lines[other] = lines[other], lines[line]
+            text = "".join(lines)
+    return text
 
 
 @pytest.fixture(scope="session")
 def fixtures():
     return md.builtin_fixtures()
+
+
+@pytest.fixture
+def clock_skew(monkeypatch):
+    """A one-element list of seconds added to every clock read of the
+    ceilings; a test moves it forward to make the clock jump."""
+    skew = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
+        monotonic=lambda: real() + skew[0]))
+    return skew
+
+
+def jump_after_the_product(clock_skew, monkeypatch):
+    """Make the clock jump 10 s each time ``extensions._product`` returns."""
+    product = extensions._product
+
+    def product_then_jump(factors, deadline):
+        out = product(factors, deadline)
+        clock_skew[0] += 10.0
+        return out
+
+    monkeypatch.setattr(extensions, "_product", product_then_jump)
 
 
 @pytest.fixture
@@ -345,3 +403,80 @@ def has_cycle_dfs(af):
         return False
 
     return any(color[v] == 0 and visit(v) for v in range(len(af.names)))
+
+
+_STATEMENT = re.compile(
+    r"^(?P<kind>arg|att|focus|restricted)\s*\(\s*(?P<first>[A-Za-z0-9_]+)"
+    r"\s*(?:,\s*(?P<second>[A-Za-z0-9_]+)\s*)?\)\s*\.$")
+
+
+def pair_set_build_framework(names, attack_pairs):
+    """Reference for ``build_framework``: the version that kept a set of
+    the index pairs and handed their sorted tuple to the framework."""
+    seen = {}
+    for name in names:
+        if name not in seen:
+            seen[name] = len(seen)
+    pairs = []
+    pair_seen = set()
+    for a, b in attack_pairs:
+        if a not in seen:
+            raise UndeclaredArgument(a)
+        if b not in seen:
+            raise UndeclaredArgument(b)
+        pair = (seen[a], seen[b])
+        if pair not in pair_seen:
+            pair_seen.add(pair)
+            pairs.append(pair)
+    return ArgumentationFramework(tuple(seen), tuple(sorted(pairs)))
+
+
+def two_pass_parse_afp(text):
+    """Reference for ``afp.parse_afp``: the version that checked every
+    name against a set of declared names, then had
+    :func:`pair_set_build_framework` look the attack names up again."""
+    names = []
+    declared = set()
+    attacks = []   # (line, a, b)
+    focus = []     # (line, name)
+    restricted = []
+    saw_partition = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _STATEMENT.match(line)
+        if m is None:
+            raise AfpSyntaxError(f"unrecognized statement {line!r}", lineno)
+        kind, first, second = m.group("kind", "first", "second")
+        if kind == "att":
+            if second is None:
+                raise AfpSyntaxError("att needs two arguments", lineno)
+            attacks.append((lineno, first, second))
+            continue
+        if second is not None:
+            raise AfpSyntaxError(f"{kind} takes a single argument", lineno)
+        if kind == "arg":
+            if first not in declared:
+                declared.add(first)
+                names.append(first)
+        elif kind == "focus":
+            saw_partition = True
+            focus.append((lineno, first))
+        else:
+            saw_partition = True
+            restricted.append((lineno, first))
+    for lineno, a, b in attacks:
+        for name in (a, b):
+            if name not in declared:
+                raise UndeclaredArgument(name, line=lineno)
+    for lineno, name in focus + restricted:
+        if name not in declared:
+            raise UndeclaredArgument(name, line=lineno)
+    af = pair_set_build_framework(names, [(a, b) for _, a, b in attacks])
+    if saw_partition:
+        p = build_partition(af, [name for _, name in focus],
+                            [name for _, name in restricted])
+    else:
+        p = build_partition(af, names, [])
+    return af, p

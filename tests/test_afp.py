@@ -1,9 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
 
 import mindef as md
-from mindef import AfpSyntaxError, UndeclaredArgument, parse_afp, serialize_afp
+from mindef import (AfpSyntaxError, ArgumentationFramework, MindefError,
+                    UndeclaredArgument, build_framework, parse_afp,
+                    serialize_afp)
 
-from conftest import FIXTURE_DIR, instance_stream
+from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
+                      mutated_fixtures, pair_set_build_framework,
+                      two_pass_parse_afp)
 
 
 class TestParse:
@@ -114,3 +121,108 @@ class TestSerialize:
             af, p = parse_afp((FIXTURE_DIR / f"{stem}.afp").read_text())
             fam = md.min_def_extensions(af, p)
             assert fam.members == (af.subset(names.split(",")),)
+
+
+def parsed(parse, text):
+    """What ``parse`` makes of ``text``: the framework's names, pairs and
+    both mask tables and the partition's masks; or the class, message and
+    line of the error it raises."""
+    try:
+        af, p = parse(text)
+    except MindefError as exc:
+        return type(exc), str(exc), exc.line
+    return (af.names, af.attacks, af.attacker_masks, af.target_masks,
+            p.focus.mask, p.restricted.mask, p.unrestricted.mask)
+
+
+def assert_parses_as_before(text):
+    want = parsed(two_pass_parse_afp, text)
+    assert parsed(parse_afp, text) == want
+    return want
+
+
+def reordered(text, seed):
+    """The statements of ``text`` in a seeded order, some of them twice."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    lines += rng.sample(lines, min(len(lines), 5))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+# generated instances from n=8 to n=400: the mindef-minimize probes, some
+# of its n = 100..300 configurations, and smaller and acyclic ones
+GENERATED = (
+    [md.GeneratorConfig(n, p, 0.7, 0.3, seed=1)
+     for n, p in ((300, 0.007), (400, 0.007), (400, 0.005))]
+    + [md.GeneratorConfig(n, 2.0 / n, 0.7, 0.3, seed=7000 + n)
+       for n in range(100, 301, 40)]
+    + [md.GeneratorConfig(n, p, 0.75, 0.5, seed=n, acyclic_only=n % 2 == 0)
+       for n, p in ((8, 0.25), (9, 0.5), (14, 0.3), (30, 0.1), (61, 0.05))])
+
+
+class TestAgainstTheTwoPassParser:
+    """The one-pass parser against the parser it replaced, kept verbatim
+    in ``conftest.two_pass_parse_afp``: the same framework and partition,
+    or the same error."""
+
+    @pytest.mark.parametrize("text", FIXTURE_TEXTS)
+    def test_fixture_files(self, text):
+        assert_parses_as_before(text)
+        for seed in range(5):
+            assert_parses_as_before(reordered(text, seed))
+
+    @pytest.mark.parametrize("cfg", GENERATED,
+                             ids=lambda c: f"n={c.argument_count}")
+    def test_generated_instances(self, cfg):
+        text = serialize_afp(*md.random_instance(cfg))
+        assert assert_parses_as_before(text)[0][0] == "a0"
+        assert_parses_as_before(reordered(text, cfg.seed))
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(mutated_fixtures())
+    def test_mutated_fixture_texts(self, text):
+        assert_parses_as_before(text)
+
+    @pytest.mark.parametrize("text, name, line", [
+        # attacks in file order, the attacker before the target
+        ("att(x,y).\n", "x", 1),
+        ("arg(a).\natt(a,y).\natt(x,a).\n", "y", 2),
+        ("arg(a).\natt(x,a).\natt(a,y).\n", "x", 2),
+        # then focus, then restricted statements, whatever their lines
+        ("arg(a).\nfocus(z).\natt(a,y).\n", "y", 3),
+        ("restricted(r).\nfocus(f).\natt(q,a).\narg(a).\n", "q", 3),
+        ("arg(a).\nrestricted(r).\nfocus(f).\n", "f", 3),
+        ("arg(a).\natt(a,a).\nrestricted(r).\nfocus(a).\n", "r", 3),
+    ])
+    def test_undeclared_names_keep_their_precedence(self, text, name, line):
+        assert assert_parses_as_before(text) == (
+            UndeclaredArgument, f"undeclared argument {name!r} (line {line})",
+            line)
+
+    def test_a_syntax_error_comes_before_any_undeclared_name(self):
+        assert assert_parses_as_before("att(x,y).\nfocus(z).\nbad.\n") == (
+            AfpSyntaxError, "line 3: unrecognized statement 'bad.'", 3)
+
+    def test_repeated_and_late_declared_attacks(self):
+        text = "att(b,a).\natt(b,a).\natt(a,b).\narg(b).\narg(a).\narg(b).\n"
+        names, attacks = assert_parses_as_before(text)[:2]
+        assert names == ("b", "a") and attacks == ((0, 1), (1, 0))
+
+    def test_build_framework_collapses_repeated_pairs(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            names = [f"v{i}" for i in range(n)]
+            index_pairs = [(rng.randrange(n), rng.randrange(n))
+                           for _ in range(rng.randint(0, 3 * n))]
+            index_pairs += rng.sample(index_pairs, len(index_pairs) // 2)
+            rng.shuffle(index_pairs)
+            name_pairs = [(names[a], names[b]) for a, b in index_pairs]
+            want = pair_set_build_framework(names, name_pairs)
+            for af in (build_framework(names, name_pairs),
+                       ArgumentationFramework(tuple(names), index_pairs)):
+                assert af.attacks == tuple(sorted(set(index_pairs)))
+                assert af.attacker_masks == want.attacker_masks
+                assert af.target_masks == want.target_masks

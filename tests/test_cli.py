@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import time
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import mindef as md
 from mindef import _kernels
 from mindef.afp import serialize_afp
-from mindef.cli import SEMANTICS, SolveRequest, main, run_cli
+from mindef.cli import (SEMANTICS, SolveRequest, _budget_from, build_parser,
+                        main, run_cli)
 from mindef.extensions import SearchBudget
 
-from conftest import FIXTURE_DIR, instance_stream
+from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
+                      mutated_fixtures)
 
 AF3 = str(FIXTURE_DIR / "af3.afp")
 AF2_TEXT = (FIXTURE_DIR / "af2.afp").read_text()
@@ -377,6 +380,25 @@ def test_oracle_preferred_exits_3_at_the_ceiling(capsys, tmp_path):
     assert err == "error: wall-clock ceiling of 0.5s exhausted\n"
 
 
+def test_an_oracle_family_past_the_ceiling_prints_nothing(capsys, tmp_path):
+    # twenty unattacked arguments: 2^20 conflict-free sets, which take
+    # seconds to map back, order and print; the ceiling stops the mapping
+    path = tmp_path / "twenty.afp"
+    path.write_text("".join(f"arg(x{i}).\n" for i in range(20)))
+    code, out, err = run(capsys, "solve", str(path), "--engine", "oracle",
+                         "-s", "conflict-free", "--time-limit", "0.5")
+    assert code == 3 and out == ""
+    assert err == "error: wall-clock ceiling of 0.5s exhausted\n"
+
+
+def test_the_oracle_cap_defaults_to_the_search_budget(capsys):
+    default = SearchBudget.max_arguments_for_exhaustive
+    ns = build_parser().parse_args(["solve", "--time-limit", "2"])
+    assert _budget_from(ns) == SearchBudget(default, 2.0)
+    code, out, _ = run(capsys, "solve", "--help")
+    assert code == 0 and f"(default {default})" in " ".join(out.split())
+
+
 def fourteen_two_cycles(tmp_path):
     lines = []
     for i in range(14):
@@ -417,38 +439,8 @@ def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
 
 
 # fuzzing: the CLI promises exit codes 0, 2 and 3 and nothing else
-FIXTURE_TEXTS = [path.read_text()
-                 for path in sorted(FIXTURE_DIR.glob("*.afp"))]
 FUZZ_SETTINGS = settings(max_examples=400, derandomize=True, database=None,
                          deadline=None)
-
-
-@st.composite
-def mutated_fixtures(draw):
-    """A fixture's text after a few character and whole-line edits."""
-    text = draw(st.sampled_from(FIXTURE_TEXTS))
-    for _ in range(draw(st.integers(1, 6))):
-        lines = text.splitlines(keepends=True)
-        at = draw(st.integers(0, len(text)))
-        line = draw(st.integers(0, max(len(lines) - 1, 0)))
-        edit = draw(st.sampled_from(
-            ("insert", "delete", "drop line", "repeat line", "swap lines")))
-        if edit == "insert":
-            text = text[:at] + draw(st.text(
-                "(),.#_ \nargtfocusrestricted0123456789", max_size=6)
-            ) + text[at:]
-        elif edit == "delete":
-            text = text[:at] + text[at + draw(st.integers(1, 8)):]
-        elif lines:
-            other = draw(st.integers(0, len(lines) - 1))
-            if edit == "drop line":
-                del lines[line]
-            elif edit == "repeat line":
-                lines.insert(other, lines[line])
-            else:
-                lines[line], lines[other] = lines[other], lines[line]
-            text = "".join(lines)
-    return text
 
 
 def assert_exits_0_2_or_3(request):
@@ -482,3 +474,38 @@ def test_arbitrary_bytes_in_a_file_exit_0_2_or_3(tmp_path_factory, raw,
     path = tmp_path_factory.getbasetemp() / "fuzzed.afp"
     path.write_bytes(raw)
     assert_exits_0_2_or_3(SolveRequest(source=str(path), semantics=semantics))
+
+
+# the first law of statement order: the parser owns it, so the CLI bytes of
+# a file are those of any reordering of its statements, repeats included
+@functools.lru_cache(maxsize=2048)
+def answer(text, semantics, output, engine):
+    out = io.StringIO()
+    _, code = run_cli(SolveRequest(text=text, semantics=semantics,
+                                   output=output, engine=engine), out=out)
+    return code, out.getvalue()
+
+
+@st.composite
+def small_afp_files(draw):
+    """A fixture file, or a generated one of at most 14 arguments."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIXTURE_TEXTS))
+    return serialize_afp(*md.random_instance(md.GeneratorConfig(
+        draw(st.integers(0, 14)), draw(st.sampled_from((0.1, 0.25, 0.5))),
+        0.75, 0.5, seed=draw(st.integers(0, 2 ** 32)))))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_afp_files(), st.data())
+def test_statement_order_and_repeats_never_change_an_answer(text, data):
+    lines = text.splitlines()
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=6)
+                       if lines else st.just([]))
+    shuffled = "\n".join(data.draw(st.permutations(lines))) + "\n"
+    for semantics in SEMANTICS:
+        for output in ("plain", "structured"):
+            for engine in ("solver", "oracle"):
+                want = answer(text, semantics, output, engine)
+                assert want[0] == 0
+                assert answer(shuffled, semantics, output, engine) == want

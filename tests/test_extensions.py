@@ -1,6 +1,5 @@
 import random
 import time
-import types
 
 import pytest
 
@@ -11,11 +10,12 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
                     filter_maximal, min_def_extensions,
                     minimize_restricted, preferred_extensions,
                     preferred_extensions_on, skeptical_accepted)
-from mindef import _kernels, extensions
+from mindef import _kernels, extensions, oracle
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
 from conftest import (fixed_point_prepare_space, instance_stream,
-                      many_supports, name_tuple_order, pairwise_min_def,
+                      jump_after_the_product, many_supports,
+                      name_tuple_order, pairwise_min_def,
                       pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
                       single_tree_solve_space, sset, structured_stream,
@@ -451,6 +451,8 @@ CLOCK_STAGES = {
         ISOLATED, [[1, 2], [4, 8]], past).members,
     "per-group maximality pass": lambda past: extensions._solve_space(
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
+    "oracle conversion": lambda past: oracle._scan(
+        ISOLATED, ISOLATED.subset(["x0", "x1"]), None, False, past),
     "minimize_restricted": lambda past: minimize_restricted(
         ISOLATED, ISOLATED_P, ISOLATED.subset(["x0"]), past),
     "_subset_minimal_masks": lambda past: extensions._subset_minimal_masks(
@@ -538,7 +540,8 @@ class TestBudget:
         fam = preferred_extensions(af)
         assert len(fam) == 2 ** 8
 
-    def test_min_def_shares_one_deadline_across_its_steps(self, monkeypatch):
+    def test_min_def_shares_one_deadline_across_its_steps(self, clock_skew,
+                                                          monkeypatch):
         # three two-cycles: three factors of two preferred masks on the
         # focus, each with a maximal unrestricted part, so six minimisations
         names = [f"x{i}" for i in range(6)]
@@ -547,10 +550,7 @@ class TestBudget:
             pairs += [(names[i], names[i + 1]), (names[i + 1], names[i])]
         af = build_framework(names, pairs)
         p = md.Partition(af, af.full_set(), af.empty_set())
-        skew = [0.0]
-        real = time.monotonic
-        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
-            monotonic=lambda: real() + skew[0]))
+        skew = clock_skew
         minimize = md.extensions.minimize_restricted
         calls = []
 
@@ -577,16 +577,26 @@ class TestBudget:
         assert len(started) == 1 and isinstance(started[0], _kernels.Ceiling)
         assert len(calls) == 3 and all(d is started[0] for d in calls)
 
-    def test_min_def_filter_reads_the_deadline(self, monkeypatch):
+    def test_ordering_reads_the_ceiling_after_the_product(
+            self, clock_skew, monkeypatch):
+        # twelve factors of two: the product of the rank masks returns, the
+        # clock jumps, and the read after the keys refuses
+        fam = md.conflict_free_sets(
+            ISOLATED, budget=SearchBudget(wall_clock_seconds=1.0))
+        jump_after_the_product(clock_skew, monkeypatch)
+        with pytest.raises(BudgetExceeded, match="ceiling of 1.0s exhausted"):
+            fam.members
+        monkeypatch.undo()
+        assert len(fam.members) == 4096
+
+    def test_min_def_filter_reads_the_deadline(self, clock_skew,
+                                               monkeypatch):
         # three two-cycles: the clock jumps past the ceiling once the last
         # of the six minimisations has returned, so min-def answers, and
         # reading its members is what refuses
         af = two_cycles(3)
         p = md.Partition(af, af.full_set(), af.empty_set())
-        skew = [0.0]
-        real = time.monotonic
-        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
-            monotonic=lambda: real() + skew[0]))
+        skew = clock_skew
         minimize = md.extensions.minimize_restricted
         calls = []
 
@@ -609,14 +619,11 @@ class TestBudget:
             wall_clock_seconds=60.0)).members) == 8
 
     def test_the_last_pass_over_the_supports_reads_the_deadline(
-            self, monkeypatch):
+            self, clock_skew, monkeypatch):
         # the clock jumps once the search has found all 2^6 supports, so
         # only the pass that keeps the minimal ones can refuse
         af, p = many_supports(6)
-        skew = [0.0]
-        real = time.monotonic
-        monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
-            monotonic=lambda: real() + skew[0]))
+        skew = clock_skew
         minimal = extensions._subset_minimal_masks
         passes = []
 

@@ -3,13 +3,14 @@ import time
 import pytest
 
 import mindef as md
+from mindef import _kernels, oracle
 from mindef import (BudgetExceeded, SearchBudget, build_framework,
                     filter_maximal, is_admissible, is_conflict_free,
                     is_restrictedly_admissible, oracle_admissible,
                     oracle_conflict_free, oracle_min_def, oracle_preferred,
                     oracle_preferred_on, oracle_restrictedly_admissible)
 
-from conftest import instance_stream, sset
+from conftest import instance_stream, jump_after_the_product, sset
 
 
 class TestOracleAdmissible:
@@ -124,3 +125,74 @@ class TestOracleDeadline:
         kept = filter_maximal(fam, deadline=SearchBudget(
             wall_clock_seconds=60.0).deadline())
         assert kept == filter_maximal(fam) and len(kept) == 8
+
+
+class TestOracleCeilingAfterTheScan:
+    """The clock jumps past a 1 s ceiling once a step has returned; the
+    next read of the ceiling refuses."""
+
+    ORACLES = {
+        "conflict-free": lambda af, p, b: oracle_conflict_free(af, None, b),
+        "admissible": lambda af, p, b: oracle_admissible(af, None, b),
+        "preferred": lambda af, p, b: oracle_preferred(af, b),
+        "preferred-on-f": lambda af, p, b: oracle_preferred_on(
+            af, p.focus, b),
+        "restricted-admissible": oracle_restrictedly_admissible,
+        "min-def": oracle_min_def,
+    }
+    # six two-cycles: 729 admissible sets, 64 preferred ones
+    SIX = TestOracleDeadline.two_cycles(6)
+    SIX_P = md.Partition(SIX, SIX.full_set(), SIX.empty_set())
+    CEILING = r"^wall-clock ceiling of 1\.0s exhausted$"
+
+    @pytest.mark.parametrize("semantics", ORACLES)
+    def test_mapping_the_scanned_sets_back_reads_the_ceiling(
+            self, semantics, clock_skew, monkeypatch):
+        scan = _kernels.subset_scan
+
+        def scan_then_jump(*args):
+            found = scan(*args)
+            clock_skew[0] += 10.0
+            return found
+
+        monkeypatch.setattr(_kernels, "subset_scan", scan_then_jump)
+        with pytest.raises(BudgetExceeded, match=self.CEILING):
+            self.ORACLES[semantics](self.SIX, self.SIX_P,
+                                    SearchBudget(wall_clock_seconds=1.0))
+
+    def test_the_restricted_admissibility_pass_reads_the_ceiling(
+            self, clock_skew, monkeypatch):
+        # twelve unattacked arguments: 4096 scanned sets, and the clock
+        # jumps at the first test, after the read at the first set
+        af = build_framework([f"x{i}" for i in range(12)], [])
+        p = md.Partition(af, af.full_set(), af.empty_set())
+        test = oracle.is_restrictedly_admissible
+
+        def test_then_jump(af, p, s):
+            clock_skew[0] = 10.0
+            return test(af, p, s)
+
+        monkeypatch.setattr(oracle, "is_restrictedly_admissible",
+                            test_then_jump)
+        with pytest.raises(BudgetExceeded, match=self.CEILING):
+            oracle_restrictedly_admissible(
+                af, p, SearchBudget(wall_clock_seconds=1.0))
+
+    @pytest.mark.parametrize("semantics", ORACLES)
+    def test_a_returned_family_is_ordered_under_the_ceiling(
+            self, semantics, clock_skew, monkeypatch):
+        fam = self.ORACLES[semantics](self.SIX, self.SIX_P,
+                                      SearchBudget(wall_clock_seconds=1.0))
+        assert len(fam) in (64, 729)
+        jump_after_the_product(clock_skew, monkeypatch)
+        with pytest.raises(BudgetExceeded, match=self.CEILING):
+            fam.members
+
+    def test_filter_maximal_hands_its_deadline_to_the_family(
+            self, clock_skew, monkeypatch):
+        kept = filter_maximal(oracle_admissible(self.SIX),
+                              deadline=SearchBudget(
+                                  wall_clock_seconds=1.0).deadline())
+        jump_after_the_product(clock_skew, monkeypatch)
+        with pytest.raises(BudgetExceeded, match=self.CEILING):
+            kept.members
