@@ -137,21 +137,43 @@ def execute(request: SolveRequest) -> SolveResult:
     return SolveResult(request.semantics, family, verdict, elapsed_ms, stats)
 
 
+def _json_piece(name):
+    return json.dumps(name) + ", "
+
+
+def _plain_piece(name):
+    return name + ","
+
+
 def _render(result: SolveResult, request: SolveRequest, out) -> None:
+    # a family is written a block of members at a time, each block as one
+    # string; every name's piece ends in a separator, and one replace per
+    # block drops each member's last one (AFP names are letters, digits
+    # and underscores, so ",}" and ", ]" occur nowhere else)
+    family = result.family
     if request.output == "structured":
         doc = {"semantics": result.semantics}
-        if result.family is not None:
-            doc["extensions"] = list(result.family.member_names())
-        else:
+        if family is None:
             doc["verdict"] = result.verdict
-        doc["stats"] = result.stats
-        out.write(json.dumps(doc) + "\n")
+            doc["stats"] = result.stats
+            out.write(json.dumps(doc) + "\n")
+            return
+        # ordered here, so that a refusal comes before the prefix
+        blocks = family.fragment_blocks(_json_piece)
+        out.write(json.dumps(doc)[:-1] + ', "extensions": [')
+        separator = ""
+        for block in blocks:
+            out.write(separator + ("[" + "], [".join(map("".join, block))
+                                   + "]").replace(", ]", "]"))
+            separator = ", "
+        out.write('], "stats": ' + json.dumps(result.stats) + "}\n")
         return
-    if result.family is not None:
-        for names in result.family.member_names():
-            out.write("{%s}\n" % ",".join(names))
-    else:
+    if family is None:
         out.write("YES\n" if result.verdict else "NO\n")
+        return
+    for block in family.fragment_blocks(_plain_piece):
+        out.write(("{" + "}\n{".join(map("".join, block))
+                   + "}\n").replace(",}", "}"))
 
 
 def run_cli(request: SolveRequest, out=None) -> tuple:
@@ -159,8 +181,8 @@ def run_cli(request: SolveRequest, out=None) -> tuple:
     out = out or sys.stdout
     try:
         result = execute(request)
-        # a family is ordered on first use, before the first line is written,
-        # and under what the request's ceiling has left
+        # a family is ordered whole, under what the request's ceiling has
+        # left, before its first block is written; a refusal prints nothing
         _render(result, request, out)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,7 +50,7 @@ inclusion-minimal leaves.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain
 from math import prod
 from operator import or_
 
@@ -93,30 +93,32 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-class _ByteTable(dict):
-    """Maps ``k << 8 | byte`` to the tuple of the values of the byte's set
-    bits, highest bit first. Bit ``7 - p`` of byte ``k`` has the value
-    ``values[8 * k + p]``.
+# members per block when a family's members are written out; a block's
+# fragment columns and strings are all that rendering holds at once
+_RENDER_BLOCK = 1 << 12
 
-    Each entry is filled on first use, so a small family pays only for the
-    bytes its members hold, and a large one looks each byte up once.
+
+class _Fragments(dict):
+    """One byte position of the rank masks: maps a byte value to the
+    concatenation of the pieces of its set bits, highest bit first (name
+    order). ``pieces[t]`` is the piece of bit ``t``.
+
+    Each entry is filled on first use, from the entry without its lowest
+    bit, so a small family pays only for the bytes its members hold, and a
+    large one looks each byte up once.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("pieces",)
 
-    def __init__(self, values):
-        super().__init__()
-        self.values = values
+    def __init__(self, pieces, empty):
+        super().__init__({0: empty})
+        self.pieces = pieces
 
-    def __missing__(self, key):
-        base = key >> 8 << 3
-        entry = self[key] = tuple(
-            compress(self.values[base:base + 8], _HIGH_FIRST[key & 255]))
+    def __missing__(self, byte):
+        low = byte & -byte
+        entry = self[byte] = (self[byte ^ low]
+                              + self.pieces[low.bit_length() - 1])
         return entry
-
-
-# the bits of each byte value, highest first
-_HIGH_FIRST = [tuple(b >> (7 - p) & 1 for p in range(8)) for b in range(256)]
 
 
 class ExtensionFamily:
@@ -154,6 +156,14 @@ class ExtensionFamily:
     that follow ``S`` up to ``c``, take ``c`` next and go on freely above
     it. ``2^(W-1-c)`` is the bit of rank ``c``, and those bits are all the
     bits above ``r``'s lowest one that ``r`` lacks: ``2^W - lowbit(r) - r``.
+
+    Names are read off the ordered rank masks a block of at most
+    ``_RENDER_BLOCK`` members at a time (:meth:`fragment_blocks`). Byte
+    ``q`` from the top of a rank mask holds ranks ``8q..8q+7``, so one
+    table per byte position maps a byte value to its set bits' formatted
+    names, already concatenated; a block is one column of such fragments
+    per byte position. Rendering and :meth:`member_names` hold one block at
+    a time, whatever the family's size.
     """
 
     __slots__ = ("framework", "_factors", "_limit", "_parts",
@@ -265,26 +275,45 @@ class ExtensionFamily:
                 for r in ranks])
         return self._members
 
+    def fragment_blocks(self, piece, empty=""):
+        """The members in order, at most ``_RENDER_BLOCK`` at a time.
+
+        Each block is an iterable of one tuple per member; the tuple's
+        items concatenate to the ``piece(name)`` of the member's names, in
+        name order, and ``empty`` is the concatenation of no pieces. The
+        members are ordered before this returns, so a refusal comes before
+        the first block. A lone member is read from the names of the
+        factors' union; otherwise each byte of a rank mask, from the top,
+        is looked up in its position's :class:`_Fragments` table.
+        """
+        ranks = self._ordered()
+        names = self.framework.names if self.framework else ()
+        pieces = [piece(names[i]) for i in self._by_rank]
+        if len(ranks) == 1:
+            return iter([[tuple(pieces)]])
+        return self._blocks(ranks, pieces, empty)
+
+    @staticmethod
+    def _blocks(ranks, pieces, empty):
+        nbytes = -(-len(pieces) // 8)
+        pieces += [empty] * (8 * nbytes - len(pieces))
+        # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
+        tables = [_Fragments(pieces[8 * q:8 * q + 8][::-1], empty)
+                  for q in range(nbytes)]
+        for start in range(0, len(ranks), _RENDER_BLOCK):
+            packed = b"".join([r.to_bytes(nbytes, "big")
+                            for r in ranks[start:start + _RENDER_BLOCK]])
+            yield zip(*[map(table.__getitem__, packed[q::nbytes])
+                        for q, table in enumerate(tables)])
+
     def member_names(self):
         """Yield each member's names in name order, in the family's order.
 
-        Reads each member's rank mask from the top byte down, through a
-        table from byte position and value to the names of the set bits.
+        Reads :meth:`fragment_blocks` with each name as its own piece.
         """
-        ranks = self._ordered()
-        if not ranks:
-            return
-        nbytes = -(-len(self._by_rank) // 8)
-        # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
-        by_rank = [self.framework.names[i] for i in self._by_rank]
-        by_rank += [None] * (8 * nbytes - len(by_rank))
-        table = _ByteTable(by_rank)
-        for r in ranks:
-            found = []
-            for q, byte in enumerate(r.to_bytes(nbytes, "big")):
-                if byte:
-                    found += table[q << 8 | byte]
-            yield found
+        for block in self.fragment_blocks(lambda name: (name,), ()):
+            for fragments in block:
+                yield list(chain.from_iterable(fragments))
 
     def __iter__(self):
         return iter(self.members)

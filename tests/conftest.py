@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import random
 import re
@@ -348,6 +349,76 @@ def name_tuple_order(sets):
     by the tuple of their sorted names."""
     distinct = {s.mask: s for s in sets}
     return sorted(distinct.values(), key=lambda s: tuple(sorted(s.names)))
+
+
+class ByteTable(dict):
+    """Maps ``k << 8 | byte`` to the tuple of the values of the byte's set
+    bits, highest bit first. Bit ``7 - p`` of byte ``k`` has the value
+    ``values[8 * k + p]``.
+
+    Each entry is filled on first use, so a small family pays only for the
+    bytes its members hold, and a large one looks each byte up once.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, key):
+        base = key >> 8 << 3
+        entry = self[key] = tuple(
+            itertools.compress(self.values[base:base + 8],
+                               _HIGH_FIRST[key & 255]))
+        return entry
+
+
+# the bits of each byte value, highest first
+_HIGH_FIRST = [tuple(b >> (7 - p) & 1 for p in range(8)) for b in range(256)]
+
+
+def byte_table_member_names(family):
+    """Reference for ``ExtensionFamily.member_names``: the version that
+    built one list per member, byte by byte through a :class:`ByteTable`.
+
+    Reads each member's rank mask from the top byte down, through a
+    table from byte position and value to the names of the set bits.
+    """
+    ranks = family._ordered()
+    if not ranks:
+        return
+    nbytes = -(-len(family._by_rank) // 8)
+    # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
+    by_rank = [family.framework.names[i] for i in family._by_rank]
+    by_rank += [None] * (8 * nbytes - len(by_rank))
+    table = ByteTable(by_rank)
+    for r in ranks:
+        found = []
+        for q, byte in enumerate(r.to_bytes(nbytes, "big")):
+            if byte:
+                found += table[q << 8 | byte]
+        yield found
+
+
+def list_render(result, request, out):
+    """Reference for ``cli._render``: the version that wrote one line per
+    member and ran ``json.dumps`` over the list of all members' name lists,
+    both from :func:`byte_table_member_names`."""
+    if request.output == "structured":
+        doc = {"semantics": result.semantics}
+        if result.family is not None:
+            doc["extensions"] = list(byte_table_member_names(result.family))
+        else:
+            doc["verdict"] = result.verdict
+        doc["stats"] = result.stats
+        out.write(json.dumps(doc) + "\n")
+        return
+    if result.family is not None:
+        for names in byte_table_member_names(result.family):
+            out.write("{%s}\n" % ",".join(names))
+    else:
+        out.write("YES\n" if result.verdict else "NO\n")
 
 
 def pairwise_min_def(af, p):

@@ -7,14 +7,14 @@ import time
 from hypothesis import given, settings, strategies as st
 
 import mindef as md
-from mindef import _kernels
+from mindef import _kernels, extensions
 from mindef.afp import serialize_afp
 from mindef.cli import (SEMANTICS, SolveRequest, _budget_from, build_parser,
                         main, run_cli)
 from mindef.extensions import SearchBudget
 
 from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
-                      mutated_fixtures)
+                      jump_after_the_product, mutated_fixtures)
 
 AF3 = str(FIXTURE_DIR / "af3.afp")
 AF2_TEXT = (FIXTURE_DIR / "af2.afp").read_text()
@@ -418,6 +418,28 @@ def test_ordering_past_the_ceiling_prints_nothing(capsys, tmp_path):
                              "--format", fmt, "--time-limit", "0.05")
         assert code == 3 and out == ""
         assert err == "error: wall-clock ceiling of 0.05s exhausted\n"
+
+
+def test_a_refusal_inside_the_ordering_prints_no_block(capsys, tmp_path,
+                                                      clock_skew,
+                                                      monkeypatch):
+    # 3^4 members in blocks of 16: the clock jumps 10 s, past the 5 s
+    # ceiling, once the ordering's product returns; the ordering's next
+    # read refuses, before the structured prefix or any block is written
+    monkeypatch.setattr(extensions, "_RENDER_BLOCK", 16)
+    path = tmp_path / "four.afp"
+    path.write_text("".join(f"arg(a{i}).\narg(b{i}).\natt(a{i},b{i}).\n"
+                            f"att(b{i},a{i}).\n" for i in range(4)))
+    for fmt in ("plain", "structured"):
+        code, out, _ = run(capsys, "solve", str(path), "-s", "admissible",
+                           "--format", fmt, "--time-limit", "5")
+        assert code == 0 and out.count("a0") == 27
+    jump_after_the_product(clock_skew, monkeypatch)
+    for fmt in ("plain", "structured"):
+        code, out, err = run(capsys, "solve", str(path), "-s", "admissible",
+                             "--format", fmt, "--time-limit", "5")
+        assert code == 3 and out == ""
+        assert err == "error: wall-clock ceiling of 5.0s exhausted\n"
 
 
 def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
