@@ -24,14 +24,16 @@ enumeration strategies live here:
   excluded member answers). One call may search one independent group of
   a larger space.
 
-Both read the request's wall-clock ceiling, a started :class:`Ceiling` or
-``None`` for none, and refuse with :class:`~mindef.errors.BudgetExceeded`
-once it has passed or once a call has collected more than ``MAX_SETS``
-sets, so that no answer grows past memory.
+Both read the request's wall-clock ceiling, a started :class:`Ceiling`
+(:data:`UNBOUNDED` for none), and refuse with
+:class:`~mindef.errors.BudgetExceeded` once it has passed or once a call
+has collected more than ``MAX_SETS`` sets, so that no answer grows past
+memory.
 """
 
 import functools
 import importlib.util
+import math
 import time
 from itertools import accumulate
 
@@ -83,6 +85,10 @@ class Ceiling:
 
     def deadline(self) -> "Ceiling":
         return self
+
+
+# the ceiling of a request without one: it never expires
+UNBOUNDED = Ceiling(math.inf)
 
 
 class LocalSpace:
@@ -169,7 +175,7 @@ def _columns(w: int) -> tuple[int, ...]:
 
 
 def subset_scan(k: int, space: LocalSpace,
-                deadline: Ceiling | None = None) -> list[int]:
+                deadline: Ceiling = UNBOUNDED) -> list[int]:
     """All k-bit patterns that are admissible in ``space``.
 
     A space built without defence has no obligations, so every
@@ -214,7 +220,7 @@ def subset_scan(k: int, space: LocalSpace,
                                                space.obligations)]
     out = []
     for block in range(1 << k - w):
-        if block and deadline is not None:
+        if block:
             deadline.check()
         bad = 0
         for i, (conflict_high, conflict_col, obligations) in enumerate(checks):
@@ -246,11 +252,14 @@ def subset_scan(k: int, space: LocalSpace,
 
 def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
                   space: LocalSpace, maximal_only: bool,
-                  deadline: Ceiling | None) -> list[int]:
+                  deadline: Ceiling) -> list[int]:
     """Admissible (or conflict-free, when no obligations) candidate masks.
 
     A call may search any ``k`` of ``space``'s members that share no
-    conflict or obligation with the rest. ``pos_idx`` lists the branchable
+    conflict or obligation with the rest. The kernel never reads ``k``:
+    it is the group's size, counted by the benchmark's tracer
+    (``perfbench/tracer.py``, ``extensions.solve.candidates``), which
+    wraps this function positionally. ``pos_idx`` lists the branchable
     member indices in fixed order; ``forced_mask`` members are included
     unconditionally.
     ``suffix_avail[d]`` must hold the union of bits still branchable at
@@ -301,7 +310,7 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     push = stack.append
     while stack:
         ticks += 1
-        if deadline is not None and ticks & 1023 == 0:
+        if ticks & 1023 == 0:
             deadline.check()
         depth, inc = pop()
         if depth == npos:

@@ -72,11 +72,12 @@ class SearchBudget:
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
     space; exceeding it is a hard error, never a truncated answer.
     ``deadline()`` starts the wall-clock ceiling, a
-    :class:`mindef._kernels.Ceiling` (``None`` without one). A request
-    starts it once and hands it to every step that reads the clock: the
-    tree search, the oracle's scan, the passes over the scanned sets and
-    the maximality pass, each of min-def's steps, and the building and
-    ordering of a returned family's members on first use. Each raises
+    :class:`mindef._kernels.Ceiling` (without one, ``_kernels.UNBOUNDED``,
+    which never expires). A request starts it once and hands it to every
+    step that reads the clock: the tree search, the oracle's scan, the
+    passes over the scanned sets and the maximality pass, each of
+    min-def's steps, and the building and ordering of a returned family's
+    members on first use. Each raises
     :class:`BudgetExceeded` once the ceiling has passed; the CLI's
     default oracle cap is this class's ``max_arguments_for_exhaustive``.
     """
@@ -84,9 +85,9 @@ class SearchBudget:
     max_arguments_for_exhaustive: int = 20
     wall_clock_seconds: float | None = None
 
-    def deadline(self) -> _kernels.Ceiling | None:
+    def deadline(self) -> _kernels.Ceiling:
         if self.wall_clock_seconds is None:
-            return None
+            return _kernels.UNBOUNDED
         return _kernels.Ceiling(self.wall_clock_seconds)
 
 
@@ -133,10 +134,11 @@ class ExtensionFamily:
     independent group of its search space; a family built from a list of
     sets (``ExtensionFamily(sets)``) is the one-factor case. ``len``,
     ``in`` and the acceptance queries read the factors and never build the
-    product. The order, ``members``, the member masks behind equality and
-    hashing, and ``member_names()`` are computed on first use. A family
-    returned under a wall-clock ceiling may spend on that first use what
-    the ceiling had left when the family was returned, and raises
+    product. The order, ``members`` and ``member_names()`` are computed on
+    first use; equality and hashing compare the ordered ``members``, so
+    equal families are equal whatever their factoring. A family returned
+    under a wall-clock ceiling may spend on that first use what the
+    ceiling had left when the family was returned, and raises
     :class:`BudgetExceeded` past it.
 
     The order is computed on integers. The arguments the members hold are
@@ -144,8 +146,8 @@ class ExtensionFamily:
     goes to bit ``W-1-j`` of a rank mask ``r``, where ``W`` is their number
     rounded up to whole bytes. Each factor's masks are ranked once,
     argument by argument, and a member's rank mask is the union of its
-    parts' rank masks, so the product is taken over rank masks. A member's
-    key is
+    parts' rank masks, so the product is taken over rank masks and sorted
+    in place by one key. A member's key is
 
         ``0 if r == 0 else r.bit_count() + (1 << W) - (r & -r) - r``
 
@@ -162,12 +164,13 @@ class ExtensionFamily:
     ``q`` from the top of a rank mask holds ranks ``8q..8q+7``, so one
     table per byte position maps a byte value to its set bits' formatted
     names, already concatenated; a block is one column of such fragments
-    per byte position. Rendering and :meth:`member_names` hold one block at
-    a time, whatever the family's size.
+    per byte position. Rendering, :meth:`member_names` and ``members`` all
+    read these blocks; the first two hold one block at a time, whatever the
+    family's size.
     """
 
     __slots__ = ("framework", "_factors", "_limit", "_parts",
-                 "_by_rank", "_ranks", "_members", "_masks")
+                 "_by_rank", "_ranks", "_members")
 
     def __init__(self, members):
         framework = None
@@ -179,31 +182,29 @@ class ExtensionFamily:
                 raise CrossFrameworkSet(
                     "family members belong to different frameworks")
             masks.add(s.mask)
-        self._setup(framework, [list(masks)], None)
+        self._setup(framework, [list(masks)], _kernels.UNBOUNDED)
 
     @classmethod
-    def _product_of(cls, framework, factors, deadline=None):
+    def _product_of(cls, framework, factors, deadline=_kernels.UNBOUNDED):
         """The family of the unions of one mask from each factor.
 
         The factors' masks must be distinct within a factor and use
-        arguments disjoint from every other factor's. Under a started
-        ceiling, the lazy work may take what is left of it.
+        arguments disjoint from every other factor's. The lazy work may
+        take what is left of the started ceiling.
         """
         family = cls.__new__(cls)
-        family._setup(framework, factors, None if deadline is None
-                      else (deadline.seconds, deadline.left()))
+        family._setup(framework, factors, deadline)
         return family
 
-    def _setup(self, framework, factors, limit):
+    def _setup(self, framework, factors, deadline):
         self.framework = framework
         self._factors = factors
-        self._limit = limit
-        self._parts = self._ranks = self._members = self._masks = None
+        self._limit = (deadline.seconds, deadline.left())
+        self._parts = self._ranks = self._members = None
 
     def _deadline(self):
         # the lazy work's ceiling: what the request's had left
-        limit = self._limit
-        return None if limit is None else _kernels.Ceiling(*limit)
+        return _kernels.Ceiling(*self._limit)
 
     def _factor_parts(self):
         """Per factor: the union, the intersection and the set of its masks."""
@@ -218,10 +219,6 @@ class ExtensionFamily:
                 parts.append((span, common & span, frozenset(masks)))
             self._parts = parts
         return self._parts
-
-    def _unordered_masks(self):
-        """The members' masks, in no particular order; nothing is ranked."""
-        return _product(self._factors, self._deadline())
 
     def _ordered(self):
         """The members' rank masks in canonical order, computed once."""
@@ -242,37 +239,32 @@ class ExtensionFamily:
                     return sum(map(rank_bit.__getitem__, bits(m)))
 
                 # the product reads the ceiling first, after the ranking,
-                # and it is read again after the keys and after the sort
+                # and it is read again after the sort
                 deadline = self._deadline()
                 ranks = _product([[rank(m) for m in masks]
                                   for masks in self._factors], deadline)
                 top = 1 << width
-                keys = [r and r.bit_count() + top - (r & -r) - r
-                        for r in ranks]
-                if deadline is not None:
-                    deadline.check()
-                order = sorted(range(len(ranks)), key=keys.__getitem__)
-                if deadline is not None:
-                    deadline.check()
-                ranks = [ranks[i] for i in order]
+                ranks.sort(
+                    key=lambda r: r and r.bit_count() + top - (r & -r) - r)
+                deadline.check()
             self._by_rank = by_rank
             self._ranks = ranks
         return self._ranks
 
     @property
     def members(self):
-        """The members as a tuple of :class:`ArgumentSet`, in order."""
+        """The members as a tuple of :class:`ArgumentSet`, in order.
+
+        Reads :meth:`fragment_blocks` with each name's argument bit as its
+        piece, so a member's fragments sum to its mask.
+        """
         if self._members is None:
-            ranks = self._ordered()
-            width = -(-len(self._by_rank) // 8) * 8
-            # bit width - 1 - j of a rank mask is argument by_rank[j]
-            arg_bit = [0] * width
-            for j, i in enumerate(self._by_rank):
-                arg_bit[width - 1 - j] = 1 << i
             af = self.framework
             self._members = tuple([
-                ArgumentSet(af, sum(map(arg_bit.__getitem__, bits(r))))
-                for r in ranks])
+                ArgumentSet(af, sum(fragments))
+                for block in self.fragment_blocks(
+                    lambda name: 1 << af.index_of[name], 0)
+                for fragments in block])
         return self._members
 
     def fragment_blocks(self, piece, empty=""):
@@ -332,25 +324,13 @@ class ExtensionFamily:
             m &= ~span
         return m == 0
 
-    def _mask_set(self):
-        if self._masks is None:
-            self._masks = frozenset(self._unordered_masks())
-        return self._masks
-
     def __eq__(self, other):
         if not isinstance(other, ExtensionFamily):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if len(self) == 0:
-            return True
-        return (self.framework is other.framework
-                and self._mask_set() == other._mask_set())
+        return len(self) == len(other) and self.members == other.members
 
     def __hash__(self):
-        if len(self) == 0:
-            return 0  # equal to every other empty family
-        return hash((id(self.framework), self._mask_set()))
+        return hash(self.members)
 
     def __repr__(self):
         return "ExtensionFamily[%s]" % ", ".join(repr(m) for m in self.members)
@@ -399,7 +379,7 @@ def _product(factors, deadline):
     for masks in sorted(factors, key=len):
         grown = []
         for n, a in enumerate(out):
-            if deadline is not None and n & 1023 == 0:
+            if n & 1023 == 0:
                 deadline.check()
             grown.extend([a | b for b in masks])
         out = grown
@@ -440,7 +420,7 @@ def _solve_space(af, space_mask, mode, deadline):
     return factors
 
 
-def _subset_maximal_masks(masks, deadline=None):
+def _subset_maximal_masks(masks, deadline=_kernels.UNBOUNDED):
     # the maximal masks are the complements, within the masks' union, of
     # the minimal complements
     union = reduce(or_, masks, 0)
@@ -448,7 +428,7 @@ def _subset_maximal_masks(masks, deadline=None):
         [union ^ m for m in masks], deadline)]
 
 
-def _subset_minimal_masks(masks, deadline=None):
+def _subset_minimal_masks(masks, deadline=_kernels.UNBOUNDED):
     # each distinct mask once; a strict subset has strictly fewer bits, so a
     # mask is tested only against survivors of smaller popcounts; the
     # deadline is read every 256 masks
@@ -460,7 +440,7 @@ def _subset_minimal_masks(masks, deadline=None):
     for pc in sorted(layers):
         survivors = []
         for m in layers[pc]:
-            if deadline is not None and ticks & 255 == 0:
+            if ticks & 255 == 0:
                 deadline.check()
             ticks += 1
             if not any(k | m == m for k in kept):
@@ -573,7 +553,7 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     # its right exclude it
     stack = [(eu, 0, unmet(eu, eu))]
     while stack:
-        if deadline is not None and ticks & 255 == 0:
+        if ticks & 255 == 0:
             deadline.check()
         ticks += 1
         inc, excluded, pending = stack.pop()
@@ -637,7 +617,8 @@ def min_def_extensions(af: ArgumentationFramework, p: Partition,
 
 def filter_maximal(family: ExtensionFamily, order: str = "subset",
                    partition: Partition = None, *,
-                   deadline: _kernels.Ceiling = None) -> ExtensionFamily:
+                   deadline: _kernels.Ceiling = _kernels.UNBOUNDED
+                   ) -> ExtensionFamily:
     """Members of ``family`` not strictly dominated by another member.
 
     ``order`` is ``"subset"`` (inclusion) or ``"prec"`` (the partition's
@@ -657,7 +638,7 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
                 and family.framework is not p.framework):
             raise CrossFrameworkSet(
                 "family and partition belong to different frameworks")
-    masks = family._unordered_masks()
+    masks = _product(family._factors, family._deadline())
     if order == "prec":
         if any(m & ~p.focus.mask for m in masks):
             for s in family:
@@ -679,7 +660,7 @@ def _prec_maximal_masks(p, masks, deadline):
                                   (m & p.restricted.mask).bit_count(), m))
     kept = []
     for n, m in enumerate(masks):
-        if deadline is not None and n & 255 == 0:
+        if n & 255 == 0:
             deadline.check()
         if not any(prec_order(p, m, k) is BETTER for k in kept):
             kept.append(m)

@@ -26,7 +26,7 @@ from .semantics import is_restrictedly_admissible
 def _checked(items, deadline):
     """Yield ``items``, reading the ceiling before every 1024th."""
     for n, item in enumerate(items):
-        if deadline is not None and n & 1023 == 0:
+        if n & 1023 == 0:
             deadline.check()
         yield item
 

@@ -401,6 +401,57 @@ def byte_table_member_names(family):
         yield found
 
 
+def arg_bit_members(family):
+    """Reference for ``ExtensionFamily.members``: the version that decoded
+    each ordered rank mask bit by bit through a table from rank bit to
+    argument bit."""
+    ranks = family._ordered()
+    width = -(-len(family._by_rank) // 8) * 8
+    # bit width - 1 - j of a rank mask is argument by_rank[j]
+    arg_bit = [0] * width
+    for j, i in enumerate(family._by_rank):
+        arg_bit[width - 1 - j] = 1 << i
+    af = family.framework
+    return tuple([md.ArgumentSet(af, sum(map(arg_bit.__getitem__, bits(r))))
+                  for r in ranks])
+
+
+def mask_set(family):
+    """The members' masks as a frozenset, read off the unordered product."""
+    return frozenset(extensions._product(family._factors, family._deadline()))
+
+
+def mask_set_equal(a, b):
+    """Reference for ``ExtensionFamily.__eq__``: the version that compared
+    the frameworks and the sets of member masks, with every empty family
+    equal to every other."""
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    return a.framework is b.framework and mask_set(a) == mask_set(b)
+
+
+def mask_set_hash(family):
+    """Reference for ``ExtensionFamily.__hash__``, the hash that went with
+    :func:`mask_set_equal`."""
+    if len(family) == 0:
+        return 0  # equal to every other empty family
+    return hash((id(family.framework), mask_set(family)))
+
+
+def assert_compares_as_reference(families):
+    """``==`` and ``hash`` on every pair of ``families`` agree with
+    :func:`mask_set_equal` and :func:`mask_set_hash`: the same pairs are
+    equal, and the same pairs share a hash."""
+    for a in families:
+        for b in families:
+            want = mask_set_equal(a, b)
+            assert (a == b) is want, (a, b)
+            assert (hash(a) == hash(b)) is (
+                mask_set_hash(a) == mask_set_hash(b)), (a, b)
+
+
 def list_render(result, request, out):
     """Reference for ``cli._render``: the version that wrote one line per
     member and ran ``json.dumps`` over the list of all members' name lists,

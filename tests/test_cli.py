@@ -442,6 +442,25 @@ def test_a_refusal_inside_the_ordering_prints_no_block(capsys, tmp_path,
         assert err == "error: wall-clock ceiling of 5.0s exhausted\n"
 
 
+def test_no_ceiling_never_refuses(clock_skew):
+    # the clock jumps 10^9 s; a request without a ceiling still answers
+    requests = [SolveRequest(text=AF2_TEXT, semantics=semantics,
+                             engine=engine, output=fmt)
+                for semantics in SEMANTICS for engine in ("solver", "oracle")
+                for fmt in ("plain", "structured")]
+    want = []
+    for request in requests:
+        out = io.StringIO()
+        assert run_cli(request, out=out)[1] == 0
+        want.append(out.getvalue())
+    clock_skew[0] += 1e9
+    for request, text in zip(requests, want):
+        request.budget = SearchBudget()
+        out = io.StringIO()
+        assert run_cli(request, out=out)[1] == 0
+        assert out.getvalue() == text
+
+
 def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
                                                                 tmp_path):
     # 3^14 admissible and 2^14 preferred sets; none is built

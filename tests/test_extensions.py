@@ -11,6 +11,7 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
                     minimize_restricted, preferred_extensions,
                     preferred_extensions_on, skeptical_accepted)
 from mindef import _kernels, extensions, oracle
+from mindef.cli import FAMILIES
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
 from conftest import (fixed_point_prepare_space, instance_stream,
@@ -261,8 +262,8 @@ class TestComponentSearch:
                      (ADMISSIBLE_ALL, af.subset(af.names[:20]).mask),
                      (CONFLICT_FREE, af.subset(af.names[:14]).mask))
             for mode, space in cases:
-                got = extensions._product(
-                    extensions._solve_space(af, space, mode, None), None)
+                got = extensions._product(extensions._solve_space(
+                    af, space, mode, _kernels.UNBOUNDED), _kernels.UNBOUNDED)
                 assert len(got) == len(set(got))
                 assert set(got) == single_tree_solve_space(af, space, mode)
                 compared += len(got)
@@ -275,7 +276,8 @@ class TestComponentSearch:
                             (CONFLICT_FREE, small)):
             for label, af in structured_stream(40, 9300, sizes):
                 got = extensions._product(extensions._solve_space(
-                    af, af.full_mask, mode, None), None)
+                    af, af.full_mask, mode, _kernels.UNBOUNDED),
+                    _kernels.UNBOUNDED)
                 assert len(got) == len(set(got)), label
                 assert set(got) == single_tree_solve_space(
                     af, af.full_mask, mode), label
@@ -506,8 +508,9 @@ class TestOutputCap:
             with pytest.raises(BudgetExceeded, match=self.CAP):
                 read()
         with pytest.raises(BudgetExceeded, match=self.CAP):
-            extensions._product([[0, 1]] * 7, None)
-        assert len(extensions._product([[0, 1]] * 6, None)) == 64
+            extensions._product([[0, 1]] * 7, _kernels.UNBOUNDED)
+        assert len(extensions._product([[0, 1]] * 6,
+                                       _kernels.UNBOUNDED)) == 64
 
     def test_the_scan_refuses_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
@@ -580,7 +583,7 @@ class TestBudget:
     def test_ordering_reads_the_ceiling_after_the_product(
             self, clock_skew, monkeypatch):
         # twelve factors of two: the product of the rank masks returns, the
-        # clock jumps, and the read after the keys refuses
+        # clock jumps, and the read after the sort refuses
         fam = md.conflict_free_sets(
             ISOLATED, budget=SearchBudget(wall_clock_seconds=1.0))
         jump_after_the_product(clock_skew, monkeypatch)
@@ -638,6 +641,24 @@ class TestBudget:
             minimize_restricted(af, p, p.focus,
                                 SearchBudget(wall_clock_seconds=0.5))
         assert passes == [2 ** 6]
+
+    def test_no_ceiling_never_refuses(self, fixtures, clock_skew):
+        # the clock jumps 10^9 s before the requests, and again before
+        # their families are read; without a ceiling nothing refuses
+        assert SearchBudget().deadline() is _kernels.UNBOUNDED
+        af, p = fixtures["AF3"]
+        want = [(solve(af, p, p.focus, None), check(af, p, p.focus, None))
+                for solve, check in FAMILIES.values()]
+        clock_skew[0] += 1e9
+        budget = SearchBudget()
+        got = [(solve(af, p, p.focus, budget), check(af, p, p.focus, budget))
+               for solve, check in FAMILIES.values()]
+        e = got[3][0].members[0]  # a preferred extension on the focus
+        supports = minimize_restricted(af, p, e, budget)
+        clock_skew[0] += 1e9
+        assert got == want
+        assert supports == minimize_restricted(af, p, e)
+        assert filter_maximal(got[1][0]) == got[2][0]
 
     def test_roadmap_min_def_probe_answers_within_a_second(self):
         # |e_r| = 23 here; the subset walk needed far more than 20 s

@@ -1,5 +1,7 @@
 """The CLI's block rendering against the list-per-member renderer it
-replaced (``conftest.list_render``), byte for byte, in both formats."""
+replaced (``conftest.list_render``), byte for byte, in both formats; and a
+family's ``members``, ``==`` and ``hash``, which read the same blocks,
+against the arg-bit decoder and the mask-set comparison they replaced."""
 
 import io
 import random
@@ -7,12 +9,14 @@ import random
 import pytest
 
 import mindef as md
-from mindef import extensions
-from mindef.afp import serialize_afp
-from mindef.cli import SEMANTICS, SolveRequest, SolveResult, _render, execute
+from mindef import _kernels, extensions
+from mindef.afp import parse_afp, serialize_afp
+from mindef.cli import (FAMILIES, SEMANTICS, SolveRequest, SolveResult,
+                        _render, execute)
 from mindef.extensions import ExtensionFamily
 
-from conftest import (byte_table_member_names, instance_stream, list_render,
+from conftest import (arg_bit_members, assert_compares_as_reference,
+                      byte_table_member_names, instance_stream, list_render,
                       structured_stream)
 
 FORMATS = ("plain", "structured")
@@ -42,6 +46,7 @@ def assert_renders_as_reference(family, label=""):
         assert rendered(_render, family, fmt) == want, (label, fmt)
     assert list(family.member_names()) == list(
         byte_table_member_names(family)), label
+    assert family.members == arg_bit_members(family), label
 
 
 def framework(rng, n):
@@ -49,14 +54,27 @@ def framework(rng, n):
     return md.build_framework(names, [])
 
 
+def variants(family):
+    """``family`` rebuilt from its members as one factor, and its masks
+    over a copy of its framework (an unequal family of the same size)."""
+    af = family.framework
+    copy = (md.ArgumentationFramework(af.names, af.attacks)
+            if af is not None else None)
+    return [ExtensionFamily(list(family)),
+            ExtensionFamily._product_of(copy, family._factors)]
+
+
 def test_empty_families_and_the_family_of_the_empty_set(block):
     af = md.build_framework(TRICKY, [])
+    families = []
     for family in (ExtensionFamily([]),
                    ExtensionFamily._product_of(af, [[]]),
                    ExtensionFamily._product_of(af, [[1, 2], []]),
                    ExtensionFamily([af.empty_set()]),
                    ExtensionFamily([md.build_framework([], []).empty_set()])):
         assert_renders_as_reference(family, repr(family))
+        families += [family] + variants(family)
+    assert_compares_as_reference(families)
     assert rendered(_render, ExtensionFamily([]), "plain") == ""
     assert rendered(_render, ExtensionFamily([af.empty_set()]),
                     "plain") == "{}\n"
@@ -68,6 +86,7 @@ def test_lone_members_and_random_families_at_every_width(n, block):
     af = framework(rng, n)
     full = ExtensionFamily([af.full_set()])
     assert_renders_as_reference(full, "lone full set")
+    families = [full] + variants(full)
     for trial in range(12):
         masks = [rng.getrandbits(n) & rng.getrandbits(n)
                  for _ in range(rng.choice([1, 2, 5, 40]))]
@@ -75,6 +94,8 @@ def test_lone_members_and_random_families_at_every_width(n, block):
             masks.append(0)
         family = ExtensionFamily(md.ArgumentSet(af, m) for m in masks)
         assert_renders_as_reference(family, (n, trial))
+        families += [family] + variants(family)
+    assert_compares_as_reference(families)
 
 
 def test_products_whose_factors_interleave_in_name_order(block):
@@ -94,6 +115,11 @@ def test_products_whose_factors_interleave_in_name_order(block):
             factors.append(list(masks))
         family = ExtensionFamily._product_of(af, factors)
         assert_renders_as_reference(family, trial)
+        # the same members with the first two factors multiplied out
+        merged = [extensions._product(factors[:2], _kernels.UNBOUNDED)]
+        assert_compares_as_reference(
+            [family, ExtensionFamily._product_of(af, merged + factors[2:])]
+            + variants(family))
 
 
 def random_partition(af, rng):
@@ -125,6 +151,30 @@ def test_solver_families_render_as_the_reference(semantics, block):
                 list_render(result, request, want)
                 _render(result, request, got)
                 assert got.getvalue() == want.getvalue(), (label, engine, fmt)
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_solver_families_read_and_compare_as_the_reference(semantics, block):
+    solve, brute_force = FAMILIES[semantics]
+    for label, text, engines in solver_cases():
+        af, p = parse_afp(text)
+        families = [solve(af, p, p.focus, None)]
+        if "oracle" in engines:
+            families.append(brute_force(af, p, p.focus, None))
+        for family in families[:]:
+            assert family.members == arg_bit_members(family), label
+            families += variants(family)
+        assert_compares_as_reference(families)
+
+
+def test_the_same_masks_over_two_frameworks_are_unequal():
+    af = md.build_framework(TRICKY, [("a", "Z")])
+    copy = md.build_framework(TRICKY, [("a", "Z")])
+    for factors in ([[0b11, 0b100]], [[0], [1, 2]], [[0b1010]]):
+        here = ExtensionFamily._product_of(af, factors)
+        there = ExtensionFamily._product_of(copy, factors)
+        assert here != there and len({here, there}) == 2
+        assert_compares_as_reference([here, there])
 
 
 class NoTables:
