@@ -1,28 +1,29 @@
 """Hot enumeration kernels and the compressed search-space layout they read.
 
 The kernels take a :class:`LocalSpace`: a search space renumbered to dense
-local bits ``0..k-1``, holding per member the mask of its conflicts and a
-list of its defence obligations (per attacker, the mask of members that
-answer it). The space also splits itself into independent groups. Two
-enumeration strategies live here:
+local bits ``0..k-1``, holding per member the mask of its conflicts, and
+Dung's defence relation as *obligation* bits: each distinct attacker of a
+member is one obligation, a member owes the obligations of its attackers
+and answers those of the attackers it attacks. The space also splits
+itself into independent groups. Two enumeration strategies live here:
 
 * ``subset_scan`` tests every bit pattern of a (small) search space and
-  keeps, in numeric order, those that are conflict-free and meet every
-  obligation (a space built without defence has none). This is the
-  exhaustive reference path. It is bit-sliced over plain Python ints: one
-  int holds one yes/no answer for each of a block's ``_SCAN_CHUNK``
+  keeps, in numeric order, those that are conflict-free and answer every
+  obligation they owe (a space built without defence has none). This is
+  the exhaustive reference path. It is bit-sliced over plain Python ints:
+  one int holds one yes/no answer for each of a block's ``_SCAN_CHUNK``
   patterns, so a handful of int operations per member tests the whole
   block. It takes at most ``SCAN_MAX_ARGUMENTS`` (62) members, and reads
   the ceiling between blocks.
 
 * ``dfs_enumerate`` explores an include/exclude tree over the candidate
-  arguments, pruning conflicting inclusions and branches whose pending
-  defence obligations can no longer be met. It is a pure-Python loop over
-  unbounded ints with an explicit stack, so any depth fits; it checks
-  incrementally (an inclusion checks the included member's own
-  obligations, an exclusion only the included owners' obligations the
-  excluded member answers). One call may search one independent group of
-  a larger space.
+  arguments, pruning conflicting inclusions and branches that owe an
+  obligation neither the included members nor the members still ahead
+  answer. It is a pure-Python loop over unbounded ints with an explicit
+  stack, so any depth fits; a node carries what its included members owe
+  and answer as two obligation masks, so each include, exclude and
+  maximality test is one mask test. One call may search one independent
+  group of a larger space.
 
 Both read the request's wall-clock ceiling, a started :class:`Ceiling`
 (:data:`UNBOUNDED` for none), and refuse with
@@ -96,12 +97,17 @@ class LocalSpace:
 
     ``members[j]`` is the global index behind local bit ``j``.
     ``conflict[j]`` is the local mask of members that attack member ``j`` or
-    are attacked by it. ``obligations[j]`` lists, per attacker of member
-    ``j``, the local mask of members that counter-attack it; built without
-    ``defence``, every list is empty.
+    are attacked by it. Each distinct attacker of a member is one
+    obligation bit, numbered in the order the attackers first appear,
+    member by member: ``owes[j]`` has the bits of member ``j``'s
+    attackers, ``answers[j]`` the bits of the attackers ``j`` attacks, and
+    ``answerers[o]`` is the local mask of members that attack obligation
+    ``o``'s attacker (``0`` when none of them does). Built without
+    ``defence``, there are no obligations.
     """
 
-    __slots__ = ("members", "local_of", "space", "conflict", "obligations")
+    __slots__ = ("members", "local_of", "space", "conflict", "owes",
+                 "answers", "answerers")
 
     def __init__(self, af, space: int, defence: bool):
         att = af.attacker_masks
@@ -111,9 +117,21 @@ class LocalSpace:
         self.local_of = {g: j for j, g in enumerate(self.members)}
         to_local = self.to_local
         self.conflict = [to_local(att[g] | tgt[g]) for g in self.members]
-        self.obligations = [
-            [to_local(att[b]) for b in bits(att[g])] if defence else []
-            for g in self.members]
+        bit_of = {}
+        self.owes = []
+        self.answerers = []
+        for g in self.members:
+            owed = 0
+            for b in bits(att[g]) if defence else ():
+                if b not in bit_of:
+                    bit_of[b] = 1 << len(self.answerers)
+                    self.answerers.append(to_local(att[b]))
+                owed |= bit_of[b]
+            self.owes.append(owed)
+        self.answers = [0] * len(self.members)
+        for o, m in enumerate(self.answerers):
+            for j in bits(m):
+                self.answers[j] |= 1 << o
 
     def to_local(self, global_mask: int) -> int:
         local_of = self.local_of
@@ -137,8 +155,9 @@ class LocalSpace:
         an obligation. Groups made only of ``forced`` members are left out.
         """
         link = list(self.conflict)
-        for i, obs in enumerate(self.obligations):
-            for m in obs:
+        for i, owed in enumerate(self.owes):
+            for o in bits(owed):
+                m = self.answerers[o]
                 link[i] |= m
                 for j in bits(m):
                     link[j] |= 1 << i
@@ -189,9 +208,10 @@ def subset_scan(k: int, space: LocalSpace,
     int stands for the block's pattern ``p``. Member ``i``'s column has bit
     ``p`` set when pattern ``p`` holds ``i``; for ``i >= w`` it is all ones
     or zero. A pattern is bad when it holds a member ``i`` and one of
-    ``conflict[i]``, or holds ``i`` and none of the answerers in one of
-    ``i``'s obligations. Every pattern is tested; the block's survivors are
-    the patterns that are not bad.
+    ``conflict[i]``, or holds ``i`` and none of the answerers of one of
+    the obligations ``i`` owes. Each block finds once per obligation the
+    patterns that leave it unanswered. Every pattern is tested; the block's
+    survivors are the patterns that are not bad.
     """
     w = min(k, _SCAN_CHUNK.bit_length() - 1)
     span = 1 << w
@@ -211,19 +231,21 @@ def subset_scan(k: int, space: LocalSpace,
             col = memo[mask] = full ^ col
         return col
 
-    # per member: its conflicts' bits at and above w, and the column of the
-    # patterns holding one below w; per obligation, the answerers' bits at
-    # and above w, and the column of the patterns holding none below w
-    checks = [(conflict >> w, full ^ none_of(conflict),
-               [(m >> w, none_of(m)) for m in obligations])
-              for conflict, obligations in zip(space.conflict,
-                                               space.obligations)]
+    # per member: its conflicts' bits at and above w, the column of the
+    # patterns holding one below w, and the obligations it owes; per
+    # obligation, the answerers' bits at and above w, and the column of the
+    # patterns holding none below w
+    checks = [(conflict >> w, full ^ none_of(conflict), list(bits(owed)))
+              for conflict, owed in zip(space.conflict, space.owes)]
+    answered = [(m >> w, none_of(m)) for m in space.answerers]
     out = []
     for block in range(1 << k - w):
         if block:
             deadline.check()
+        unmet = [0 if answer_high & block else col
+                 for answer_high, col in answered]
         bad = 0
-        for i, (conflict_high, conflict_col, obligations) in enumerate(checks):
+        for i, (conflict_high, conflict_col, owed) in enumerate(checks):
             if i < w:
                 held = column[i]
             elif block >> i - w & 1:
@@ -231,9 +253,8 @@ def subset_scan(k: int, space: LocalSpace,
             else:
                 continue
             hit = full if conflict_high & block else conflict_col
-            for answer_high, unmet in obligations:
-                if not answer_high & block:
-                    hit |= unmet
+            for o in owed:
+                hit |= unmet[o]
             bad |= held & hit
         good = full ^ bad
         if good:
@@ -268,98 +289,78 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     for maximality filtering. Refuses past the ceiling or past ``MAX_SETS``
     sets. The walk keeps an explicit stack, so its depth is bounded by
     memory, not by the interpreter's recursion limit.
+
+    A node is ``(depth, inc, owed, answered)``: the included members and
+    the obligations they owe and answer. ``suffix_answered[d]`` is what the
+    members branchable at depth ``d`` answer, and every node keeps
+    ``owed`` inside ``answered | suffix_answered[depth]``, so a branch is
+    cut as soon as it owes an obligation nobody left can answer.
     """
+    conflict = space.conflict
+    owes = space.owes
+    answers = space.answers
     npos = len(pos_idx)
     branchable = suffix_avail[0]
-    # per branchable bit, the mask of owners and the (owner bit, obligation)
-    # pairs whose last branchable answerer it is: only excluding that one can
-    # strand an obligation, and only if its owner is included
-    conflict = space.conflict
-    own = space.obligations
-    depth_of = {i: d for d, i in enumerate(pos_idx)}
-    watch = {i: [] for i in pos_idx}
-    owners = dict.fromkeys(pos_idx, 0)
-    for o in bits(forced_mask | branchable):
-        for m in own[o]:
-            if m & forced_mask or m & branchable == 0:
-                continue  # always met, or never: no exclusion changes it
-            last = max(bits(m & branchable), key=depth_of.__getitem__)
-            watch[last].append((1 << o, m))
-            owners[last] |= 1 << o
-    reach = forced_mask | branchable
-    for o in bits(forced_mask):
-        for m in own[o]:
-            if m & reach == 0:
-                return []
+    suffix_answered = [0] * (npos + 1)
+    for d in range(npos - 1, -1, -1):
+        suffix_answered[d] = suffix_answered[d + 1] | answers[pos_idx[d]]
+    owed = answered = 0
+    for j in bits(forced_mask):
+        owed |= owes[j]
+        answered |= answers[j]
+    if owed & ~(answered | suffix_answered[0]):
+        return []
 
-    def joinable(inc):
+    def joinable(inc, answered):
         # some excluded candidate could still join: the enlarged set is
         # admissible, so ``inc`` is not maximal
         for j in bits(branchable & ~inc):
-            if conflict[j] & inc == 0:
-                grown = inc | 1 << j
-                if all(m & grown for m in own[j]):
-                    return True
+            if (conflict[j] & inc == 0
+                    and owes[j] & ~(answered | answers[j]) == 0):
+                return True
         return False
 
     out = []
     cap = MAX_SETS
     ticks = 0
-    stack = [(0, forced_mask)]
+    stack = [(0, forced_mask, owed, answered)]
     pop = stack.pop
     push = stack.append
     while stack:
         ticks += 1
         if ticks & 1023 == 0:
             deadline.check()
-        depth, inc = pop()
+        depth, inc, owed, answered = pop()
         if depth == npos:
-            if not (maximal_only and joinable(inc)):
+            if not (maximal_only and joinable(inc, answered)):
                 out.append(inc)
                 if len(out) > cap:
                     raise too_many_sets()
             continue
         i = pos_idx[depth]
         depth += 1
-        avail = suffix_avail[depth]
-        include = exclude = True
-        if conflict[i] & inc:
-            include = False
-        else:
-            obs = own[i]
-            grown = inc | 1 << i
+        ahead = suffix_answered[depth]
+        # excluding i strands what only i was left to answer
+        exclude = owed & ~(answered | ahead) == 0
+        include = False
+        if conflict[i] & inc == 0:
+            need = owes[i]
+            grown = answered | answers[i]
             # including i adds only i's own obligations
-            reach = grown | avail
-            for m in obs:
-                if m & reach == 0:
-                    include = False
-                    break
-            if maximal_only:
+            include = need & ~(grown | ahead) == 0
+            if maximal_only and (
+                    need & ~answered == 0
+                    or conflict[i] & suffix_avail[depth] == 0
+                    and need & ~grown == 0):
                 # already defended and non-conflicting: any admissible
                 # superset without i extends by i, so no exclude-leaf is
                 # maximal; same if nothing ahead can ever conflict with i
                 # and i stays defendable by itself
-                for m in obs:
-                    if m & inc == 0:
-                        break
-                else:
-                    exclude = False
-                if exclude and conflict[i] & avail == 0:
-                    for m in obs:
-                        if m & grown == 0:
-                            break
-                    else:
-                        exclude = False
-        if exclude and inc & owners[i]:
-            # excluding i fails if an included owner loses its last answerer
-            for owner, m in watch[i]:
-                if inc & owner and m & inc == 0:
-                    exclude = False
-                    break
+                exclude = False
         if exclude:
-            push((depth, inc))
+            push((depth, inc, owed, answered))
         if include:
-            push((depth, grown))
+            push((depth, inc | 1 << i, owed | need, grown))
     return out
 
 

@@ -41,11 +41,13 @@ of a member is an *obligation*, met by the members that attack it. A
 minimal support is a minimal set of restricted members that meets every
 obligation of the unrestricted part and of the restricted members it takes
 in (a minimal transversal, closed under the obligations it brings). The
-search starts from the unrestricted part and branches only on the answerers
-of the first unmet obligation, excluding each answerer from the branches
-after its own; a branch whose restricted part already contains a found
-support is cut, and a last pass, which reads the ceiling too, keeps the
-inclusion-minimal leaves.
+search starts from the unrestricted part and keeps the included members'
+unmet obligations as one mask, their attackers less their targets. It
+branches only on the answerers still free to join of the unmet attacker
+that has the fewest, the most constrained one, excluding each answerer
+from the branches after its own; a branch whose restricted part already
+contains a found support is cut, and a last pass, which reads the ceiling
+too, keeps the inclusion-minimal leaves.
 """
 
 from dataclasses import dataclass
@@ -80,10 +82,18 @@ class SearchBudget:
     members on first use. Each raises
     :class:`BudgetExceeded` once the ceiling has passed; the CLI's
     default oracle cap is this class's ``max_arguments_for_exhaustive``.
+    Either limit set to NaN raises ``ValueError``: no comparison with NaN
+    is true, so it would never refuse.
     """
 
     max_arguments_for_exhaustive: int = 20
     wall_clock_seconds: float | None = None
+
+    def __post_init__(self):
+        for name in ("max_arguments_for_exhaustive", "wall_clock_seconds"):
+            value = getattr(self, name)
+            if value != value:
+                raise ValueError(f"{name} must not be NaN")
 
     def deadline(self) -> _kernels.Ceiling:
         if self.wall_clock_seconds is None:
@@ -537,39 +547,39 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
         raise PreconditionViolated("set must be admissible")
     deadline = (budget or DEFAULT_BUDGET).deadline()
     att = af.attacker_masks
+    tgt = af.target_masks
     emask = e.mask
     eu = emask & p.unrestricted.mask
-
-    def unmet(members, inc):
-        # e is conflict-free, so only defence matters: each attacker b of a
-        # member is an obligation, met by any member in att[b] & e
-        return [att[b] & emask for x in bits(members) for b in bits(att[x])
-                if not att[b] & inc]
-
+    attackers = targets = 0
+    for x in bits(eu):
+        attackers |= att[x]
+        targets |= tgt[x]
     leaves = []
     ticks = 0
-    # depth-first over (included, excluded, unmet obligations); a child
-    # includes one answerer of the first unmet obligation, and siblings to
-    # its right exclude it
-    stack = [(eu, 0, unmet(eu, eu))]
+    # depth-first over (included, restricted members still free to join,
+    # the included members' attackers and targets); a child includes one
+    # free answerer of the unmet attacker with the fewest, and its siblings
+    # to the right exclude it
+    stack = [(eu, emask & ~eu, attackers, targets)]
     while stack:
         if ticks & 255 == 0:
             deadline.check()
         ticks += 1
-        inc, excluded, pending = stack.pop()
+        inc, free, attackers, targets = stack.pop()
         r = inc & ~eu
         if any(leaf | r == r for leaf in leaves):
             continue  # contains a recorded support, so is not minimal
-        if not pending:
+        unmet = attackers & ~targets
+        if not unmet:
             leaves.append(r)
             continue
+        answerers = min((att[b] & free for b in bits(unmet)),
+                        key=int.bit_count)
         children = []
-        for c in bits(pending[0] & ~excluded):
-            bit = 1 << c
-            grown = inc | bit
-            left = [m for m in pending if not m & bit] + unmet(bit, grown)
-            children.append((grown, excluded, left))
-            excluded |= bit
+        for c in bits(answerers):
+            free ^= 1 << c
+            children.append((inc | 1 << c, free, attackers | att[c],
+                             targets | tgt[c]))
         stack.extend(reversed(children))
     # a leaf found early may still contain one found later
     minimal = _subset_minimal_masks(leaves, deadline)

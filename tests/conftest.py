@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -171,12 +172,119 @@ def structured_stream(count, base_seed=0, sizes=None):
         yield "+".join(label), md.build_framework(names, attacks)
 
 
+def obligation_lists(space):
+    """Per member of a ``_kernels.LocalSpace``, the list of the answerer
+    masks of the obligations it owes: the layout the kernel references
+    below were written against."""
+    return [[space.answerers[o] for o in bits(m)] for m in space.owes]
+
+
+def watch_list_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
+                             maximal_only, deadline=_kernels.UNBOUNDED):
+    """Reference for ``_kernels.dfs_enumerate``: the iterative walk it
+    replaced, which read per-member obligation lists and kept, per
+    branchable bit, a watch list of the obligations whose last branchable
+    answerer it is. Same arguments, same result list in the same order."""
+    npos = len(pos_idx)
+    branchable = suffix_avail[0]
+    # per branchable bit, the mask of owners and the (owner bit, obligation)
+    # pairs whose last branchable answerer it is: only excluding that one can
+    # strand an obligation, and only if its owner is included
+    conflict = space.conflict
+    own = obligation_lists(space)
+    depth_of = {i: d for d, i in enumerate(pos_idx)}
+    watch = {i: [] for i in pos_idx}
+    owners = dict.fromkeys(pos_idx, 0)
+    for o in bits(forced_mask | branchable):
+        for m in own[o]:
+            if m & forced_mask or m & branchable == 0:
+                continue  # always met, or never: no exclusion changes it
+            last = max(bits(m & branchable), key=depth_of.__getitem__)
+            watch[last].append((1 << o, m))
+            owners[last] |= 1 << o
+    reach = forced_mask | branchable
+    for o in bits(forced_mask):
+        for m in own[o]:
+            if m & reach == 0:
+                return []
+
+    def joinable(inc):
+        # some excluded candidate could still join: the enlarged set is
+        # admissible, so ``inc`` is not maximal
+        for j in bits(branchable & ~inc):
+            if conflict[j] & inc == 0:
+                grown = inc | 1 << j
+                if all(m & grown for m in own[j]):
+                    return True
+        return False
+
+    out = []
+    cap = _kernels.MAX_SETS
+    ticks = 0
+    stack = [(0, forced_mask)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        ticks += 1
+        if ticks & 1023 == 0:
+            deadline.check()
+        depth, inc = pop()
+        if depth == npos:
+            if not (maximal_only and joinable(inc)):
+                out.append(inc)
+                if len(out) > cap:
+                    raise _kernels.too_many_sets()
+            continue
+        i = pos_idx[depth]
+        depth += 1
+        avail = suffix_avail[depth]
+        include = exclude = True
+        if conflict[i] & inc:
+            include = False
+        else:
+            obs = own[i]
+            grown = inc | 1 << i
+            # including i adds only i's own obligations
+            reach = grown | avail
+            for m in obs:
+                if m & reach == 0:
+                    include = False
+                    break
+            if maximal_only:
+                # already defended and non-conflicting: any admissible
+                # superset without i extends by i, so no exclude-leaf is
+                # maximal; same if nothing ahead can ever conflict with i
+                # and i stays defendable by itself
+                for m in obs:
+                    if m & inc == 0:
+                        break
+                else:
+                    exclude = False
+                if exclude and conflict[i] & avail == 0:
+                    for m in obs:
+                        if m & grown == 0:
+                            break
+                    else:
+                        exclude = False
+        if exclude and inc & owners[i]:
+            # excluding i fails if an included owner loses its last answerer
+            for owner, m in watch[i]:
+                if inc & owner and m & inc == 0:
+                    exclude = False
+                    break
+        if exclude:
+            push((depth, inc))
+        if include:
+            push((depth, grown))
+    return out
+
+
 def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
                             maximal_only):
     """Reference for ``_kernels.dfs_enumerate``: the recursive walk it
     replaced, which rescans every included member's obligations at each
     node and tests leaf maximality over all ``k`` members."""
-    conflict, obligations = space.conflict, space.obligations
+    conflict, obligations = space.conflict, obligation_lists(space)
     npos = len(pos_idx)
     out = []
 
@@ -218,7 +326,7 @@ def numpy_subset_scan(k, space):
     vector of booleans. No ceiling and no cap."""
     chunk = 1 << 20
     conflict = np.asarray(space.conflict, dtype=np.int64)
-    obligations = space.obligations
+    obligations = obligation_lists(space)
     total = 1 << k
     out = []
     for start in range(0, total, chunk):
@@ -320,12 +428,66 @@ def subset_walk_minimize(af, p, e):
     return {eu | m for m in minimal}
 
 
+def obligation_list_minimize(af, p, e, deadline=_kernels.UNBOUNDED):
+    """Reference for ``minimize_restricted``'s search: the loop it replaced,
+    which kept a list of the unmet obligations' answerer masks per node and
+    branched on the first. Takes an admissible ``e``; returns the set of
+    the supports' masks."""
+    att = af.attacker_masks
+    emask = e.mask
+    eu = emask & p.unrestricted.mask
+
+    def unmet(members, inc):
+        # e is conflict-free, so only defence matters: each attacker b of a
+        # member is an obligation, met by any member in att[b] & e
+        return [att[b] & emask for x in bits(members) for b in bits(att[x])
+                if not att[b] & inc]
+
+    leaves = []
+    ticks = 0
+    # depth-first over (included, excluded, unmet obligations); a child
+    # includes one answerer of the first unmet obligation, and siblings to
+    # its right exclude it
+    stack = [(eu, 0, unmet(eu, eu))]
+    while stack:
+        if ticks & 255 == 0:
+            deadline.check()
+        ticks += 1
+        inc, excluded, pending = stack.pop()
+        r = inc & ~eu
+        if any(leaf | r == r for leaf in leaves):
+            continue  # contains a recorded support, so is not minimal
+        if not pending:
+            leaves.append(r)
+            continue
+        children = []
+        for c in bits(pending[0] & ~excluded):
+            bit = 1 << c
+            grown = inc | bit
+            left = [m for m in pending if not m & bit] + unmet(bit, grown)
+            children.append((grown, excluded, left))
+            excluded |= bit
+        stack.extend(reversed(children))
+    # a leaf found early may still contain one found later
+    minimal = extensions._subset_minimal_masks(leaves, deadline)
+    return {eu | r for r in minimal}
+
+
 def pairwise_minimal_masks(masks):
     """Reference for ``extensions._subset_minimal_masks``: the pairwise
     pass that ``minimize_restricted`` ran over its leaves, which tests each
     mask against every other."""
     return [m for m in masks
             if not any(o != m and o | m == m for o in masks)]
+
+
+@functools.cache
+def sparse_instance(n):
+    """The seeded sparse random (framework, partition) of ``n`` arguments
+    that the min-def benchmark's population draws from; cached, since
+    drawing one takes n^2 pseudo-random draws."""
+    return md.random_instance(md.GeneratorConfig(n, 2 / n, 0.7, 0.3,
+                                                 seed=7000 + n))
 
 
 def many_supports(k):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -16,11 +17,12 @@ from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
 from conftest import (fixed_point_prepare_space, instance_stream,
                       jump_after_the_product, many_supports,
-                      name_tuple_order, pairwise_min_def,
-                      pairwise_minimal_masks,
+                      name_tuple_order, obligation_list_minimize,
+                      pairwise_min_def, pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
-                      single_tree_solve_space, sset, structured_stream,
-                      subset_walk_minimize)
+                      single_tree_solve_space, sparse_instance, sset,
+                      structured_stream, subset_walk_minimize,
+                      watch_list_dfs_enumerate)
 
 
 class TestPreferred:
@@ -167,6 +169,75 @@ class TestMinimizeRestricted:
         assert len(got) == 2 ** 8
 
 
+class TestAgainstObligationLists:
+    """The tree kernel and the minimiser against the versions that read
+    per-member obligation lists: every ``dfs_enumerate`` call returns the
+    same list, and every ``minimize_restricted`` call the same supports."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Counts of the kernel and minimiser calls checked so far."""
+        counts = {"dfs": 0, "minimize": 0}
+        kernel = _kernels.dfs_enumerate
+        minimize = extensions.minimize_restricted
+
+        def dfs(*args):
+            got = kernel(*args)
+            assert got == watch_list_dfs_enumerate(*args)
+            counts["dfs"] += 1
+            return got
+
+        def minimized(af, p, e, budget=None):
+            got = minimize(af, p, e, budget)
+            assert set(got._factors[0]) == obligation_list_minimize(af, p, e)
+            counts["minimize"] += 1
+            return got
+
+        monkeypatch.setattr(_kernels, "dfs_enumerate", dfs)
+        monkeypatch.setattr(extensions, "minimize_restricted", minimized)
+        return counts
+
+    @staticmethod
+    def solve(af, p, modes=(CONFLICT_FREE, ADMISSIBLE_ALL, ADMISSIBLE_MAX)):
+        for mode in modes:
+            for space in (af.full_mask, p.focus.mask):
+                extensions._solve_space(af, space, mode, _kernels.UNBOUNDED)
+        min_def_extensions(af, p)
+
+    def test_random_instances(self, compared):
+        for _, af, p in instance_stream(400, base_seed=15000):
+            self.solve(af, p)
+            for e in md.admissible_sets(af, p.focus):
+                extensions.minimize_restricted(af, p, e)
+        assert compared["dfs"] > 3000 and compared["minimize"] > 2000
+
+    def test_structured_shapes(self, compared):
+        small = {"two-cycles": range(1, 4), "chain": range(1, 5),
+                 "cycle": range(1, 10), "isolated": range(1, 4)}
+        for k, (_, af) in enumerate(structured_stream(60, 15500, small)):
+            rng = random.Random(k)
+            focus = [a for a in af.names if rng.random() < 0.8]
+            restricted = [a for a in focus if rng.random() < 0.5]
+            self.solve(af, md.build_partition(af, focus, restricted))
+        assert compared["dfs"] > 300 and compared["minimize"] > 60
+
+    def test_many_supports(self, compared):
+        # every maximal search is forced whole here, so the tree search
+        # runs on the focus's admissible sets: 2^16 + 3^8 of them
+        af, p = many_supports(8)
+        extensions._solve_space(af, p.focus.mask, ADMISSIBLE_ALL,
+                                _kernels.UNBOUNDED)
+        min_def_extensions(af, p)
+        assert compared == {"dfs": 1, "minimize": 1}
+
+    def test_sparse_frameworks_above_the_oracle_cap(self, compared):
+        # the population the min-def benchmark draws from; min-def searches
+        # the focus only (the whole framework has a heavy tail here)
+        for n in range(100, 301, 2):
+            min_def_extensions(*sparse_instance(n))
+        assert compared["dfs"] > 40 and compared["minimize"] > 150
+
+
 class TestSubsetMinimalMasks:
     def test_matches_the_pairwise_pass(self):
         # seeded lists over 3-12 bits, with duplicates and the empty mask
@@ -222,8 +293,7 @@ class TestPrepareSpace:
         # the population the min-def benchmark draws from
         dropped = 0
         for n in range(100, 301, 2):
-            af, p = md.random_instance(md.GeneratorConfig(
-                n, 2 / n, 0.7, 0.3, seed=7000 + n))
+            af, p = sparse_instance(n)
             self.assert_same(af, p.focus.mask)
             cand, _ = extensions._prepare_space(af, af.full_mask,
                                                 ADMISSIBLE_MAX)
@@ -659,6 +729,19 @@ class TestBudget:
         assert got == want
         assert supports == minimize_restricted(af, p, e)
         assert filter_maximal(got[1][0]) == got[2][0]
+
+    def test_a_nan_ceiling_is_rejected(self):
+        # time.monotonic() > nan is never true: it would never expire
+        with pytest.raises(ValueError,
+                           match="^wall_clock_seconds must not be NaN$"):
+            SearchBudget(wall_clock_seconds=math.nan)
+
+    def test_a_nan_oracle_cap_is_rejected(self):
+        # k > nan is never true: the oracle would skip both of its caps
+        with pytest.raises(
+                ValueError,
+                match="^max_arguments_for_exhaustive must not be NaN$"):
+            SearchBudget(max_arguments_for_exhaustive=math.nan)
 
     def test_roadmap_min_def_probe_answers_within_a_second(self):
         # |e_r| = 23 here; the subset walk needed far more than 20 s

@@ -29,13 +29,17 @@ def test_local_space_layout_and_round_trip():
     space = _kernels.LocalSpace(af, af.subset("abc").mask, defence=True)
     assert space.members == [0, 1, 2]
     assert space.conflict == [0b010, 0b101, 0b010]
-    # c's attackers are b (answered by a) and d (answered by nobody inside)
-    assert space.obligations == [[0b001], [0b010], [0b001, 0b000]]
+    # one obligation bit per attacker, as they first appear: b (a's), a
+    # (b's), d; c owes b (answered by a) and d (answered by nobody inside)
+    assert space.owes == [0b001, 0b010, 0b101]
+    assert space.answers == [0b001, 0b010, 0b000]
+    assert space.answerers == [0b001, 0b010, 0b000]
     assert space.to_local(af.subset("bcd").mask) == 0b110
     for local in range(8):
         assert space.to_local(space.to_global(local)) == local
     plain = _kernels.LocalSpace(af, af.subset("abc").mask, defence=False)
-    assert plain.obligations == [[], [], []]
+    assert plain.owes == plain.answers == [0, 0, 0]
+    assert plain.answerers == []
 
 
 def _random_spaces(max_k):
