@@ -72,11 +72,33 @@ class SolveRequest:
 
 @dataclass
 class SolveResult:
+    """One request's answer.
+
+    ``stats`` holds the instance's sizes: arguments, attacks, the focus and
+    its two parts. :func:`execute` hands over the parsed ``instance``
+    (framework, partition) instead, and the sizes are counted from it when
+    ``stats`` is first read; plain output never reads them.
+    """
+
     semantics: str
     family: ExtensionFamily | None
     verdict: bool | None
     elapsed_ms: float
-    stats: dict = field(default_factory=dict)
+    _stats: dict | None = None
+    instance: tuple | None = field(default=None, repr=False)
+
+    @property
+    def stats(self) -> dict:
+        if self._stats is None:
+            af, p = self.instance
+            self._stats = {
+                "arguments": len(af),
+                "attacks": sum(m.bit_count() for m in af.target_masks),
+                "focus": len(p.focus),
+                "unrestricted": len(p.unrestricted),
+                "restricted": len(p.restricted),
+            }
+        return self._stats
 
 
 def _read_input(request: SolveRequest) -> str:
@@ -127,14 +149,8 @@ def execute(request: SolveRequest) -> SolveResult:
     else:
         raise PreconditionViolated(f"unknown mode {request.mode!r}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    stats = {
-        "arguments": len(af),
-        "attacks": sum(m.bit_count() for m in af.target_masks),
-        "focus": len(p.focus),
-        "unrestricted": len(p.unrestricted),
-        "restricted": len(p.restricted),
-    }
-    return SolveResult(request.semantics, family, verdict, elapsed_ms, stats)
+    return SolveResult(request.semantics, family, verdict, elapsed_ms,
+                       instance=(af, p))
 
 
 def _json_piece(name):

@@ -50,6 +50,7 @@ contains a found support is cut, and a last pass, which reads the ceiling
 too, keeps the inclusion-minimal leaves.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -156,18 +157,34 @@ class ExtensionFamily:
     goes to bit ``W-1-j`` of a rank mask ``r``, where ``W`` is their number
     rounded up to whole bytes. Each factor's masks are ranked once,
     argument by argument, and a member's rank mask is the union of its
-    parts' rank masks, so the product is taken over rank masks and sorted
-    in place by one key. A member's key is
+    parts' rank masks. A member's index in the lexicographic order of all
+    sorted name tuples over those ``W`` ranks is
 
-        ``0 if r == 0 else r.bit_count() + (1 << W) - (r & -r) - r``
+        ``index(r) = 0 if r == 0 else |r| + 2^W - lowbit(r) - r``
 
-    which is its index in the lexicographic order of all sorted name tuples
-    over those ``W`` ranks. The tuples before a nonempty member ``S`` are
-    its ``|S|`` proper prefixes (``()`` included) and, for every rank ``c``
-    missing from ``S`` but below its largest rank, the ``2^(W-1-c)`` tuples
-    that follow ``S`` up to ``c``, take ``c`` next and go on freely above
-    it. ``2^(W-1-c)`` is the bit of rank ``c``, and those bits are all the
-    bits above ``r``'s lowest one that ``r`` lacks: ``2^W - lowbit(r) - r``.
+    where ``|r|`` counts its bits. The tuples before a nonempty member
+    ``S`` are its ``|S|`` proper prefixes (``()`` included) and, for every
+    rank ``c`` missing from ``S`` but below its largest rank, the
+    ``2^(W-1-c)`` tuples that follow ``S`` up to ``c``, take ``c`` next and
+    go on freely above it. ``2^(W-1-c)`` is the bit of rank ``c``, and
+    those bits are all the bits above ``r``'s lowest one that ``r`` lacks:
+    ``2^W - lowbit(r) - r``.
+
+    The members are ordered by one sort of plain ints, their codes
+    ``index(r) << W | r``: the indices are distinct and ``r < 2^W``, so the
+    codes sort as the indices, and their low ``W`` bits give the rank masks
+    back. The codes of a product are built with no step per member
+    (:func:`_member_codes`), because they add up over the factors within
+    each group of members that share their lowest bit ``L``. The factors
+    use disjoint ranks, so a member's parts ``m`` sum to ``r`` and their
+    counts to ``|r|``. In the group, ``lowbit(r) = L`` is the same for
+    every member: the factor holding ``L`` gives a part whose own lowest
+    bit is ``L``, and every other factor a part with no bit below ``L``
+    (possibly empty), and every such choice is a member of the group. So
+    ``index(r) = (2^W - L) + sum(|m| - m)``, and the code is the sum of
+    ``(2^W - L) << W`` and each part's own ``((|m| - m) << W) + m``: the
+    group is the product of the parts' codes under ``+``. The empty member,
+    the one member without a lowest bit, has code 0.
 
     Names are read off the ordered rank masks a block of at most
     ``_RENDER_BLOCK`` members at a time (:meth:`fragment_blocks`). Byte
@@ -233,6 +250,8 @@ class ExtensionFamily:
     def _ordered(self):
         """The members' rank masks in canonical order, computed once."""
         if self._ranks is None:
+            if len(self) > _kernels.MAX_SETS:
+                raise _kernels.too_many_sets()
             union = reduce(or_, chain.from_iterable(self._factors), 0)
             names = self.framework.names if self.framework else ()
             by_rank = sorted(bits(union), key=names.__getitem__)
@@ -248,15 +267,16 @@ class ExtensionFamily:
                 def rank(m):
                     return sum(map(rank_bit.__getitem__, bits(m)))
 
-                # the product reads the ceiling first, after the ranking,
-                # and it is read again after the sort
+                # the codes read the ceiling first, after the ranking, and
+                # it is read again after the sort
                 deadline = self._deadline()
-                ranks = _product([[rank(m) for m in masks]
-                                  for masks in self._factors], deadline)
-                top = 1 << width
-                ranks.sort(
-                    key=lambda r: r and r.bit_count() + top - (r & -r) - r)
+                codes = _member_codes([[rank(m) for m in masks]
+                                       for masks in self._factors],
+                                      width, deadline)
+                codes.sort()
                 deadline.check()
+                below = (1 << width) - 1
+                ranks = [v & below for v in codes]
             self._by_rank = by_rank
             self._ranks = ranks
         return self._ranks
@@ -387,12 +407,59 @@ def _product(factors, deadline):
     out = [0]
     # smallest factors first, so the list grows as late as possible
     for masks in sorted(factors, key=len):
-        grown = []
-        for n, a in enumerate(out):
-            if n & 1023 == 0:
-                deadline.check()
-            grown.extend([a | b for b in masks])
-        out = grown
+        deadline.check()
+        out = [a | b for b in masks for a in out]
+    return out
+
+
+# a family of at most this many members is ordered as one factor, its
+# product; grouping by lowest bit pays off only above it
+_MULTIPLY_OUT = 128
+
+
+def _member_codes(factors, width, deadline):
+    """The code of every union of one rank mask from each factor, unsorted.
+
+    The factors hold rank masks of ``width`` bits over disjoint ranks. A
+    member ``r``'s code is ``index(r) << width | r``, ``index(r)`` being
+    its canonical index; :class:`ExtensionFamily` shows that the codes add
+    up over the factors among the members that share their lowest bit. A
+    lone factor's masks, and the members of a small product, are coded one
+    by one. The ceiling is read first, then per group and per factor step.
+    """
+    top = 1 << width
+    deadline.check()
+    if len(factors) > 1 and prod(map(len, factors)) <= _MULTIPLY_OUT:
+        factors = [_product(factors, deadline)]
+    if len(factors) == 1:
+        return [(r and r.bit_count() + top - (r & -r) - r) << width | r
+                for r in factors[0]]
+    # per factor: its masks' lowest bits, the empty mask's as top, and
+    # their codes, in ascending order of lowest bit
+    tables = []
+    for masks in factors:
+        masks = sorted(masks, key=lambda r: r & -r or top)
+        tables.append(([r & -r or top for r in masks],
+                       [((r.bit_count() - r) << width) + r for r in masks]))
+    # the empty member, when every factor has the empty mask
+    out = [0] if all(lows and lows[-1] == top for lows, _ in tables) else []
+    for f, (lows, codes) in enumerate(tables):
+        for low in dict.fromkeys(lows):
+            if low == top:
+                break
+            deadline.check()
+            # each other factor's masks with no bit at or below this one
+            tails = [theirs[bisect_right(their_lows, low):]
+                     for g, (their_lows, theirs) in enumerate(tables)
+                     if g != f]
+            seed = (top - low) << width
+            group = [seed + c for c in
+                     codes[bisect_left(lows, low):bisect_right(lows, low)]]
+            for tail in sorted(tails, key=len):
+                if tail != [0]:  # the empty mask alone adds nothing
+                    deadline.check()
+                    group = [a + b for b in tail for a in group]
+            out += group
     return out
 
 

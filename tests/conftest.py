@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import operator
 import pathlib
 import random
 import re
@@ -66,16 +67,17 @@ def clock_skew(monkeypatch):
     return skew
 
 
-def jump_after_the_product(clock_skew, monkeypatch):
-    """Make the clock jump 10 s each time ``extensions._product`` returns."""
-    product = extensions._product
+def jump_after_the_codes(clock_skew, monkeypatch):
+    """Make the clock jump 10 s each time ``extensions._member_codes``
+    returns, so that the ordering's read after its sort refuses."""
+    member_codes = extensions._member_codes
 
-    def product_then_jump(factors, deadline):
-        out = product(factors, deadline)
+    def codes_then_jump(factors, width, deadline):
+        out = member_codes(factors, width, deadline)
         clock_skew[0] += 10.0
         return out
 
-    monkeypatch.setattr(extensions, "_product", product_then_jump)
+    monkeypatch.setattr(extensions, "_member_codes", codes_then_jump)
 
 
 @pytest.fixture
@@ -511,6 +513,28 @@ def name_tuple_order(sets):
     by the tuple of their sorted names."""
     distinct = {s.mask: s for s in sets}
     return sorted(distinct.values(), key=lambda s: tuple(sorted(s.names)))
+
+
+def keyed_sort_ranks(family):
+    """Reference for ``ExtensionFamily._ordered``: the version that took
+    the product of the factors' rank masks, growing the list one member
+    at a time, and sorted it in place by each member's canonical index."""
+    union = functools.reduce(
+        operator.or_, itertools.chain.from_iterable(family._factors), 0)
+    names = family.framework.names if family.framework else ()
+    by_rank = sorted(bits(union), key=names.__getitem__)
+    width = -(-len(by_rank) // 8) * 8
+    rank_bit = {i: 1 << (width - 1 - j) for j, i in enumerate(by_rank)}
+    ranks = [0]
+    for masks in sorted(family._factors, key=len):
+        grown = []
+        for a in ranks:
+            grown.extend([a | sum(map(rank_bit.__getitem__, bits(m)))
+                          for m in masks])
+        ranks = grown
+    top = 1 << width
+    ranks.sort(key=lambda r: r and r.bit_count() + top - (r & -r) - r)
+    return ranks
 
 
 class ByteTable(dict):

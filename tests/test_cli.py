@@ -14,7 +14,7 @@ from mindef.cli import (SEMANTICS, SolveRequest, _budget_from, build_parser,
 from mindef.extensions import SearchBudget
 
 from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
-                      jump_after_the_product, mutated_fixtures)
+                      jump_after_the_codes, mutated_fixtures)
 
 AF3 = str(FIXTURE_DIR / "af3.afp")
 AF2_TEXT = (FIXTURE_DIR / "af2.afp").read_text()
@@ -424,8 +424,8 @@ def test_a_refusal_inside_the_ordering_prints_no_block(capsys, tmp_path,
                                                       clock_skew,
                                                       monkeypatch):
     # 3^4 members in blocks of 16: the clock jumps 10 s, past the 5 s
-    # ceiling, once the ordering's product returns; the ordering's next
-    # read refuses, before the structured prefix or any block is written
+    # ceiling, once the ordering's codes are built; its read after the
+    # sort refuses, before the structured prefix or any block is written
     monkeypatch.setattr(extensions, "_RENDER_BLOCK", 16)
     path = tmp_path / "four.afp"
     path.write_text("".join(f"arg(a{i}).\narg(b{i}).\natt(a{i},b{i}).\n"
@@ -434,7 +434,7 @@ def test_a_refusal_inside_the_ordering_prints_no_block(capsys, tmp_path,
         code, out, _ = run(capsys, "solve", str(path), "-s", "admissible",
                            "--format", fmt, "--time-limit", "5")
         assert code == 0 and out.count("a0") == 27
-    jump_after_the_product(clock_skew, monkeypatch)
+    jump_after_the_codes(clock_skew, monkeypatch)
     for fmt in ("plain", "structured"):
         code, out, err = run(capsys, "solve", str(path), "-s", "admissible",
                              "--format", fmt, "--time-limit", "5")

@@ -16,8 +16,9 @@ from mindef.cli import FAMILIES
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 
 from conftest import (fixed_point_prepare_space, instance_stream,
-                      jump_after_the_product, many_supports,
-                      name_tuple_order, obligation_list_minimize,
+                      jump_after_the_codes, keyed_sort_ranks,
+                      many_supports, name_tuple_order,
+                      obligation_list_minimize,
                       pairwise_min_def, pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
                       single_tree_solve_space, sparse_instance, sset,
@@ -481,6 +482,33 @@ class TestFamily:
             assert list(fam.members) == want, trial
             assert list(fam.member_names()) == [sorted(s.names) for s in want]
 
+    @pytest.mark.parametrize("multiply_out", ["default", 0])
+    def test_ordering_matches_the_keyed_sort_of_the_product(
+            self, multiply_out, monkeypatch):
+        # 3000 seeded factorings of 8, 16 or 24 ranks into 1-5 factors, with
+        # and without the empty mask, one-mask factors among them; the
+        # second run groups every product by lowest bit, small ones too
+        if multiply_out != "default":
+            monkeypatch.setattr(extensions, "_MULTIPLY_OUT", multiply_out)
+        rng = random.Random(16)
+        af = build_framework(rng.sample([f"n{i:02}" for i in range(24)], 24),
+                             [])
+        for trial in range(3000):
+            width = (8, 16, 24)[trial % 3]
+            spans = [0] * (1 + trial // 3 % 5)
+            for i in rng.sample(range(24), width):
+                spans[rng.randrange(len(spans))] |= 1 << i
+            factors = []
+            for span in spans:
+                masks = {span}
+                for _ in range(rng.choice([0, 1, 2, 4, 8][:7 - len(spans)])):
+                    masks.add(span & rng.getrandbits(24))
+                if rng.random() < 0.5:
+                    masks.add(0)
+                factors.append(list(masks))
+            fam = ExtensionFamily._product_of(af, factors)
+            assert fam._ordered() == keyed_sort_ranks(fam), trial
+
     def test_empty_families_hash_alike(self, af1):
         # equal families, whatever their framework or form, share a hash
         empty = [ExtensionFamily([]),
@@ -519,6 +547,8 @@ CLOCK_STAGES = {
         8, _kernels.LocalSpace(ISOLATED, 255, True), past),
     "dfs_enumerate": lambda past: _dfs_over(ISOLATED, past),
     "product": lambda past: extensions._product([[1, 2], [4, 8]], past),
+    "member codes": lambda past: extensions._member_codes(
+        [[1, 2], [4, 8]], 8, past),
     "lazy build": lambda past: ExtensionFamily._product_of(
         ISOLATED, [[1, 2], [4, 8]], past).members,
     "per-group maximality pass": lambda past: extensions._solve_space(
@@ -581,6 +611,23 @@ class TestOutputCap:
             extensions._product([[0, 1]] * 7, _kernels.UNBOUNDED)
         assert len(extensions._product([[0, 1]] * 6,
                                        _kernels.UNBOUNDED)) == 64
+
+    def test_the_ordering_refuses_before_building(self, monkeypatch):
+        # 4096 members: the cap is read before the ranks, the codes or the
+        # sort, and nothing is kept
+        fam = md.conflict_free_sets(ISOLATED)
+
+        def refuse(*args):
+            raise AssertionError("built past the cap")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(extensions, "bits", refuse)
+            patched.setattr(extensions, "_member_codes", refuse)
+            with pytest.raises(BudgetExceeded, match=self.CAP):
+                fam._ordered()
+        assert fam._ranks is None
+        monkeypatch.setattr(_kernels, "MAX_SETS", 4096)
+        assert len(fam._ordered()) == 4096
 
     def test_the_scan_refuses_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 4)
@@ -652,11 +699,11 @@ class TestBudget:
 
     def test_ordering_reads_the_ceiling_after_the_product(
             self, clock_skew, monkeypatch):
-        # twelve factors of two: the product of the rank masks returns, the
-        # clock jumps, and the read after the sort refuses
+        # twelve factors of two: the members' codes are built, the clock
+        # jumps, and the read after the sort refuses
         fam = md.conflict_free_sets(
             ISOLATED, budget=SearchBudget(wall_clock_seconds=1.0))
-        jump_after_the_product(clock_skew, monkeypatch)
+        jump_after_the_codes(clock_skew, monkeypatch)
         with pytest.raises(BudgetExceeded, match="ceiling of 1.0s exhausted"):
             fam.members
         monkeypatch.undo()
@@ -845,6 +892,7 @@ class TestFactoredFamilies:
             raise AssertionError("the product was built")
 
         monkeypatch.setattr(extensions, "_product", refuse)
+        monkeypatch.setattr(extensions, "_member_codes", refuse)
         monkeypatch.setattr(ExtensionFamily, "_ordered", refuse)
         families.append(min_def_extensions(af, unrestricted))
         member = af.subset([f"x{i}" for i in range(0, 28, 2)])

@@ -10,7 +10,7 @@ from mindef import (BudgetExceeded, SearchBudget, build_framework,
                     oracle_conflict_free, oracle_min_def, oracle_preferred,
                     oracle_preferred_on, oracle_restrictedly_admissible)
 
-from conftest import instance_stream, jump_after_the_product, sset
+from conftest import instance_stream, jump_after_the_codes, sset
 
 
 class TestOracleAdmissible:
@@ -184,7 +184,7 @@ class TestOracleCeilingAfterTheScan:
         fam = self.ORACLES[semantics](self.SIX, self.SIX_P,
                                       SearchBudget(wall_clock_seconds=1.0))
         assert len(fam) in (64, 729)
-        jump_after_the_product(clock_skew, monkeypatch)
+        jump_after_the_codes(clock_skew, monkeypatch)
         with pytest.raises(BudgetExceeded, match=self.CEILING):
             fam.members
 
@@ -193,6 +193,6 @@ class TestOracleCeilingAfterTheScan:
         kept = filter_maximal(oracle_admissible(self.SIX),
                               deadline=SearchBudget(
                                   wall_clock_seconds=1.0).deadline())
-        jump_after_the_product(clock_skew, monkeypatch)
+        jump_after_the_codes(clock_skew, monkeypatch)
         with pytest.raises(BudgetExceeded, match=self.CEILING):
             kept.members
