@@ -14,19 +14,63 @@ focus/restricted statements denotes the vacuous partition: the focus is the
 whole argument universe, with nothing restricted. Repeated statements are
 idempotent; any other statement form is a hard error.
 
-Each attack name is looked up once, in one dict of the declared names, and
-the index pairs go to the framework, which holds the relation only as
-masks; its ``attacks`` is a sorted, duplicate-free view derived from them.
+A text is parsed in two bulk steps, with no Python loop over its lines:
+
+1. **One check of the whole text.** Its lines (``str.splitlines``) are
+   joined with ``"\\n"`` and ``_TEXT`` matches the result once. The pattern
+   repeats one line's grammar, an optional statement then an optional
+   comment, and writes whitespace as ``[^\\S\\n]``, so no statement can
+   span two lines and a line is valid exactly when its stripped,
+   comment-free part is empty or one statement. A line matches in one way
+   only, so every repeat is possessive: giving nothing back changes nothing
+   that matches, while a greedy repeat over the lines would keep one
+   backtrack entry per line in the regex engine, a few hundred bytes each.
+   A line first tries the branches of a statement written without
+   whitespace or comment, as :func:`serialize_afp` writes it, which take
+   fewer steps.
+2. **String operations that run in C read the checked text.** Comments are
+   cut, whitespace is removed and the statements are split at ``")."``. A
+   stable sort on their second letters groups them by kind, each group in
+   file order, and each group is joined and split into its names. The
+   arguments are numbered in declaration order through ``dict.fromkeys``,
+   and all attack endpoints are resolved by one ``map`` over that dict.
+
+Errors take a separate walk. When the check fails, or a name was never
+declared, :func:`_first_error` reads the lines one at a time with the
+statement pattern and returns the first error: syntax errors in file
+order, then undeclared names in the attacks in file order (attacker
+first), then in the focus statements, then in the restricted ones. It
+builds no framework, and only error reports pay for it.
 """
 
 import re
+from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import AfpSyntaxError, UndeclaredArgument
 from .model import ArgumentationFramework, Partition, build_partition
 
-_STATEMENT = re.compile(
+_S = r"[^\S\n]*+"  # whitespace within a line
+_NAME = r"[A-Za-z0-9_]++"
+# a statement written without whitespace or comment, as ``serialize_afp``
+# writes it: a line tries these branches first, as they take fewer steps
+_BARE = (rf"att\({_NAME},{_NAME}\)\.|arg\({_NAME}\)\.|focus\({_NAME}\)\."
+         rf"|restricted\({_NAME}\)\.")
+# any line: an optional statement with whitespace between its tokens, then
+# an optional comment
+_SPACED = (rf"{_S}(?:att{_S}\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\.{_S}"
+           rf"|(?:arg|focus|restricted){_S}\({_S}{_NAME}{_S}\){_S}\.{_S}|)"
+           r"(?:#[^\n]*+|)")
+_LINE = rf"(?:{_BARE}|{_SPACED})"
+_TEXT = re.compile(rf"(?:{_LINE}\n)*+{_LINE}")
+
+# one stripped, comment-free line, as the error walk reads it; compiled
+# (and cached by ``re``) on the first error report
+_STATEMENT = (
     r"^(?P<kind>arg|att|focus|restricted)\s*\(\s*(?P<first>[A-Za-z0-9_]+)"
     r"\s*(?:,\s*(?P<second>[A-Za-z0-9_]+)\s*)?\)\s*\.$")
+
+_SECOND = itemgetter(1)
 
 
 def parse_afp(text: str) -> tuple:
@@ -37,7 +81,51 @@ def parse_afp(text: str) -> tuple:
     the attacks in file order (attacker first), then the focus, then the
     restricted statements. Both carry the offending line number.
     """
-    index_of = {}  # declared names, in declaration order
+    checked = "\n".join(text.splitlines())
+    if _TEXT.fullmatch(checked) is None:
+        raise _first_error(text)
+    args, ends, focus, restricted = _statements(checked)
+    del checked  # not needed while the framework is built
+    names = tuple(dict.fromkeys(args))
+    index_of = dict(zip(names, range(len(names))))
+    try:
+        ends = list(map(index_of.__getitem__, ends))
+        af = ArgumentationFramework(names, zip(ends[::2], ends[1::2]))
+        if focus or restricted:
+            return af, build_partition(af, focus, restricted)
+    except (KeyError, UndeclaredArgument):
+        raise _first_error(text) from None
+    return af, Partition(af, af.full_set(), af.empty_set())
+
+
+def _statements(checked: str) -> tuple:
+    """The names in text that ``_TEXT`` accepts: declared arguments in
+    file order (with repeats), attack endpoints (attacker, target,
+    attacker, ...), focus names and restricted names."""
+    if "#" in checked:
+        # the part of each piece before its first newline is comment
+        head, *tails = checked.split("#")
+        checked = head + "".join([tail.partition("\n")[2] for tail in tails])
+    compact = "".join(checked.split())
+    statements = compact.split(").")
+    statements.pop()  # the empty rest after the last statement
+    # the second letters of restricted, focus, arg and att sort in that
+    # order, and the sort is stable: one group per kind, each in file order
+    statements.sort(key=_SECOND)
+    r, f, a = (bisect_left(statements, letter, key=_SECOND)
+               for letter in "ort")
+    return ("".join(statements[f:a]).split("arg(")[1:],
+            "".join(statements[a:]).replace("att(", ",").split(",")[1:],
+            "".join(statements[r:f]).split("focus(")[1:],
+            "".join(statements[:r]).split("restricted(")[1:])
+
+
+def _first_error(text: str) -> Exception:
+    """The error that ``text`` is reported with: the first syntax error in
+    file order, else the first undeclared name among the attacks in file
+    order (attacker first), then the focus, then the restricted
+    statements. Called only for a text that has one."""
+    declared = set()
     attacks = []   # (line, a, b)
     focus = []     # (line, name)
     restricted = []
@@ -45,37 +133,31 @@ def parse_afp(text: str) -> tuple:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _STATEMENT.match(line)
+        m = re.match(_STATEMENT, line)
         if m is None:
-            raise AfpSyntaxError(f"unrecognized statement {line!r}", lineno)
+            return AfpSyntaxError(f"unrecognized statement {line!r}", lineno)
         kind, first, second = m.group("kind", "first", "second")
         if kind == "att":
             if second is None:
-                raise AfpSyntaxError("att needs two arguments", lineno)
+                return AfpSyntaxError("att needs two arguments", lineno)
             attacks.append((lineno, first, second))
             continue
         if second is not None:
-            raise AfpSyntaxError(f"{kind} takes a single argument", lineno)
+            return AfpSyntaxError(f"{kind} takes a single argument", lineno)
         if kind == "arg":
-            index_of.setdefault(first, len(index_of))
+            declared.add(first)
         elif kind == "focus":
             focus.append((lineno, first))
         else:
             restricted.append((lineno, first))
-    pairs = []  # each attack name is looked up once
     for lineno, a, b in attacks:
-        i, j = index_of.get(a), index_of.get(b)
-        if i is None or j is None:
-            raise UndeclaredArgument(a if i is None else b, line=lineno)
-        pairs.append((i, j))
+        for name in (a, b):
+            if name not in declared:
+                return UndeclaredArgument(name, line=lineno)
     for lineno, name in focus + restricted:
-        if name not in index_of:
-            raise UndeclaredArgument(name, line=lineno)
-    af = ArgumentationFramework(tuple(index_of), pairs)
-    if focus or restricted:
-        return af, build_partition(af, [name for _, name in focus],
-                                   [name for _, name in restricted])
-    return af, Partition(af, af.full_set(), af.empty_set())
+        if name not in declared:
+            return UndeclaredArgument(name, line=lineno)
+    raise AssertionError("_first_error called on a text without an error")
 
 
 def serialize_afp(af: ArgumentationFramework, p: Partition = None) -> str:

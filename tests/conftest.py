@@ -23,6 +23,15 @@ FIXTURE_TEXTS = [path.read_text()
                  for path in sorted(FIXTURE_DIR.glob("*.afp"))]
 
 
+# what an edit inserts: statement characters, and the line separators and
+# whitespace that ``str.splitlines`` and ``str.strip`` treat specially
+# (``\x0b``, ``\x0c``, ``\x1c`` and ``\x85`` end a line; ``\xa0`` is
+# whitespace inside one; ``é`` is a letter outside the name alphabet)
+INSERTS = (tuple("(),.#_argtfocusrestricted0123456789")
+           + ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " ", "\t",
+              "\xa0", "é"))
+
+
 @st.composite
 def mutated_fixtures(draw):
     """A fixture's text after a few character and whole-line edits."""
@@ -34,9 +43,8 @@ def mutated_fixtures(draw):
         edit = draw(st.sampled_from(
             ("insert", "delete", "drop line", "repeat line", "swap lines")))
         if edit == "insert":
-            text = text[:at] + draw(st.text(
-                "(),.#_ \nargtfocusrestricted0123456789", max_size=6)
-            ) + text[at:]
+            text = text[:at] + "".join(draw(st.lists(
+                st.sampled_from(INSERTS), max_size=6))) + text[at:]
         elif edit == "delete":
             text = text[:at] + text[at + draw(st.integers(1, 8)):]
         elif lines:
@@ -788,3 +796,48 @@ def two_pass_parse_afp(text):
     else:
         p = build_partition(af, names, [])
     return af, p
+
+
+def line_by_line_parse_afp(text):
+    """Reference for ``afp.parse_afp``: the version that matched each line
+    against the statement pattern in a Python loop, then resolved the
+    attack names in one dict of the declared names."""
+    index_of = {}  # declared names, in declaration order
+    attacks = []   # (line, a, b)
+    focus = []     # (line, name)
+    restricted = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _STATEMENT.match(line)
+        if m is None:
+            raise AfpSyntaxError(f"unrecognized statement {line!r}", lineno)
+        kind, first, second = m.group("kind", "first", "second")
+        if kind == "att":
+            if second is None:
+                raise AfpSyntaxError("att needs two arguments", lineno)
+            attacks.append((lineno, first, second))
+            continue
+        if second is not None:
+            raise AfpSyntaxError(f"{kind} takes a single argument", lineno)
+        if kind == "arg":
+            index_of.setdefault(first, len(index_of))
+        elif kind == "focus":
+            focus.append((lineno, first))
+        else:
+            restricted.append((lineno, first))
+    pairs = []  # each attack name is looked up once
+    for lineno, a, b in attacks:
+        i, j = index_of.get(a), index_of.get(b)
+        if i is None or j is None:
+            raise UndeclaredArgument(a if i is None else b, line=lineno)
+        pairs.append((i, j))
+    for lineno, name in focus + restricted:
+        if name not in index_of:
+            raise UndeclaredArgument(name, line=lineno)
+    af = ArgumentationFramework(tuple(index_of), pairs)
+    if focus or restricted:
+        return af, build_partition(af, [name for _, name in focus],
+                                   [name for _, name in restricted])
+    return af, md.Partition(af, af.full_set(), af.empty_set())

@@ -1,16 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 import mindef as md
 from mindef import (AfpSyntaxError, ArgumentationFramework, MindefError,
-                    UndeclaredArgument, build_framework, parse_afp,
+                    UndeclaredArgument, afp, build_framework, parse_afp,
                     serialize_afp)
 
 from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
-                      mutated_fixtures, pair_set_build_framework,
-                      two_pass_parse_afp)
+                      line_by_line_parse_afp, mutated_fixtures,
+                      pair_set_build_framework, two_pass_parse_afp)
 
 
 class TestParse:
@@ -81,6 +82,18 @@ class TestParse:
         assert af.names == ("a",)
         assert p.focus.names == ("a",)
 
+    def test_the_whole_text_check_keeps_no_state_per_line(self):
+        # with a greedy repeat over the lines the peak is ~4.3 MB here
+        forms = ("arg(a{0}).", "att( a{0} ,a{1} ) . # c", "", "focus(a{1}).")
+        text = "\n".join(forms[i % 4].format(i, i + 1) for i in range(20000))
+        tracemalloc.start()
+        try:
+            assert afp._TEXT.fullmatch(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestSerialize:
     def test_round_trip_of_af1_is_structurally_equal(self, af1):
@@ -137,6 +150,7 @@ def parsed(parse, text):
 
 def assert_parses_as_before(text):
     want = parsed(two_pass_parse_afp, text)
+    assert parsed(line_by_line_parse_afp, text) == want
     assert parsed(parse_afp, text) == want
     return want
 
@@ -162,9 +176,10 @@ GENERATED = (
 
 
 class TestAgainstTheTwoPassParser:
-    """The one-pass parser against the parser it replaced, kept verbatim
-    in ``conftest.two_pass_parse_afp``: the same framework and partition,
-    or the same error."""
+    """The parser against the two it replaced, kept verbatim in
+    ``conftest.two_pass_parse_afp`` and ``conftest.line_by_line_parse_afp``:
+    the same framework and partition, or the same error, message and
+    line."""
 
     @pytest.mark.parametrize("text", FIXTURE_TEXTS)
     def test_fixture_files(self, text):
@@ -183,6 +198,31 @@ class TestAgainstTheTwoPassParser:
               deadline=None)
     @given(mutated_fixtures())
     def test_mutated_fixture_texts(self, text):
+        assert_parses_as_before(text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "arg(a).\natt(a,a).",
+        "# only\n\n   # comments\n#\n",
+        "arg(a). arg(b).\n",
+        "arg(a).\natt(a,\ra).\n",
+        "arg(a).\r\natt(a,a)\r.\n",
+        "arg(a#b).\narg(a).\n",
+        "arg(a).\natt(a,a#).\n",
+        "arg(a).\x0barg(b).\x1catt(a,b).\x85focus(b).\x0c",
+        "\xa0arg(a)\xa0.\t# tail\narg(\x1fb ).\n",
+        "arg(é).\n",
+        "arg(a).\natt(a,b).\nrestricted(c).\n",
+        "arg(a).\narg(a,b).\n",
+        "arg(a).\nfocus(a,a).\n",
+        "arg(a).\nrestricted(a,a).\n",
+        "arg(a).\natt(a).\n",
+    ], ids=["empty", "no final newline", "only comments", "two on a line",
+            "broken by cr", "dot after cr", "hash in a name",
+            "hash in a target", "other separators", "other whitespace",
+            "non-ascii name", "undeclared after a good prefix",
+            "arg of two", "focus of two", "restricted of two", "att of one"])
+    def test_edge_texts(self, text):
         assert_parses_as_before(text)
 
     @pytest.mark.parametrize("text, name, line", [
