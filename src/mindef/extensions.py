@@ -4,16 +4,27 @@ The solver explores an include/exclude tree over the candidate arguments
 (see :mod:`mindef._kernels`). Before searching it shrinks the problem:
 
 * self-attackers are dropped, then the members that can never be defended
-  inside the search space, to a fixed point;
+  inside the search space, to the greatest fixed point. A work list holds
+  the attackers to test: first every attacker of a candidate, then only
+  the targets of the members just dropped, the only attackers a drop can
+  leave unanswered. An attacker that nobody left answers drops its
+  targets. Dropping a member never gives an attacker an answerer, so any
+  order of the tests drops the same members;
 * for maximality searches, the "forced core" - the least fixed point of
   collective defence inside the space - is then computed once and included
-  up front. Every maximal admissible subset of the space provably contains
-  it, so this prunes without losing solutions. No member left conflicts
+  up front. It grows from the unattacked members: a candidate joins once
+  the core attacks all its attackers, so only the targets of newly
+  defeated attackers are tested again. Joining never undoes a defeat, so
+  the order of the joins does not change the core either, and each
+  argument's targets are walked at most once by each list. Every maximal
+  admissible subset of the space provably contains the core, so this
+  prunes without losing solutions. No member left conflicts
   with it: one that attacks a core member is attacked by a core member, and
   one attacked by a core member has an answerer of it left, which is itself
   attacked by a core member that joined the core earlier; by induction on
   the joining order, neither can survive the drop. So nothing needs
-  dropping or recomputing after the core;
+  dropping or recomputing after the core. Both lists read the ceiling once
+  per round;
 * the candidates are split into independent groups, linking each member
   both ways to the members it conflicts with and to the answerers of its
   attackers. No two groups share a conflict or a defence obligation, so a
@@ -77,10 +88,10 @@ class SearchBudget:
     ``deadline()`` starts the wall-clock ceiling, a
     :class:`mindef._kernels.Ceiling` (without one, ``_kernels.UNBOUNDED``,
     which never expires). A request starts it once and hands it to every
-    step that reads the clock: the tree search, the oracle's scan, the
-    passes over the scanned sets and the maximality pass, each of
-    min-def's steps, and the building and ordering of a returned family's
-    members on first use. Each raises
+    step that reads the clock: the space preparation, the tree search,
+    the oracle's scan, the passes over the scanned sets and the maximality
+    pass, each of min-def's steps, and the building and ordering of a
+    returned family's members on first use. Each raises
     :class:`BudgetExceeded` once the ceiling has passed; the CLI's
     default oracle cap is this class's ``max_arguments_for_exhaustive``.
     Either limit set to NaN raises ``ValueError``: no comparison with NaN
@@ -366,38 +377,62 @@ class ExtensionFamily:
         return "ExtensionFamily[%s]" % ", ".join(repr(m) for m in self.members)
 
 
-def _prepare_space(af, space_mask, mode):
-    """Shrink the search space; returns (candidate mask, forced mask)."""
+def _prepare_space(af, space_mask, mode, deadline=_kernels.UNBOUNDED):
+    """Shrink the search space; returns (candidate mask, forced mask).
+
+    The drop and the core are work lists over the attacker and target
+    masks (see the module docstring), so each visits an argument's targets
+    at most once. The ceiling is read once per round of either.
+    """
     att = af.attacker_masks
+    tgt = af.target_masks
     cand = space_mask
+    todo = unattacked = 0
     for i in bits(space_mask):
-        if att[i] >> i & 1:
-            cand &= ~(1 << i)  # self-attackers are never conflict-free
+        attackers = att[i]
+        if attackers >> i & 1:
+            cand ^= 1 << i  # self-attackers are never conflict-free
+        elif attackers:
+            todo |= attackers
+        else:
+            unattacked |= 1 << i
     if mode == CONFLICT_FREE:
         return cand, 0
-    # drop members with an attacker nobody in the space can answer
-    dropping = True
-    while dropping:
-        dropping = False
-        for i in bits(cand):
-            for b in bits(att[i]):
-                if att[b] & cand == 0:
-                    cand &= ~(1 << i)
-                    dropping = True
-                    break
+    # drop the targets of every attacker nobody left in the space answers;
+    # only a dropped member's targets can lose their last answerer
+    while todo:
+        deadline.check()
+        dropped = 0
+        for b in bits(todo):
+            if not att[b] & cand:
+                hit = tgt[b] & cand
+                dropped |= hit
+                cand ^= hit
+        todo = 0
+        for i in bits(dropped):
+            todo |= tgt[i]
     if mode != ADMISSIBLE_MAX:
         return cand, 0
-    # least fixed point of collective defence inside the space; no member
-    # left conflicts with it (see the module docstring)
-    forced = 0
-    while True:
-        grown = forced
-        for i in bits(cand & ~forced):
-            if all(att[b] & forced for b in bits(att[i])):
-                grown |= 1 << i
-        if grown == forced:
-            return cand, forced
-        forced = grown
+    # grow the core from the unattacked members; only the targets of
+    # newly defeated attackers can have become defended
+    forced = defeated = 0
+    joining = unattacked
+    while joining:
+        deadline.check()
+        forced |= joining
+        beaten = 0
+        for i in bits(joining):
+            beaten |= tgt[i]
+        beaten &= ~defeated
+        defeated |= beaten
+        retest = 0
+        for b in bits(beaten):
+            retest |= tgt[b]
+        joining = 0
+        for i in bits(retest & cand & ~forced):
+            if not att[i] & ~defeated:
+                joining |= 1 << i
+    return cand, forced
 
 
 def _product(factors, deadline):
@@ -473,7 +508,7 @@ def _solve_space(af, space_mask, mode, deadline):
     no group with a candidate form one more factor of one mask, when there
     are any.
     """
-    cand, forced = _prepare_space(af, space_mask, mode)
+    cand, forced = _prepare_space(af, space_mask, mode, deadline)
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX

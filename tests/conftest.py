@@ -136,8 +136,20 @@ def structured_framework(shape, size, prefix="x"):
     ``chain``: the same two-cycles chained by ``b_i -> a_(i+1)``;
     ``cycle``: ``size`` arguments attacking round a ring (even sizes have
     two preferred extensions, odd sizes only ``{}``); ``isolated``: ``size``
-    arguments and no attacks.
+    arguments and no attacks; ``path``: ``size`` arguments, each attacking
+    the next, so the forced core grows by one member every other step;
+    ``cascade``: ``b_i -> c_i`` and ``c_(i-1) -> b_i``, the ``c_i``
+    declared first in reverse order, so that dropping ``c_0`` (whose
+    attacker ``b_0`` nobody answers) drops the ``c_i`` one by one against
+    the index order.
     """
+    if shape == "cascade":
+        names = ([f"{prefix}c{i}" for i in reversed(range(size))]
+                 + [f"{prefix}b{i}" for i in range(size)])
+        return names, ([(f"{prefix}b{i}", f"{prefix}c{i}")
+                        for i in range(size)]
+                       + [(f"{prefix}c{i - 1}", f"{prefix}b{i}")
+                          for i in range(1, size)])
     if shape in ("two-cycles", "chain"):
         names, attacks = [], []
         for i in range(size):
@@ -153,6 +165,8 @@ def structured_framework(shape, size, prefix="x"):
                        for i in range(size)]
     if shape == "isolated":
         return names, []
+    if shape == "path":
+        return names, list(zip(names, names[1:]))
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -349,6 +363,42 @@ def numpy_subset_scan(k, space):
                 ok &= ~(member & ((subs & m) == 0))
         out.extend(subs[ok].tolist())
     return out
+
+
+def rescan_prepare_space(af, space_mask, mode):
+    """Reference for ``extensions._prepare_space``: the rescans the work
+    lists replaced. The drop walks every candidate again after each change,
+    and the core grows in rounds that re-test every candidate left.
+    Returns (candidate mask, forced mask)."""
+    att = af.attacker_masks
+    cand = space_mask
+    for i in bits(space_mask):
+        if att[i] >> i & 1:
+            cand &= ~(1 << i)  # self-attackers are never conflict-free
+    if mode == extensions.CONFLICT_FREE:
+        return cand, 0
+    # drop members with an attacker nobody in the space can answer
+    dropping = True
+    while dropping:
+        dropping = False
+        for i in bits(cand):
+            for b in bits(att[i]):
+                if att[b] & cand == 0:
+                    cand &= ~(1 << i)
+                    dropping = True
+                    break
+    if mode != extensions.ADMISSIBLE_MAX:
+        return cand, 0
+    # least fixed point of collective defence inside the space
+    forced = 0
+    while True:
+        grown = forced
+        for i in bits(cand & ~forced):
+            if all(att[b] & forced for b in bits(att[i])):
+                grown |= 1 << i
+        if grown == forced:
+            return cand, forced
+        forced = grown
 
 
 def fixed_point_prepare_space(af, space_mask, mode):

@@ -14,6 +14,7 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
 from mindef import _kernels, extensions, oracle
 from mindef.cli import FAMILIES
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
+from mindef.model import bits
 
 from conftest import (fixed_point_prepare_space, instance_stream,
                       jump_after_the_codes, keyed_sort_ranks,
@@ -21,7 +22,8 @@ from conftest import (fixed_point_prepare_space, instance_stream,
                       obligation_list_minimize,
                       pairwise_min_def, pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
-                      single_tree_solve_space, sparse_instance, sset,
+                      rescan_prepare_space, single_tree_solve_space,
+                      sparse_instance, sset, structured_framework,
                       structured_stream, subset_walk_minimize,
                       watch_list_dfs_enumerate)
 
@@ -270,15 +272,30 @@ class TestSubsetMinimalMasks:
 
 
 class TestPrepareSpace:
-    """The one-pass preparation against the loop that recomputed the core
-    after every change, in every mode, on the focus and the whole space."""
+    """The work-list preparation against the rescans it replaced and
+    against the loop that recomputed the core after every change, in every
+    mode, on the whole space and on a part of it."""
+
+    MODES = (CONFLICT_FREE, ADMISSIBLE_ALL, ADMISSIBLE_MAX)
+
+    @classmethod
+    def assert_same(cls, af, focus_mask):
+        for mode in cls.MODES:
+            for space in (af.full_mask, focus_mask):
+                got = extensions._prepare_space(af, space, mode)
+                assert got == rescan_prepare_space(af, space, mode)
+                assert got == fixed_point_prepare_space(af, space, mode)
 
     @staticmethod
-    def assert_same(af, focus_mask):
-        for mode in (CONFLICT_FREE, ADMISSIBLE_ALL, ADMISSIBLE_MAX):
-            for space in (af.full_mask, focus_mask):
-                assert (extensions._prepare_space(af, space, mode)
-                        == fixed_point_prepare_space(af, space, mode))
+    def shape(shape, size, self_attacking=()):
+        names, attacks = structured_framework(shape, size)
+        return build_framework(names, attacks
+                               + [(x, x) for x in self_attacking])
+
+    @staticmethod
+    def part(af, seed):
+        rng = random.Random(seed)
+        return af.subset(a for a in af.names if rng.random() < 0.7).mask
 
     def test_random_instances(self):
         for _, af, p in instance_stream(300, base_seed=6000):
@@ -286,9 +303,59 @@ class TestPrepareSpace:
 
     def test_structured_shapes(self):
         for k, (_, af) in enumerate(structured_stream(60, 6500)):
+            self.assert_same(af, self.part(af, k))
+
+    def test_chains_and_paths(self):
+        # the references rescan a path once per member of its core, so
+        # paths stay short here; the work test below takes a long one
+        for shape, sizes in (("chain", range(1, 401)),
+                             ("path", range(1, 81))):
+            for k in sizes:
+                af = self.shape(shape, k)
+                self.assert_same(af, self.part(af, k))
+
+    def test_drop_cascades(self):
+        # c_i owes b_i, which only c_(i-1) answers, and the c_i are
+        # declared in reverse: c_0's drop takes every c_i with it
+        for k in (1, 2, 3, 5, 8, 40, 150):
+            af = self.shape("cascade", k)
+            self.assert_same(af, self.part(af, k))
+            c = af.subset(f"xc{i}" for i in range(k)).mask
+            assert extensions._prepare_space(
+                af, af.full_mask, ADMISSIBLE_MAX) == (af.full_mask ^ c,
+                                                      af.full_mask ^ c)
+
+    def test_self_attackers_inside_a_chain(self):
+        for k in range(2, 60):
+            af = self.shape("chain", k, [f"xb{i}" for i in range(0, k, 3)]
+                            + [f"xa{k - 1}"])
+            self.assert_same(af, self.part(af, k))
+            cand, _ = extensions._prepare_space(af, af.full_mask,
+                                                CONFLICT_FREE)
+            assert not cand & af.subset(["xb0", f"xa{k - 1}"]).mask
+
+    def test_spaces_without_any_answerer_of_an_attacker(self):
+        # leave out of the space every answerer of one attacker of a space
+        # member: none of that attacker's targets survives the drop
+        shapes = [af for _, af, _ in instance_stream(80, base_seed=6900)]
+        shapes += [self.shape("chain", 9), self.shape("path", 9),
+                   self.shape("cascade", 9)]
+        checked = 0
+        for k, af in enumerate(shapes):
             rng = random.Random(k)
-            self.assert_same(af, af.subset(
-                a for a in af.names if rng.random() < 0.7).mask)
+            att = af.attacker_masks
+            space = self.part(af, k)
+            attackers = [b for i in bits(space) for b in bits(att[i])]
+            if not attackers:
+                continue
+            b = rng.choice(attackers)
+            space &= ~att[b]
+            self.assert_same(af, space)
+            for mode in (ADMISSIBLE_ALL, ADMISSIBLE_MAX):
+                cand, _ = extensions._prepare_space(af, space, mode)
+                assert not cand & af.target_masks[b]
+            checked += 1
+        assert checked > 60
 
     def test_sparse_frameworks_above_the_oracle_cap(self):
         # the population the min-def benchmark draws from
@@ -300,6 +367,27 @@ class TestPrepareSpace:
                                                 ADMISSIBLE_MAX)
             dropped += cand != af.full_mask
         assert dropped > 50
+
+    def test_work_is_linear_in_the_relation(self, monkeypatch):
+        # not a timing test: count the indices the preparation walks. Each
+        # argument's targets are walked at most once per work list, so a
+        # return to whole-space rescans, quadratic on these shapes, fails
+        steps = 0
+
+        def counting(mask):
+            nonlocal steps
+            for i in bits(mask):
+                steps += 1
+                yield i
+
+        monkeypatch.setattr(extensions, "bits", counting)
+        for af in (self.shape("path", 2000), self.shape("cascade", 1000),
+                   self.shape("chain", 1000)):
+            size = len(af) + sum(m.bit_count() for m in af.target_masks)
+            for mode in self.MODES:
+                steps = 0
+                extensions._prepare_space(af, af.full_mask, mode)
+                assert 0 < steps <= 4 * size
 
 
 class TestComponentSearch:
@@ -551,6 +639,8 @@ CLOCK_STAGES = {
         [[1, 2], [4, 8]], 8, past),
     "lazy build": lambda past: ExtensionFamily._product_of(
         ISOLATED, [[1, 2], [4, 8]], past).members,
+    "space preparation": lambda past: extensions._prepare_space(
+        TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
     "per-group maximality pass": lambda past: extensions._solve_space(
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
     "oracle conversion": lambda past: oracle._scan(
