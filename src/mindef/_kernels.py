@@ -16,14 +16,20 @@ itself into independent groups. Two enumeration strategies live here:
   block. It takes at most ``SCAN_MAX_ARGUMENTS`` (62) members, and reads
   the ceiling between blocks.
 
-* ``dfs_enumerate`` explores an include/exclude tree over the candidate
-  arguments, pruning conflicting inclusions and branches that owe an
-  obligation neither the included members nor the members still ahead
-  answer. It is a pure-Python loop over unbounded ints with an explicit
-  stack, so any depth fits; a node carries what its included members owe
-  and answer as two obligation masks, so each include, exclude and
-  maximality test is one mask test. One call may search one independent
-  group of a larger space.
+* ``dfs_enumerate`` is the one search loop. While the included members
+  owe an unanswered obligation, a node branches on the one with the
+  fewest answerers still free to join, the most constrained, one child
+  per answerer, each closing the answerers before its own; this is the
+  labelling search of Modgil & Caminada (2009) and of Nofal, Atkinson &
+  Dunne (AIJ 207, 2014). Once every obligation is answered, it includes
+  or excludes the lowest free member. Its mode selects all admissible
+  sets, candidates for the inclusion-maximal ones, or candidates for the
+  minimal ones; the minimal mode is min-def's shrinking step, run over a
+  framework's own masks. It is a pure-Python loop over unbounded ints
+  with an explicit stack, so any depth fits; a node carries what its
+  included members owe and answer as two obligation masks, so each test
+  is one mask test. One call may search one independent group of a
+  larger space.
 
 Both read the request's wall-clock ceiling, a started :class:`Ceiling`
 (:data:`UNBOUNDED` for none), and refuse with
@@ -54,6 +60,10 @@ _SCAN_CHUNK = 1 << 16
 SCAN_MAX_ARGUMENTS = 62
 # the most sets a kernel call collects, or a family holds, before refusing
 MAX_SETS = 1 << 23
+
+
+# the modes of ``dfs_enumerate``; ``False`` and ``True`` read as the first two
+ALL, MAXIMAL, MINIMAL = 0, 1, 2
 
 
 def too_many_sets():
@@ -272,44 +282,56 @@ def subset_scan(k: int, space: LocalSpace,
 
 
 def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
-                  space: LocalSpace, maximal_only: bool,
-                  deadline: Ceiling) -> list[int]:
-    """Admissible (or conflict-free, when no obligations) candidate masks.
+                  space, maximal_only: int, deadline: Ceiling) -> list[int]:
+    """Admissible sets (conflict-free ones, when no obligations) of a space.
 
-    A call may search any ``k`` of ``space``'s members that share no
-    conflict or obligation with the rest. The kernel never reads ``k``:
-    it is the group's size, counted by the benchmark's tracer
-    (``perfbench/tracer.py``, ``extensions.solve.candidates``), which
-    wraps this function positionally. ``pos_idx`` lists the branchable
-    member indices in fixed order; ``forced_mask`` members are included
-    unconditionally.
-    ``suffix_avail[d]`` must hold the union of bits still branchable at
-    depth ``d``. With ``maximal_only``, branches that provably yield no
-    inclusion-maximal set are cut, so the caller must only use the result
-    for maximality filtering. Refuses past the ceiling or past ``MAX_SETS``
-    sets. The walk keeps an explicit stack, so its depth is bounded by
-    memory, not by the interpreter's recursion limit.
+    The search includes ``forced_mask`` and branches on the members of
+    ``suffix_avail[0]``, the branchable mask; nothing else of
+    ``suffix_avail`` is read. ``space`` is a :class:`LocalSpace`, or any
+    object with its four lists ``conflict``, ``owes``, ``answers`` and
+    ``answerers``. A call may search any members that share no conflict or
+    obligation with the rest. The kernel reads neither ``k`` nor
+    ``pos_idx``: they are the search's size and its branchable members,
+    counted by the benchmark's tracer (``perfbench/tracer.py``), which
+    wraps this function positionally.
 
-    A node is ``(depth, inc, owed, answered)``: the included members and
-    the obligations they owe and answer. ``suffix_answered[d]`` is what the
-    members branchable at depth ``d`` answer, and every node keeps
-    ``owed`` inside ``answered | suffix_answered[depth]``, so a branch is
-    cut as soon as it owes an obligation nobody left can answer.
+    ``maximal_only`` is the mode. With ``ALL`` (or ``False``) every set is
+    returned once. With ``MAXIMAL`` (or ``True``) branches that provably
+    yield no inclusion-maximal set are cut, so the caller must only use
+    the result for maximality filtering. With ``MINIMAL`` it holds the
+    branchable parts of admissible sets: their inclusion-minimal ones are
+    the minimal parts of all of them, but a part found early may contain
+    one found later. Refuses past the ceiling, read every 256 nodes, or
+    past ``MAX_SETS`` sets. The walk keeps an explicit stack,
+    so its depth is bounded by memory, not by the interpreter's recursion
+    limit.
+
+    A node is ``(inc, closed, owed, answered)``: the included members, the
+    members no longer free to join (included, excluded, or in conflict
+    with an included one), and the obligations the included members owe
+    and answer. While an owed obligation is unanswered, the node branches
+    on the one with the fewest free answerers, the most constrained: child
+    ``i`` includes its ``i``-th answerer and closes the ones before it, so
+    no set is reached twice, and an obligation without a free answerer
+    ends the branch. Once all are answered, ``inc`` is admissible: the
+    minimal mode records its branchable part as a leaf, and cuts every
+    node whose branchable part contains a recorded one; the other modes
+    include or exclude the lowest free member, and a node with none free
+    is a leaf.
     """
     conflict = space.conflict
     owes = space.owes
     answers = space.answers
-    npos = len(pos_idx)
+    answerers = space.answerers
     branchable = suffix_avail[0]
-    suffix_answered = [0] * (npos + 1)
-    for d in range(npos - 1, -1, -1):
-        suffix_answered[d] = suffix_answered[d + 1] | answers[pos_idx[d]]
+    maximal = maximal_only == MAXIMAL
+    minimal = maximal_only == MINIMAL
+    closed = forced_mask
     owed = answered = 0
     for j in bits(forced_mask):
+        closed |= conflict[j]
         owed |= owes[j]
         answered |= answers[j]
-    if owed & ~(answered | suffix_answered[0]):
-        return []
 
     def joinable(inc, answered):
         # some excluded candidate could still join: the enlarged set is
@@ -323,44 +345,52 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     out = []
     cap = MAX_SETS
     ticks = 0
-    stack = [(0, forced_mask, owed, answered)]
+    stack = [(forced_mask, closed, owed, answered)]
     pop = stack.pop
     push = stack.append
     while stack:
-        ticks += 1
-        if ticks & 1023 == 0:
+        if ticks & 255 == 0:
             deadline.check()
-        depth, inc, owed, answered = pop()
-        if depth == npos:
-            if not (maximal_only and joinable(inc, answered)):
-                out.append(inc)
+        ticks += 1
+        inc, closed, owed, answered = pop()
+        if minimal:
+            part = inc & branchable
+            if any(leaf | part == part for leaf in out):
+                continue  # contains a recorded leaf, so is not minimal
+        free = branchable & ~closed
+        unmet = owed & ~answered
+        if unmet:
+            # the most constrained obligation: child i takes its i-th free
+            # answerer and closes the ones before it
+            pick = min([answerers[o] & free for o in bits(unmet)],
+                       key=int.bit_count)
+            children = []
+            for c in bits(pick):
+                bit = 1 << c
+                closed |= bit
+                children.append((inc | bit, closed | conflict[c],
+                                 owed | owes[c], answered | answers[c]))
+            stack.extend(reversed(children))
+            continue
+        if minimal or not free:
+            if not (maximal and joinable(inc, answered)):
+                out.append(part if minimal else inc)
                 if len(out) > cap:
                     raise too_many_sets()
             continue
-        i = pos_idx[depth]
-        depth += 1
-        ahead = suffix_answered[depth]
-        # excluding i strands what only i was left to answer
-        exclude = owed & ~(answered | ahead) == 0
-        include = False
-        if conflict[i] & inc == 0:
-            need = owes[i]
-            grown = answered | answers[i]
-            # including i adds only i's own obligations
-            include = need & ~(grown | ahead) == 0
-            if maximal_only and (
-                    need & ~answered == 0
-                    or conflict[i] & suffix_avail[depth] == 0
-                    and need & ~grown == 0):
-                # already defended and non-conflicting: any admissible
-                # superset without i extends by i, so no exclude-leaf is
-                # maximal; same if nothing ahead can ever conflict with i
-                # and i stays defendable by itself
-                exclude = False
-        if exclude:
-            push((depth, inc, owed, answered))
-        if include:
-            push((depth, inc | 1 << i, owed | need, grown))
+        bit = free & -free
+        i = bit.bit_length() - 1
+        need = owes[i]
+        grown = answered | answers[i]
+        # already defended, or nothing free can ever conflict with i and i
+        # stays defendable by itself: any admissible superset without i
+        # extends by i (Dung's fundamental lemma), so no exclude-leaf is
+        # maximal
+        if not (maximal and (need & ~answered == 0
+                             or conflict[i] & free == 0
+                             and need & ~grown == 0)):
+            push((inc, closed | bit, owed, answered))
+        push((inc | bit, closed | bit | conflict[i], owed | need, grown))
     return out
 
 

@@ -119,23 +119,36 @@ def _base_set(af, p, request: SolveRequest):
     return None
 
 
-def _enumerate_family(af, p, request: SolveRequest) -> ExtensionFamily:
+def _enumerate_family(af, p, request: SolveRequest,
+                      deadline) -> ExtensionFamily:
+    # the solver shares the request's started ceiling; the oracle takes the
+    # budget, for its size cap
     x = _base_set(af, p, request)
     solver, brute_force = FAMILIES[request.semantics]
-    enumerate_with = brute_force if request.engine == "oracle" else solver
-    return enumerate_with(af, p, x, request.budget)
+    if request.engine == "oracle":
+        return brute_force(af, p, x, request.budget)
+    return solver(af, p, x, deadline)
 
 
 def execute(request: SolveRequest) -> SolveResult:
-    """Run one request end to end; raises package errors on bad input."""
+    """Run one request end to end; raises package errors on bad input.
+
+    The request's wall-clock ceiling starts before the input is read, so
+    reading and parsing it count against the limit too.
+    """
+    if request.semantics not in FAMILIES:
+        raise PreconditionViolated(
+            f"unknown semantics {request.semantics!r}")
+    deadline = (request.budget or extensions.DEFAULT_BUDGET).deadline()
     af, p = parse_afp(_read_input(request))
+    deadline.check()
     started = time.perf_counter()
     family = None
     verdict = None
     if request.mode == "enumerate":
-        family = _enumerate_family(af, p, request)
+        family = _enumerate_family(af, p, request, deadline)
     elif request.mode in ("credulous", "skeptical"):
-        fam = _enumerate_family(af, p, request)
+        fam = _enumerate_family(af, p, request, deadline)
         accept = (extensions.credulous_accepted if request.mode == "credulous"
                   else extensions.skeptical_accepted)
         verdict = accept(af, fam, request.argument)
@@ -145,7 +158,7 @@ def execute(request: SolveRequest) -> SolveResult:
             _base_set(af, p, request)
             verdict = PREDICATES[request.semantics](af, p, s)
         else:
-            verdict = s in _enumerate_family(af, p, request)
+            verdict = s in _enumerate_family(af, p, request, deadline)
     else:
         raise PreconditionViolated(f"unknown mode {request.mode!r}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -250,7 +263,7 @@ def _add_common(sub, with_engine=True):
                           f"{SearchBudget.max_arguments_for_exhaustive})")
     sub.add_argument("--time-limit", type=_non_negative(float),
                      metavar="SECONDS",
-                     help="wall-clock ceiling for the search")
+                     help="wall-clock ceiling for the request")
 
 
 def _add_solve(sub):

@@ -1,7 +1,8 @@
 """Extension enumeration: preferred, preferred-on-a-set, and min-def.
 
-The solver explores an include/exclude tree over the candidate arguments
-(see :mod:`mindef._kernels`). Before searching it shrinks the problem:
+The solver searches the candidate arguments with the one tree kernel,
+which branches on the most constrained defence obligation (see
+:mod:`mindef._kernels`). Before searching it shrinks the problem:
 
 * self-attackers are dropped, then the members that can never be defended
   inside the search space, to the greatest fixed point. A work list holds
@@ -46,19 +47,20 @@ its answer, and the family is their product; no pass over the whole
 family follows (see :func:`min_def_extensions`). Every step reads the
 request's one started wall-clock ceiling.
 
-The shrinking step is an obligation-driven search. A candidate is
+The shrinking step is the tree kernel's minimal mode. A candidate is
 conflict-free, so any subset is too and only defence matters: each attacker
 of a member is an *obligation*, met by the members that attack it. A
 minimal support is a minimal set of restricted members that meets every
 obligation of the unrestricted part and of the restricted members it takes
 in (a minimal transversal, closed under the obligations it brings). The
-search starts from the unrestricted part and keeps the included members'
-unmet obligations as one mask, their attackers less their targets. It
-branches only on the answerers still free to join of the unmet attacker
-that has the fewest, the most constrained one, excluding each answerer
-from the branches after its own; a branch whose restricted part already
-contains a found support is cut, and a last pass, which reads the ceiling
-too, keeps the inclusion-minimal leaves.
+kernel runs over the framework's own masks, where an attacker's index is
+its obligation bit, so the included members' unmet obligations are their
+attackers less their targets. It starts from the unrestricted part and
+branches only on the restricted answerers still free to join of the unmet
+attacker that has the fewest, excluding each answerer from the branches
+after its own; a branch whose restricted part already contains a found
+support is cut, and a last pass, which reads the ceiling too, keeps the
+inclusion-minimal leaves.
 """
 
 from bisect import bisect_left, bisect_right
@@ -67,6 +69,7 @@ from functools import reduce
 from itertools import chain
 from math import prod
 from operator import or_
+from types import SimpleNamespace
 
 from . import _kernels
 from .errors import (CrossFrameworkSet, EmptyFamily, NotWithinFocus,
@@ -516,13 +519,9 @@ def _solve_space(af, space_mask, mode, deadline):
     alone = forced_local
     for group in space.components(forced_local):
         free = group & ~forced_local
-        pos_idx = list(bits(free))
-        suffix = [0] * (len(pos_idx) + 1)
-        for d in range(len(pos_idx) - 1, -1, -1):
-            suffix[d] = suffix[d + 1] | (1 << pos_idx[d])
         local_masks = _kernels.dfs_enumerate(
-            group.bit_count(), pos_idx, suffix, group & forced_local,
-            space, maximal_only, deadline)
+            group.bit_count(), list(bits(free)), (free,),
+            group & forced_local, space, maximal_only, deadline)
         if maximal_only:
             local_masks = _subset_maximal_masks(local_masks, deadline)
         factors.append([space.to_global(lm) for lm in local_masks])
@@ -648,41 +647,18 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     if not is_admissible(af, e):
         raise PreconditionViolated("set must be admissible")
     deadline = (budget or DEFAULT_BUDGET).deadline()
-    att = af.attacker_masks
-    tgt = af.target_masks
     emask = e.mask
     eu = emask & p.unrestricted.mask
-    attackers = targets = 0
-    for x in bits(eu):
-        attackers |= att[x]
-        targets |= tgt[x]
-    leaves = []
-    ticks = 0
-    # depth-first over (included, restricted members still free to join,
-    # the included members' attackers and targets); a child includes one
-    # free answerer of the unmet attacker with the fewest, and its siblings
-    # to the right exclude it
-    stack = [(eu, emask & ~eu, attackers, targets)]
-    while stack:
-        if ticks & 255 == 0:
-            deadline.check()
-        ticks += 1
-        inc, free, attackers, targets = stack.pop()
-        r = inc & ~eu
-        if any(leaf | r == r for leaf in leaves):
-            continue  # contains a recorded support, so is not minimal
-        unmet = attackers & ~targets
-        if not unmet:
-            leaves.append(r)
-            continue
-        answerers = min((att[b] & free for b in bits(unmet)),
-                        key=int.bit_count)
-        children = []
-        for c in bits(answerers):
-            free ^= 1 << c
-            children.append((inc | 1 << c, free, attackers | att[c],
-                             targets | tgt[c]))
-        stack.extend(reversed(children))
+    er = emask ^ eu
+    # the kernel's minimal mode over the framework's own masks: an
+    # attacker's index is its obligation bit, and e is conflict-free, so no
+    # member of it blocks another and its targets may stand for conflicts
+    att = af.attacker_masks
+    tgt = af.target_masks
+    layout = SimpleNamespace(conflict=tgt, owes=att, answers=tgt,
+                             answerers=att)
+    leaves = _kernels.dfs_enumerate(emask.bit_count(), list(bits(er)), (er,),
+                                    eu, layout, _kernels.MINIMAL, deadline)
     # a leaf found early may still contain one found later
     minimal = _subset_minimal_masks(leaves, deadline)
     return ExtensionFamily._product_of(af, [[eu | r for r in minimal]],

@@ -205,8 +205,8 @@ def obligation_lists(space):
 
 def watch_list_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
                              maximal_only, deadline=_kernels.UNBOUNDED):
-    """Reference for ``_kernels.dfs_enumerate``: the iterative walk it
-    replaced, which read per-member obligation lists and kept, per
+    """Reference for :func:`fixed_order_dfs_enumerate`: the iterative walk
+    it replaced, which read per-member obligation lists and kept, per
     branchable bit, a watch list of the obligations whose last branchable
     answerer it is. Same arguments, same result list in the same order."""
     npos = len(pos_idx)
@@ -303,10 +303,94 @@ def watch_list_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
     return out
 
 
+def fixed_order_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
+                              maximal_only, deadline=_kernels.UNBOUNDED):
+    """Reference for ``_kernels.dfs_enumerate``: the fixed-order
+    include/exclude tree it replaced, which branches on the members of
+    ``pos_idx`` in order and reads every ``suffix_avail[d]``, the union of
+    the bits still branchable at depth ``d``. ``forced_mask`` members are
+    included unconditionally. With ``maximal_only``, branches that
+    provably yield no inclusion-maximal set are cut. Refuses past the
+    ceiling or past ``MAX_SETS`` sets.
+
+    A node is ``(depth, inc, owed, answered)``: the included members and
+    the obligations they owe and answer. ``suffix_answered[d]`` is what the
+    members branchable at depth ``d`` answer, and every node keeps
+    ``owed`` inside ``answered | suffix_answered[depth]``, so a branch is
+    cut as soon as it owes an obligation nobody left can answer.
+    """
+    conflict = space.conflict
+    owes = space.owes
+    answers = space.answers
+    npos = len(pos_idx)
+    branchable = suffix_avail[0]
+    suffix_answered = [0] * (npos + 1)
+    for d in range(npos - 1, -1, -1):
+        suffix_answered[d] = suffix_answered[d + 1] | answers[pos_idx[d]]
+    owed = answered = 0
+    for j in bits(forced_mask):
+        owed |= owes[j]
+        answered |= answers[j]
+    if owed & ~(answered | suffix_answered[0]):
+        return []
+
+    def joinable(inc, answered):
+        # some excluded candidate could still join: the enlarged set is
+        # admissible, so ``inc`` is not maximal
+        for j in bits(branchable & ~inc):
+            if (conflict[j] & inc == 0
+                    and owes[j] & ~(answered | answers[j]) == 0):
+                return True
+        return False
+
+    out = []
+    cap = _kernels.MAX_SETS
+    ticks = 0
+    stack = [(0, forced_mask, owed, answered)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        ticks += 1
+        if ticks & 1023 == 0:
+            deadline.check()
+        depth, inc, owed, answered = pop()
+        if depth == npos:
+            if not (maximal_only and joinable(inc, answered)):
+                out.append(inc)
+                if len(out) > cap:
+                    raise _kernels.too_many_sets()
+            continue
+        i = pos_idx[depth]
+        depth += 1
+        ahead = suffix_answered[depth]
+        # excluding i strands what only i was left to answer
+        exclude = owed & ~(answered | ahead) == 0
+        include = False
+        if conflict[i] & inc == 0:
+            need = owes[i]
+            grown = answered | answers[i]
+            # including i adds only i's own obligations
+            include = need & ~(grown | ahead) == 0
+            if maximal_only and (
+                    need & ~answered == 0
+                    or conflict[i] & suffix_avail[depth] == 0
+                    and need & ~grown == 0):
+                # already defended and non-conflicting: any admissible
+                # superset without i extends by i, so no exclude-leaf is
+                # maximal; same if nothing ahead can ever conflict with i
+                # and i stays defendable by itself
+                exclude = False
+        if exclude:
+            push((depth, inc, owed, answered))
+        if include:
+            push((depth, inc | 1 << i, owed | need, grown))
+    return out
+
+
 def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
                             maximal_only):
-    """Reference for ``_kernels.dfs_enumerate``: the recursive walk it
-    replaced, which rescans every included member's obligations at each
+    """Reference for :func:`fixed_order_dfs_enumerate`: the recursive walk
+    it replaced, which rescans every included member's obligations at each
     node and tests leaf maximality over all ``k`` members."""
     conflict, obligations = space.conflict, obligation_lists(space)
     npos = len(pos_idx)
@@ -489,10 +573,10 @@ def subset_walk_minimize(af, p, e):
 
 
 def obligation_list_minimize(af, p, e, deadline=_kernels.UNBOUNDED):
-    """Reference for ``minimize_restricted``'s search: the loop it replaced,
-    which kept a list of the unmet obligations' answerer masks per node and
-    branched on the first. Takes an admissible ``e``; returns the set of
-    the supports' masks."""
+    """Reference for ``minimize_restricted``'s search: the loop that
+    :func:`fewest_answerers_minimize` replaced, which kept a list of the
+    unmet obligations' answerer masks per node and branched on the first.
+    Takes an admissible ``e``; returns the set of the supports' masks."""
     att = af.attacker_masks
     emask = e.mask
     eu = emask & p.unrestricted.mask
@@ -527,6 +611,51 @@ def obligation_list_minimize(af, p, e, deadline=_kernels.UNBOUNDED):
             left = [m for m in pending if not m & bit] + unmet(bit, grown)
             children.append((grown, excluded, left))
             excluded |= bit
+        stack.extend(reversed(children))
+    # a leaf found early may still contain one found later
+    minimal = extensions._subset_minimal_masks(leaves, deadline)
+    return {eu | r for r in minimal}
+
+
+def fewest_answerers_minimize(af, p, e, deadline=_kernels.UNBOUNDED):
+    """Reference for ``minimize_restricted``'s search: its own loop, which
+    the kernel's minimal mode replaced. It branches on the free answerers
+    of the unmet attacker with the fewest, as the kernel does. Takes an
+    admissible ``e``; returns the set of the supports' masks."""
+    att = af.attacker_masks
+    tgt = af.target_masks
+    emask = e.mask
+    eu = emask & p.unrestricted.mask
+    attackers = targets = 0
+    for x in bits(eu):
+        attackers |= att[x]
+        targets |= tgt[x]
+    leaves = []
+    ticks = 0
+    # depth-first over (included, restricted members still free to join,
+    # the included members' attackers and targets); a child includes one
+    # free answerer of the unmet attacker with the fewest, and its siblings
+    # to the right exclude it
+    stack = [(eu, emask & ~eu, attackers, targets)]
+    while stack:
+        if ticks & 255 == 0:
+            deadline.check()
+        ticks += 1
+        inc, free, attackers, targets = stack.pop()
+        r = inc & ~eu
+        if any(leaf | r == r for leaf in leaves):
+            continue  # contains a recorded support, so is not minimal
+        unmet = attackers & ~targets
+        if not unmet:
+            leaves.append(r)
+            continue
+        answerers = min((att[b] & free for b in bits(unmet)),
+                        key=int.bit_count)
+        children = []
+        for c in bits(answerers):
+            free ^= 1 << c
+            children.append((inc | 1 << c, free, attackers | att[c],
+                             targets | tgt[c]))
         stack.extend(reversed(children))
     # a leaf found early may still contain one found later
     minimal = extensions._subset_minimal_masks(leaves, deadline)

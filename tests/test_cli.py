@@ -461,6 +461,49 @@ def test_no_ceiling_never_refuses(clock_skew):
         assert out.getvalue() == text
 
 
+def test_an_unknown_semantics_is_an_input_error(capsys):
+    # library callers can name any semantics; the CLI's choices cannot
+    for mode, extra in (("enumerate", {}), ("credulous", {"argument": "a"}),
+                        ("check", {"check_set": ("a",)})):
+        for engine in ("solver", "oracle"):
+            request = SolveRequest(text="arg(a).\n", semantics="grounded",
+                                   mode=mode, engine=engine, **extra)
+            assert run_cli(request) == (None, 2)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "error: unknown semantics 'grounded'\n"
+
+
+def test_the_ceiling_covers_the_parse(capsys, clock_skew, monkeypatch):
+    # the parse moves the fake clock 2 s, past the 1 s ceiling
+    parse = md.cli.parse_afp
+    taken = [2.0]
+
+    def slow_parse(text):
+        clock_skew[0] += taken[0]
+        return parse(text)
+
+    monkeypatch.setattr(md.cli, "parse_afp", slow_parse)
+    for args in ((), ("-s", "min-def"), ("--credulous", "u2")):
+        code, out, err = run(capsys, "solve", AF3, "--time-limit", "1",
+                             *args)
+        assert code == 3 and out == ""
+        assert err == "error: wall-clock ceiling of 1.0s exhausted\n"
+    # a parse that takes 0.6 s of a 1.0 s ceiling leaves the solve 0.4 s
+    taken[0] = 0.6
+    preferred = extensions.preferred_extensions
+    left = []
+
+    def timed_preferred(af, budget):
+        left.append(budget.left())
+        return preferred(af, budget)
+
+    monkeypatch.setattr(extensions, "preferred_extensions", timed_preferred)
+    code, out, _ = run(capsys, "solve", AF3, "--time-limit", "1")
+    assert code == 0 and out
+    assert len(left) == 1 and 0.3 < left[0] <= 0.4
+
+
 def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
                                                                 tmp_path):
     # 3^14 admissible and 2^14 preferred sets; none is built
