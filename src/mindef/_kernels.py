@@ -4,8 +4,12 @@ The kernels take a :class:`LocalSpace`: a search space renumbered to dense
 local bits ``0..k-1``, holding per member the mask of its conflicts, and
 Dung's defence relation as *obligation* bits: each distinct attacker of a
 member is one obligation, a member owes the obligations of its attackers
-and answers those of the attackers it attacks. The space also splits
-itself into independent groups. Two enumeration strategies live here:
+and answers those of the attackers it attacks. A caller may add
+obligations of its own, each owed by one member and answered by any of a
+given set; restricted admissibility is such an obligation per restricted
+member, answered by the unrestricted members it individually defends. The
+space also splits itself into independent groups. Two enumeration
+strategies live here:
 
 * ``subset_scan`` tests every bit pattern of a (small) search space and
   keeps, in numeric order, those that are conflict-free and answer every
@@ -107,19 +111,21 @@ class LocalSpace:
 
     ``members[j]`` is the global index behind local bit ``j``.
     ``conflict[j]`` is the local mask of members that attack member ``j`` or
-    are attacked by it. Each distinct attacker of a member is one
-    obligation bit, numbered in the order the attackers first appear,
-    member by member: ``owes[j]`` has the bits of member ``j``'s
-    attackers, ``answers[j]`` the bits of the attackers ``j`` attacks, and
-    ``answerers[o]`` is the local mask of members that attack obligation
-    ``o``'s attacker (``0`` when none of them does). Built without
-    ``defence``, there are no obligations.
+    are attacked by it. ``owes[j]`` has the bits of the obligations member
+    ``j`` owes, ``answers[j]`` those it answers, and ``answerers[o]`` is
+    the local mask of the members that answer obligation ``o`` (``0`` when
+    none does). With ``defence``, each distinct attacker of a member is one
+    obligation, numbered in the order the attackers first appear, member by
+    member: the members it attacks owe it, and those that attack it answer
+    it. Each pair ``(g, m)`` of ``extra`` adds one more obligation,
+    numbered after those: member ``g`` owes it, and the members of the
+    global mask ``m`` answer it.
     """
 
     __slots__ = ("members", "local_of", "space", "conflict", "owes",
                  "answers", "answerers")
 
-    def __init__(self, af, space: int, defence: bool):
+    def __init__(self, af, space: int, defence: bool, extra=()):
         att = af.attacker_masks
         tgt = af.target_masks
         self.space = space
@@ -138,6 +144,9 @@ class LocalSpace:
                     self.answerers.append(to_local(att[b]))
                 owed |= bit_of[b]
             self.owes.append(owed)
+        for g, m in extra:
+            self.owes[self.local_of[g]] |= 1 << len(self.answerers)
+            self.answerers.append(to_local(m))
         self.answers = [0] * len(self.members)
         for o, m in enumerate(self.answerers):
             for j in bits(m):
@@ -161,8 +170,9 @@ class LocalSpace:
         """Local masks of the space's independent groups of members.
 
         Members are linked, both ways, to their conflicts and to the
-        answerers of their attackers, so no two groups share a conflict or
-        an obligation. Groups made only of ``forced`` members are left out.
+        answerers of the obligations they owe, so no two groups share a
+        conflict or an obligation. Groups made only of ``forced`` members
+        are left out.
         """
         link = list(self.conflict)
         for i, owed in enumerate(self.owes):
@@ -205,7 +215,8 @@ def _columns(w: int) -> tuple[int, ...]:
 
 def subset_scan(k: int, space: LocalSpace,
                 deadline: Ceiling = UNBOUNDED) -> list[int]:
-    """All k-bit patterns that are admissible in ``space``.
+    """All k-bit patterns that are admissible in ``space``: conflict-free,
+    and answering every obligation they owe.
 
     A space built without defence has no obligations, so every
     conflict-free pattern qualifies. ``k`` must not exceed

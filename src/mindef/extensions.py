@@ -27,9 +27,9 @@ which branches on the most constrained defence obligation (see
   dropping or recomputing after the core. Both lists read the ceiling once
   per round;
 * the candidates are split into independent groups, linking each member
-  both ways to the members it conflicts with and to the answerers of its
-  attackers. No two groups share a conflict or a defence obligation, so a
-  set qualifies exactly when its part in every group does, and (for
+  both ways to the members it conflicts with and to the answerers of the
+  obligations it owes. No two groups share a conflict or an obligation, so
+  a set qualifies exactly when its part in every group does, and (for
   maximality) is maximal exactly when every part is. Each group gets its
   own tree search, maximal searches keep each group's inclusion-maximal
   sets, and the family holds the groups' answers, forced members
@@ -38,6 +38,13 @@ which branches on the most constrained defence obligation (see
   factor of one mask. Counts, membership and acceptance are read from the
   factors; the product is built and ordered only when the members are
   read, under what the request's ceiling left.
+
+Restricted admissibility adds one obligation per restricted candidate: it
+must individually defend one of the set's unrestricted members, so it is
+answered by the unrestricted candidates its defender walk reaches. The
+walk ranges over the whole framework and is the same in every set, so the
+obligation is fixed before the search, which then yields exactly the
+restrictedly admissible sets, group by group, with no pass after it.
 
 Min-def extensions are computed by a two-step pipeline, one factor of the
 preferred extensions on the focus at a time: keep the factor's masks whose
@@ -501,18 +508,23 @@ def _member_codes(factors, width, deadline):
     return out
 
 
-def _solve_space(af, space_mask, mode, deadline):
+def _solve_space(af, space_mask, mode, deadline, p=None):
     """Per independent group of the space, the masks of its answers.
 
     The qualifying subsets of ``space_mask`` are the unions of one mask
     from each factor; for ``ADMISSIBLE_MAX`` these are the
-    inclusion-maximal admissible ones. Each group is searched on its own,
-    and its masks hold its forced members. The forced members that share
-    no group with a candidate form one more factor of one mask, when there
-    are any.
+    inclusion-maximal admissible ones. With a partition ``p``, each
+    restricted candidate also owes the obligation to defend an
+    unrestricted member, so ``ADMISSIBLE_ALL`` yields the restrictedly
+    admissible ones. Each group is searched on its own, and its masks hold
+    its forced members. The forced members that share no group with a
+    candidate form one more factor of one mask, when there are any.
     """
     cand, forced = _prepare_space(af, space_mask, mode, deadline)
-    space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE)
+    extra = () if p is None else [
+        (x, _parity_reachable(af.target_masks, x) & p.unrestricted.mask)
+        for x in bits(cand & p.restricted.mask)]
+    space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE, extra)
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX
     factors = []
@@ -568,11 +580,11 @@ def _space_of(af, within):
     return within.mask
 
 
-def _solved(af, space_mask, mode, budget):
+def _solved(af, space_mask, mode, budget, p=None):
     """The family of ``_solve_space``'s answers, in product form."""
     deadline = (budget or DEFAULT_BUDGET).deadline()
     return ExtensionFamily._product_of(
-        af, _solve_space(af, space_mask, mode, deadline), deadline)
+        af, _solve_space(af, space_mask, mode, deadline, p), deadline)
 
 
 def conflict_free_sets(af: ArgumentationFramework, within: ArgumentSet = None,
@@ -590,26 +602,7 @@ def admissible_sets(af: ArgumentationFramework, within: ArgumentSet = None,
 def restrictedly_admissible_sets(af: ArgumentationFramework, p: Partition,
                                  budget: SearchBudget = None) -> ExtensionFamily:
     """Every restrictedly admissible subset of the focus."""
-    deadline = (budget or DEFAULT_BUDGET).deadline()
-    # the admissible subsets of the focus; what is left is that each
-    # restricted member individually defends an unrestricted one, and a
-    # member's defender walk is the same in every set
-    factors = _solve_space(af, _space_of(af, p.focus), ADMISSIBLE_ALL,
-                           deadline)
-    u, r = p.unrestricted.mask, p.restricted.mask
-    spans = [reduce(or_, masks, 0) for masks in factors]
-    used = reduce(or_, spans, 0)
-    defended = {x: _parity_reachable(af.target_masks, x)
-                for x in bits(used & r)}
-    # the test reads one factor's part alone unless some restricted member
-    # defends a member of another factor; then it reads whole sets
-    if any(defended[x] & used & ~span
-           for span in spans for x in bits(span & r)):
-        factors = [_product(factors, deadline)]
-    factors = [[m for m in masks
-                if all(defended[x] & m & u for x in bits(m & r))]
-               for masks in factors]
-    return ExtensionFamily._product_of(af, factors, deadline)
+    return _solved(af, _space_of(af, p.focus), ADMISSIBLE_ALL, budget, p)
 
 
 def preferred_extensions(af: ArgumentationFramework,

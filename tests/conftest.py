@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import mindef as md
-from mindef import _kernels, extensions
+from mindef import _kernels, extensions, semantics
 from mindef.errors import AfpSyntaxError, UndeclaredArgument
 from mindef.model import ArgumentationFramework, bits, build_partition
 
@@ -865,6 +865,31 @@ def predicate_restrictedly_admissible(af, p):
     return md.ExtensionFamily(
         s for s in md.admissible_sets(af, p.focus)
         if md.is_restrictedly_admissible(af, p, s))
+
+
+def filtered_restrictedly_admissible_sets(af, p):
+    """Reference for ``restrictedly_admissible_sets``: the replaced post
+    filter. It searches the admissible subsets of the focus, then keeps the
+    masks whose restricted members each reach an unrestricted member of the
+    mask by a defender walk. A factor's masks are filtered on their own
+    unless a restricted member defends a member of another factor; then
+    every factor is multiplied out into one, which may refuse on the set
+    cap."""
+    deadline = _kernels.UNBOUNDED
+    factors = extensions._solve_space(af, p.focus.mask,
+                                      extensions.ADMISSIBLE_ALL, deadline)
+    u, r = p.unrestricted.mask, p.restricted.mask
+    spans = [functools.reduce(operator.or_, masks, 0) for masks in factors]
+    used = functools.reduce(operator.or_, spans, 0)
+    defended = {x: semantics._parity_reachable(af.target_masks, x)
+                for x in bits(used & r)}
+    if any(defended[x] & used & ~span
+           for span in spans for x in bits(span & r)):
+        factors = [extensions._product(factors, deadline)]
+    factors = [[m for m in masks
+                if all(defended[x] & m & u for x in bits(m & r))]
+               for masks in factors]
+    return md.ExtensionFamily._product_of(af, factors, deadline)
 
 
 def walk_defenders(af, a):

@@ -17,6 +17,7 @@ from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 from mindef.model import bits
 
 from conftest import (fewest_answerers_minimize, fixed_order_dfs_enumerate,
+                      filtered_restrictedly_admissible_sets,
                       fixed_point_prepare_space, instance_stream,
                       jump_after_the_codes, keyed_sort_ranks,
                       many_supports, name_tuple_order,
@@ -487,27 +488,26 @@ class TestComponentSearch:
                     af, af.full_mask, mode), label
 
     def test_restrictedly_admissible_sets_match_the_predicate(self):
-        # random frameworks above the oracle cap, and structured shapes under
-        # seed-drawn partitions
-        instances = []
-        for seed in range(40):
-            n = 30 + seed % 31
-            instances.append(md.random_instance(md.GeneratorConfig(
-                n, 3.0 / n, 0.8, 0.5, seed=seed)))
-        small = {"two-cycles": range(1, 4), "chain": range(1, 5),
-                 "cycle": range(1, 10), "isolated": range(1, 4)}
-        for k, (_, af) in enumerate(structured_stream(40, 9700, small)):
-            rng = random.Random(k)
-            focus = [a for a in af.names if rng.random() < 0.8]
-            restricted = [a for a in focus if rng.random() < 0.5]
-            instances.append((af, md.build_partition(af, focus, restricted)))
         members = 0
-        for af, p in instances:
+        for af, p in restricted_instances():
             got = md.restrictedly_admissible_sets(af, p)
             assert got.members == predicate_restrictedly_admissible(
                 af, p).members
             members += len(got)
         assert members > 1000
+
+    def test_restrictedly_admissible_sets_match_the_filtered_reference(self):
+        # the obligations against the post filter they replace, which
+        # answers on all of these, and against the oracle within its cap
+        scanned = 0
+        for af, p in restricted_instances():
+            got = md.restrictedly_admissible_sets(af, p)
+            assert got.members == filtered_restrictedly_admissible_sets(
+                af, p).members
+            if len(p.focus) <= 20:
+                assert got == md.oracle_restrictedly_admissible(af, p)
+                scanned += 1
+        assert scanned == 40
 
     def test_restrictedly_admissible_sets_build_one_family(self, monkeypatch):
         built = []
@@ -530,6 +530,22 @@ class TestComponentSearch:
             fam = md.restrictedly_admissible_sets(af, p)
             assert len(built) == 1
             assert fam == md.oracle_restrictedly_admissible(af, p)
+
+
+def restricted_instances():
+    """Random frameworks above the oracle cap, and structured shapes under
+    seed-drawn partitions."""
+    for seed in range(40):
+        n = 30 + seed % 31
+        yield md.random_instance(md.GeneratorConfig(
+            n, 3.0 / n, 0.8, 0.5, seed=seed))
+    small = {"two-cycles": range(1, 4), "chain": range(1, 5),
+             "cycle": range(1, 10), "isolated": range(1, 4)}
+    for k, (_, af) in enumerate(structured_stream(40, 9700, small)):
+        rng = random.Random(k)
+        focus = [a for a in af.names if rng.random() < 0.8]
+        restricted = [a for a in focus if rng.random() < 0.5]
+        yield af, md.build_partition(af, focus, restricted)
 
 
 class TestFilterMaximal:
@@ -1109,6 +1125,24 @@ class TestFactoredFamilies:
         assert fam == predicate_restrictedly_admissible(af, p)
         assert sset(af, "x,z,w") in fam and sset(af, "x,w") not in fam
         assert len(fam._factors) == 1
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_restricted_defence_links_only_the_groups_it_needs(self, k):
+        # the framework above beside k two-cycles: x's obligation links its
+        # group to z's, and each two-cycle keeps its own factor; the post
+        # filter multiplied all of them out into one
+        cycles = [f"t{i}" for i in range(2 * k)]
+        af = build_framework(
+            ["x", "b", "y", "c", "z", "w"] + cycles,
+            [("x", "b"), ("b", "y"), ("y", "c"), ("c", "z"), ("w", "c")]
+            + [pair for a, b in zip(cycles[::2], cycles[1::2])
+               for pair in ((a, b), (b, a))])
+        p = md.build_partition(af, ["x", "z", "w"] + cycles, ["x"])
+        fam = md.restrictedly_admissible_sets(af, p)
+        assert len(fam._factors) == k + 1 and len(fam) == 4 * 3 ** k
+        filtered = filtered_restrictedly_admissible_sets(af, p)
+        assert len(filtered._factors) == 1
+        assert fam == filtered == md.oracle_restrictedly_admissible(af, p)
 
     def test_restricted_admissible_families_keep_their_factors(self):
         af = two_cycles(9)

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import mindef as md
-from conftest import REPO_ROOT, numpy_subset_scan
+from conftest import REPO_ROOT, instance_stream, numpy_subset_scan
 from mindef import _kernels
+from mindef.semantics import _parity_reachable
 
 
 def test_wide_frameworks_solve_and_match_the_oracle_on_a_window():
@@ -40,6 +41,34 @@ def test_local_space_layout_and_round_trip():
     plain = _kernels.LocalSpace(af, af.subset("abc").mask, defence=False)
     assert plain.owes == plain.answers == [0, 0, 0]
     assert plain.answerers == []
+    # one more obligation, numbered after the attackers: c owes it, and a,
+    # b and d (outside the space) answer it
+    more = _kernels.LocalSpace(af, af.subset("abc").mask, True,
+                               [(2, af.subset("abd").mask)])
+    assert more.owes == [0b0001, 0b0010, 0b1101]
+    assert more.answerers == [0b001, 0b010, 0b000, 0b011]
+    assert more.answers == [0b1001, 0b1010, 0b0000]
+
+
+def test_scan_over_restricted_obligations_keeps_restrictedly_admissible_sets():
+    # each restricted member of the focus owes one more obligation, answered
+    # by the unrestricted members it individually defends; the exhaustive
+    # kernel then keeps exactly the focus subsets the predicate accepts
+    kept = 0
+    for _, af, p in instance_stream(40, base_seed=9900,
+                                    sizes=(6, 9, 12, 15, 18)):
+        k = len(p.focus)
+        assert k <= 14
+        extra = [(x, _parity_reachable(af.target_masks, x)
+                  & p.unrestricted.mask) for x in p.restricted.indices()]
+        space = _kernels.LocalSpace(af, p.focus.mask, True, extra)
+        want = [m for m in map(space.to_global, range(1 << k))
+                if md.is_restrictedly_admissible(af, p,
+                                                 md.ArgumentSet(af, m))]
+        got = _kernels.subset_scan(k, space)
+        assert list(map(space.to_global, got)) == want
+        kept += len(want)
+    assert kept > 100  # more than the empty set each
 
 
 def _random_spaces(max_k):

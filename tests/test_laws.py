@@ -9,12 +9,15 @@ reference implementation.
   unrestricted focus members has its family by definition: every subset
   for the semantics without maximality, the whole part for the others.
 
-Families past ``SMALL`` members are compared without building them: the
-counts must agree, and seeded draws of members (one mask per factor) must
-lie in the other side, both ways.
+Every family must answer: no semantics refuses on the set cap here, since
+each keeps the product form of its independent groups. Families past
+``SMALL`` members are compared without building them: the counts must
+agree, and seeded draws of members (one mask per factor) must lie in the
+other side, both ways.
 """
 
 import random
+from itertools import chain
 from math import prod
 
 import pytest
@@ -24,7 +27,7 @@ from mindef import _kernels, extensions
 from mindef.cli import FAMILIES
 from mindef.model import bits
 
-from conftest import structured_stream
+from conftest import filtered_restrictedly_admissible_sets, structured_stream
 
 # families up to this size are compared member by member
 SMALL = 1 << 12
@@ -63,15 +66,9 @@ def with_partition(af, seed):
 
 def families(af, p):
     """Every semantics' family on the solver engine, preferred-on-f on the
-    focus; ``None`` for a family refused on the set cap."""
-    out = {}
-    for name, (solver, _) in FAMILIES.items():
-        try:
-            out[name] = solver(af, p, p.focus, None)
-        except md.BudgetExceeded as exc:
-            assert str(exc).startswith("answer exceeds the cap")
-            out[name] = None
-    return out
+    focus."""
+    return {name: solver(af, p, p.focus, None)
+            for name, (solver, _) in FAMILIES.items()}
 
 
 def mapped(mask, index_map):
@@ -181,16 +178,14 @@ def test_renaming_renames_every_family(k):
         want = families(af, p)
         got = families(new_af, new_p)
         for name in FAMILIES:
-            # the cap counts sets, so a refusal is renamed too
-            if want[name] is None or got[name] is None:
-                assert want[name] is got[name] is None
-                continue
             assert_product(got[name], [(want[name], new_of)], rng)
 
 
-def test_a_disjoint_union_is_the_product_of_its_parts():
-    rng = random.Random(0)
-    refused = []
+def unions():
+    """Per seed, a sparse framework, a renamed second part (sparse or a
+    structured shape) and a few isolated arguments side by side. Yields the
+    union's framework and partition, per part its index map into the union,
+    and per part its families."""
     shapes = [with_partition(af, k)
               for k, (_, af) in enumerate(structured_stream(8, 19500))]
     for k in range(8):
@@ -200,16 +195,41 @@ def test_a_disjoint_union_is_the_product_of_its_parts():
         renamed_second = renamed(*second, 500 + k)[1:]
         lone_af, lone_p, lone = isolated(1 + k % 3, "z")
         af, p, maps = union([first, renamed_second, (lone_af, lone_p)], k)
+        yield af, p, maps, [families(*first), families(*renamed_second),
+                            lone]
+
+
+def test_a_disjoint_union_is_the_product_of_its_parts():
+    rng = random.Random(0)
+    for af, p, maps, parts in unions():
         got = families(af, p)
-        parts = [families(*first), families(*renamed_second), lone]
         for name in FAMILIES:
-            if got[name] is None:
-                # restricted-admissible multiplies all factors out when
-                # one restricted member defends across two of them
-                refused.append(name)
-                continue
             assert_product(got[name], [(fams[name], index_map)
                                        for fams, index_map in zip(parts,
                                                                   maps)],
                            rng)
-    assert len(refused) <= 2 and set(refused) <= {"restricted-admissible"}
+
+
+def test_restricted_admissible_matches_the_filtered_reference():
+    # the obligations against the post filter they replace, on every law
+    # instance where the filter answers under the set cap
+    rng = random.Random(1)
+    answered = 0
+    law_instances = chain(instances(), ((af, p) for af, p, _, _ in unions()))
+    for af, p in law_instances:
+        try:
+            want = filtered_restrictedly_admissible_sets(af, p)
+        except md.BudgetExceeded:
+            continue
+        assert_product(md.restrictedly_admissible_sets(af, p),
+                       [(want, range(len(af)))], rng)
+        answered += 1
+    assert answered == 27
+
+
+def test_restricted_admissible_keeps_the_product_past_the_cap():
+    # the post filter multiplied every factor out here and refused
+    af, p = sparse(120, 120)
+    with pytest.raises(md.BudgetExceeded, match="answer exceeds the cap"):
+        filtered_restrictedly_admissible_sets(af, p)
+    assert count(md.restrictedly_admissible_sets(af, p)) == 1036800
