@@ -292,13 +292,12 @@ def subset_scan(k: int, space: LocalSpace,
     return out
 
 
-def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
+def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
                   space, maximal_only: int, deadline: Ceiling) -> list[int]:
     """Admissible sets (conflict-free ones, when no obligations) of a space.
 
-    The search includes ``forced_mask`` and branches on the members of
-    ``suffix_avail[0]``, the branchable mask; nothing else of
-    ``suffix_avail`` is read. ``space`` is a :class:`LocalSpace`, or any
+    The search includes ``forced_mask`` and branches on the members of the
+    mask ``branchable``. ``space`` is a :class:`LocalSpace`, or any
     object with its four lists ``conflict``, ``owes``, ``answers`` and
     ``answerers``. A call may search any members that share no conflict or
     obligation with the rest. The kernel reads neither ``k`` nor
@@ -309,13 +308,13 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     ``maximal_only`` is the mode. With ``ALL`` (or ``False``) every set is
     returned once. With ``MAXIMAL`` (or ``True``) branches that provably
     yield no inclusion-maximal set are cut, so the caller must only use
-    the result for maximality filtering. With ``MINIMAL`` it holds the
-    branchable parts of admissible sets: their inclusion-minimal ones are
-    the minimal parts of all of them, but a part found early may contain
-    one found later. Refuses past the ceiling, read every 256 nodes, or
-    past ``MAX_SETS`` sets. The walk keeps an explicit stack,
-    so its depth is bounded by memory, not by the interpreter's recursion
-    limit.
+    the result for maximality filtering. With ``MINIMAL`` it holds
+    admissible sets whose inclusion-minimal ones are the minimal ones of
+    all admissible sets that include ``forced_mask``; a set found early
+    may contain one found later, never the reverse. Refuses past the
+    ceiling, read every 256 nodes, or past ``MAX_SETS`` sets. The walk
+    keeps an explicit stack, so its depth is bounded by memory, not by the
+    interpreter's recursion limit.
 
     A node is ``(inc, closed, owed, answered)``: the included members, the
     members no longer free to join (included, excluded, or in conflict
@@ -325,16 +324,21 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
     ``i`` includes its ``i``-th answerer and closes the ones before it, so
     no set is reached twice, and an obligation without a free answerer
     ends the branch. Once all are answered, ``inc`` is admissible: the
-    minimal mode records its branchable part as a leaf, and cuts every
-    node whose branchable part contains a recorded one; the other modes
-    include or exclude the lowest free member, and a node with none free
-    is a leaf.
+    minimal mode records it as a leaf; the other modes include or exclude
+    the lowest free member, and a node with none free is a leaf.
+
+    In the minimal mode no node popped after a leaf ``L`` contains it.
+    Such a node lies in a later child of some branching node on ``L``'s
+    path; that child has closed the answerer ``L`` took there, so none of
+    its descendants includes it. (The root, the one node with no
+    branchable member, is popped first.) So a containment test against
+    the recorded leaves would never cut, and the caller's minimality pass
+    is needed only the other way round.
     """
     conflict = space.conflict
     owes = space.owes
     answers = space.answers
     answerers = space.answerers
-    branchable = suffix_avail[0]
     maximal = maximal_only == MAXIMAL
     minimal = maximal_only == MINIMAL
     closed = forced_mask
@@ -364,10 +368,6 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
             deadline.check()
         ticks += 1
         inc, closed, owed, answered = pop()
-        if minimal:
-            part = inc & branchable
-            if any(leaf | part == part for leaf in out):
-                continue  # contains a recorded leaf, so is not minimal
         free = branchable & ~closed
         unmet = owed & ~answered
         if unmet:
@@ -385,7 +385,7 @@ def dfs_enumerate(k: int, pos_idx, suffix_avail, forced_mask: int,
             continue
         if minimal or not free:
             if not (maximal and joinable(inc, answered)):
-                out.append(part if minimal else inc)
+                out.append(inc)
                 if len(out) > cap:
                     raise too_many_sets()
             continue

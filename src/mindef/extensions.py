@@ -65,9 +65,11 @@ its obligation bit, so the included members' unmet obligations are their
 attackers less their targets. It starts from the unrestricted part and
 branches only on the restricted answerers still free to join of the unmet
 attacker that has the fewest, excluding each answerer from the branches
-after its own; a branch whose restricted part already contains a found
-support is cut, and a last pass, which reads the ceiling too, keeps the
-inclusion-minimal leaves.
+after its own; a node with no unmet attacker is a leaf. A leaf never
+contains one found later, since the later one's branch has excluded an
+answerer the earlier one took; an early leaf may contain a later one, so a
+last pass, which reads the ceiling too, keeps the inclusion-minimal
+leaves.
 """
 
 from bisect import bisect_left, bisect_right
@@ -521,9 +523,13 @@ def _solve_space(af, space_mask, mode, deadline, p=None):
     candidate form one more factor of one mask, when there are any.
     """
     cand, forced = _prepare_space(af, space_mask, mode, deadline)
-    extra = () if p is None else [
-        (x, _parity_reachable(af.target_masks, x) & p.unrestricted.mask)
-        for x in bits(cand & p.restricted.mask)]
+    extra = []
+    # each restricted candidate's defender walk spans the framework, so the
+    # ceiling is read before each
+    for x in bits(cand & p.restricted.mask) if p is not None else ():
+        deadline.check()
+        extra.append(
+            (x, _parity_reachable(af.target_masks, x) & p.unrestricted.mask))
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE, extra)
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX
@@ -532,7 +538,7 @@ def _solve_space(af, space_mask, mode, deadline, p=None):
     for group in space.components(forced_local):
         free = group & ~forced_local
         local_masks = _kernels.dfs_enumerate(
-            group.bit_count(), list(bits(free)), (free,),
+            group.bit_count(), list(bits(free)), free,
             group & forced_local, space, maximal_only, deadline)
         if maximal_only:
             local_masks = _subset_maximal_masks(local_masks, deadline)
@@ -650,12 +656,11 @@ def minimize_restricted(af: ArgumentationFramework, p: Partition,
     tgt = af.target_masks
     layout = SimpleNamespace(conflict=tgt, owes=att, answers=tgt,
                              answerers=att)
-    leaves = _kernels.dfs_enumerate(emask.bit_count(), list(bits(er)), (er,),
+    leaves = _kernels.dfs_enumerate(emask.bit_count(), list(bits(er)), er,
                                     eu, layout, _kernels.MINIMAL, deadline)
-    # a leaf found early may still contain one found later
-    minimal = _subset_minimal_masks(leaves, deadline)
-    return ExtensionFamily._product_of(af, [[eu | r for r in minimal]],
-                                       deadline)
+    # every leaf holds e_u; one found early may still contain a later one
+    return ExtensionFamily._product_of(
+        af, [_subset_minimal_masks(leaves, deadline)], deadline)
 
 
 def min_def_extensions(af: ArgumentationFramework, p: Partition,

@@ -57,10 +57,8 @@ class ArgumentationFramework:
 
     def index(self, arg) -> int:
         """Dense index of an argument given by name (or already an index)."""
-        if isinstance(arg, int):
-            if 0 <= arg < len(self.names):
-                return arg
-            raise UndeclaredArgument(arg)
+        if isinstance(arg, int) and 0 <= arg < len(self.names):
+            return arg
         try:
             return self.index_of[arg]
         except KeyError:

@@ -387,6 +387,88 @@ def fixed_order_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
     return out
 
 
+def containment_cut_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask,
+                                  space, maximal_only, deadline):
+    """Reference for ``_kernels.dfs_enumerate``: the loop before it lost its
+    minimal mode's containment cut. It reads the branchable mask as
+    ``suffix_avail[0]``. Its minimal mode records each leaf's branchable
+    part, without ``forced_mask``, and skips every node whose branchable
+    part contains a recorded leaf; the other modes are the kernel's."""
+    conflict = space.conflict
+    owes = space.owes
+    answers = space.answers
+    answerers = space.answerers
+    branchable = suffix_avail[0]
+    maximal = maximal_only == _kernels.MAXIMAL
+    minimal = maximal_only == _kernels.MINIMAL
+    closed = forced_mask
+    owed = answered = 0
+    for j in bits(forced_mask):
+        closed |= conflict[j]
+        owed |= owes[j]
+        answered |= answers[j]
+
+    def joinable(inc, answered):
+        # some excluded candidate could still join: the enlarged set is
+        # admissible, so ``inc`` is not maximal
+        for j in bits(branchable & ~inc):
+            if (conflict[j] & inc == 0
+                    and owes[j] & ~(answered | answers[j]) == 0):
+                return True
+        return False
+
+    out = []
+    cap = _kernels.MAX_SETS
+    ticks = 0
+    stack = [(forced_mask, closed, owed, answered)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        if ticks & 255 == 0:
+            deadline.check()
+        ticks += 1
+        inc, closed, owed, answered = pop()
+        if minimal:
+            part = inc & branchable
+            if any(leaf | part == part for leaf in out):
+                continue  # contains a recorded leaf, so is not minimal
+        free = branchable & ~closed
+        unmet = owed & ~answered
+        if unmet:
+            # the most constrained obligation: child i takes its i-th free
+            # answerer and closes the ones before it
+            pick = min([answerers[o] & free for o in bits(unmet)],
+                       key=int.bit_count)
+            children = []
+            for c in bits(pick):
+                bit = 1 << c
+                closed |= bit
+                children.append((inc | bit, closed | conflict[c],
+                                 owed | owes[c], answered | answers[c]))
+            stack.extend(reversed(children))
+            continue
+        if minimal or not free:
+            if not (maximal and joinable(inc, answered)):
+                out.append(part if minimal else inc)
+                if len(out) > cap:
+                    raise _kernels.too_many_sets()
+            continue
+        bit = free & -free
+        i = bit.bit_length() - 1
+        need = owes[i]
+        grown = answered | answers[i]
+        # already defended, or nothing free can ever conflict with i and i
+        # stays defendable by itself: any admissible superset without i
+        # extends by i (Dung's fundamental lemma), so no exclude-leaf is
+        # maximal
+        if not (maximal and (need & ~answered == 0
+                             or conflict[i] & free == 0
+                             and need & ~grown == 0)):
+            push((inc, closed | bit, owed, answered))
+        push((inc | bit, closed | bit | conflict[i], owed | need, grown))
+    return out
+
+
 def recursive_dfs_enumerate(k, pos_idx, suffix_avail, forced_mask, space,
                             maximal_only):
     """Reference for :func:`fixed_order_dfs_enumerate`: the recursive walk

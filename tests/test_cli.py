@@ -2,6 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -13,8 +17,9 @@ from mindef.cli import (SEMANTICS, SolveRequest, _budget_from, build_parser,
                         main, run_cli)
 from mindef.extensions import SearchBudget
 
-from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
-                      jump_after_the_codes, mutated_fixtures)
+from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, REPO_ROOT,
+                      instance_stream, jump_after_the_codes,
+                      mutated_fixtures)
 
 AF3 = str(FIXTURE_DIR / "af3.afp")
 AF2_TEXT = (FIXTURE_DIR / "af2.afp").read_text()
@@ -333,6 +338,44 @@ def test_generate_is_deterministic_and_parseable(capsys, tmp_path):
 def test_generate_rejects_bad_fractions(capsys):
     code, _, err = run(capsys, "generate", "-n", "5", "-p", "2.0")
     assert code == 2 and "error:" in err
+
+
+def test_generate_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "inst.afp"
+    code, out, err = run(capsys, "generate", "-n", "5", "-o", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.parent.exists()
+
+
+def test_an_unknown_mode_exits_2(capsys):
+    request = SolveRequest(source=AF3, mode="enumerate-all")
+    assert run_cli(request) == (None, 2)
+    assert capsys.readouterr().err == (
+        "error: unknown mode 'enumerate-all'\n")
+
+
+def readme_examples():
+    """The README's ``mindef`` commands that a ``# output`` line follows,
+    as (arguments, output) pairs."""
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    return [(shlex.split(line)[1:], after[2:])
+            for line, after in zip(lines, lines[1:])
+            if line.startswith("mindef ") and after.startswith("# ")]
+
+
+def test_the_readme_examples_print_their_documented_output():
+    # run as documented, from the repository root, through ``python -m``
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    examples = readme_examples()
+    assert len(examples) == 4
+    for args, output in examples:
+        done = subprocess.run([sys.executable, "-m", "mindef", *args],
+                              cwd=REPO_ROOT, env=env, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, output + "\n", ""), args
 
 
 def test_bad_flags_exit_2(capsys):

@@ -16,7 +16,8 @@ from mindef.cli import FAMILIES
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 from mindef.model import bits
 
-from conftest import (fewest_answerers_minimize, fixed_order_dfs_enumerate,
+from conftest import (containment_cut_dfs_enumerate,
+                      fewest_answerers_minimize, fixed_order_dfs_enumerate,
                       filtered_restrictedly_admissible_sets,
                       fixed_point_prepare_space, instance_stream,
                       jump_after_the_codes, keyed_sort_ranks,
@@ -68,6 +69,11 @@ class TestPreferredOn:
         assert preferred.members == (af.subset(["c", "a"]),)
         intersections = ExtensionFamily(e & x for e in preferred)
         assert preferred_extensions_on(af, x) != intersections
+
+    def test_another_frameworks_base_set_is_an_error(self, af1):
+        other, _ = md.builtin_fixtures()["AF1"]
+        with pytest.raises(md.CrossFrameworkSet):
+            md.admissible_sets(af1, within=sset(other, "o1"))
 
 
 class TestMinDef:
@@ -173,6 +179,31 @@ class TestMinimizeRestricted:
         assert got == subset_walk_minimize(af, p, e)
         assert len(got) == 2 ** 8
 
+    def test_an_early_leaf_may_contain_a_later_one(self, monkeypatch):
+        # b1 and b2 attack u; r1 answers b1, r2 answers b2, r3 answers
+        # both. The search branches on b1: r1, then r2 or r3; then r3
+        # alone. So the leaf {u,r1,r3} comes before {u,r3}, which it
+        # contains, and the pass after the search must drop it
+        af = build_framework(
+            ["u", "b1", "b2", "r1", "r2", "r3"],
+            [("b1", "u"), ("b2", "u"), ("r1", "b1"), ("r2", "b2"),
+             ("r3", "b1"), ("r3", "b2")])
+        p = md.build_partition(af, ["u", "r1", "r2", "r3"],
+                               ["r1", "r2", "r3"])
+        minimal = extensions._subset_minimal_masks
+        passes = []
+
+        def recorded(masks, deadline=None):
+            passes.append(list(masks))
+            return minimal(masks, deadline)
+
+        monkeypatch.setattr(extensions, "_subset_minimal_masks", recorded)
+        fam = minimize_restricted(af, p, p.focus)
+        assert passes == [[sset(af, names).mask for names in
+                           ("u,r1,r2", "u,r1,r3", "u,r3")]]
+        assert fam.members == (sset(af, "r1,r2,u"), sset(af, "r3,u"))
+        assert {s.mask for s in fam} == subset_walk_minimize(af, p, p.focus)
+
 
 def suffixes(pos_idx):
     """Per depth ``d``, the mask of ``pos_idx[d:]``: what the fixed-order
@@ -192,7 +223,12 @@ class TestAgainstObligationLists:
     leaves. An all-sets call returns the same sets, each once. A maximal
     call returns admissible sets with the same inclusion-maximal ones. A
     ``minimize_restricted`` call, the kernel's minimal mode, returns the
-    same supports."""
+    same supports.
+
+    Every kernel call also returns exactly the list, in order, of the
+    kernel before its minimal mode lost the containment cut; in the
+    minimal mode that kernel's leaves lack the forced members, so each is
+    read with them. The cut therefore never fired on these instances."""
 
     @pytest.fixture
     def compared(self, monkeypatch):
@@ -202,15 +238,19 @@ class TestAgainstObligationLists:
         kernel = _kernels.dfs_enumerate
         minimize = extensions.minimize_restricted
 
-        def dfs(k, pos_idx, suffix_avail, forced_mask, space, mode,
+        def dfs(k, pos_idx, branchable, forced_mask, space, mode,
                 deadline):
-            got = kernel(k, pos_idx, suffix_avail, forced_mask, space, mode,
+            got = kernel(k, pos_idx, branchable, forced_mask, space, mode,
                          deadline)
+            cut = containment_cut_dfs_enumerate(
+                k, pos_idx, (branchable,), forced_mask, space, mode, deadline)
             if mode == _kernels.MINIMAL:
+                assert got == [forced_mask | leaf for leaf in cut]
                 counts["minimal"] += 1
                 return got
+            assert got == cut
             suffix = suffixes(pos_idx)
-            assert suffix[0] == suffix_avail[0]
+            assert suffix[0] == branchable
             args = (k, pos_idx, suffix, forced_mask, space, mode)
             want = fixed_order_dfs_enumerate(*args)
             assert want == watch_list_dfs_enumerate(*args)
@@ -270,13 +310,14 @@ class TestAgainstObligationLists:
 
     def test_many_supports(self, compared):
         # every maximal search is forced whole here, so the tree search
-        # runs on the focus's admissible sets: 2^16 + 3^8 of them
-        af, p = many_supports(8)
-        extensions._solve_space(af, p.focus.mask, ADMISSIBLE_ALL,
-                                _kernels.UNBOUNDED)
-        min_def_extensions(af, p)
-        assert compared == {"all": 1, "maximal": 0, "minimal": 1,
-                            "minimize": 1}
+        # runs on the focus's admissible sets: 2^2k + 3^k of them
+        for k in range(2, 9):
+            af, p = many_supports(k)
+            extensions._solve_space(af, p.focus.mask, ADMISSIBLE_ALL,
+                                    _kernels.UNBOUNDED)
+            min_def_extensions(af, p)
+        assert compared == {"all": 7, "maximal": 0, "minimal": 7,
+                            "minimize": 7}
 
     def test_sparse_frameworks_above_the_oracle_cap(self, compared):
         # the population the min-def benchmark draws from; min-def searches
@@ -575,6 +616,17 @@ class TestFilterMaximal:
                                sset(af1, "u3")])
         assert filter_maximal(fam, order="prec", partition=p3) == fam
 
+    def test_bad_orders_and_partitions_are_rejected(self, af1):
+        fam = ExtensionFamily([sset(af1, "u1")])
+        with pytest.raises(ValueError, match="^unknown order 'superset'$"):
+            filter_maximal(fam, order="superset")
+        with pytest.raises(ValueError, match="^prec order needs a partition$"):
+            filter_maximal(fam, order="prec")
+        # the same AF3 built a second time is another framework
+        _, other_p3 = md.builtin_fixtures()["AF3"]
+        with pytest.raises(md.CrossFrameworkSet):
+            filter_maximal(fam, order="prec", partition=other_p3)
+
 
 class TestAcceptance:
     def test_af1_contains_o1_everywhere(self, af1):
@@ -599,8 +651,33 @@ class TestAcceptance:
         with pytest.raises(EmptyFamily):
             skeptical_accepted(af1, ExtensionFamily([]), "o1")
 
+    def test_another_frameworks_family_is_an_error(self, af1):
+        other, _ = md.builtin_fixtures()["AF1"]
+        fam = preferred_extensions(other)
+        for accept in (credulous_accepted, skeptical_accepted):
+            with pytest.raises(md.CrossFrameworkSet):
+                accept(af1, fam, "o1")
+
 
 class TestFamily:
+    def test_members_of_two_frameworks_are_rejected(self, af1):
+        other, _ = md.builtin_fixtures()["AF1"]
+        with pytest.raises(md.CrossFrameworkSet):
+            ExtensionFamily([sset(af1, "o1"), sset(other, "o1")])
+
+    def test_membership_reads_the_framework_and_every_factor(self, af1):
+        fam = ExtensionFamily._product_of(
+            af1, [[sset(af1, "u1").mask, sset(af1, "u2").mask],
+                  [sset(af1, "o1").mask]])
+        other, _ = md.builtin_fixtures()["AF1"]
+        assert sset(af1, "o1,u1") in fam and sset(af1, "o1,u2") in fam
+        assert sset(other, "o1,u1") not in fam
+        assert sset(af1, "o1,u1").mask not in fam
+        # a part missing from the second factor, or outside every factor
+        assert sset(af1, "u1") not in fam
+        assert sset(af1, "o1,u1,u2") not in fam
+        assert sset(af1, "o1,u1,u3") not in fam
+
     def test_members_are_deduplicated_and_ordered(self, af1):
         fam = ExtensionFamily([sset(af1, "u2,u1"), sset(af1, "o1"),
                                sset(af1, "u1,u2")])
@@ -684,9 +761,8 @@ TWO_CYCLE = build_framework(["a", "b"], [("a", "b"), ("b", "a")])
 def _dfs_over(af, deadline):
     space = _kernels.LocalSpace(af, af.full_mask, False)
     pos_idx = list(range(len(af)))
-    suffix = [(1 << len(af)) - (1 << d) for d in range(len(af) + 1)]
-    return _kernels.dfs_enumerate(len(af), pos_idx, suffix, 0, space, False,
-                                  deadline)
+    return _kernels.dfs_enumerate(len(af), pos_idx, af.full_mask, 0, space,
+                                  False, deadline)
 
 
 # every stage that reads the request's ceiling, called with one that has
@@ -941,6 +1017,39 @@ class TestBudget:
                 match="^max_arguments_for_exhaustive must not be NaN$"):
             SearchBudget(max_arguments_for_exhaustive=math.nan)
 
+    def test_many_supports_answer_within_a_second(self):
+        # 2^13 minimal supports; a containment test of every node against
+        # the leaves found so far took ~4 s here on a 2-core VM
+        af, p = many_supports(13)
+        budget = SearchBudget(wall_clock_seconds=1.0)
+        assert len(min_def_extensions(af, p, budget)) == 2 ** 13
+        assert len(minimize_restricted(af, p, p.focus, budget)) == 2 ** 13
+
+    def test_each_defender_walk_reads_the_ceiling_first(self, monkeypatch):
+        # a restricted candidate's defender walk spans the whole framework,
+        # so no two walks may run without a read of the ceiling between
+        events = []
+        walk = extensions._parity_reachable
+
+        def walking(targets, x):
+            events.append("walk")
+            return walk(targets, x)
+
+        class Counting(_kernels.Ceiling):
+            def check(self):
+                events.append("read")
+                super().check()
+
+        monkeypatch.setattr(extensions, "_parity_reachable", walking)
+        af, p = many_supports(6)
+        fam = md.restrictedly_admissible_sets(af, p, Counting(60.0))
+        assert len(fam) == 3 ** 6 + 1
+        assert events.count("walk") == 12
+        assert events.count("read") >= 12
+        for i, event in enumerate(events):
+            if event == "walk":
+                assert events[i - 1] == "read", i
+
     def test_roadmap_min_def_probe_answers_within_a_second(self):
         # |e_r| = 23 here; the subset walk needed far more than 20 s
         af, p = md.random_instance(md.GeneratorConfig(400, 0.005, 0.7, 0.3,
@@ -974,7 +1083,7 @@ def test_the_roadmap_sweep_answers_within_a_second(monkeypatch):
             assert not any(a != b and a | b == b
                            for a in got[s] for b in got[s]), s
 
-    def fixed_order(k, pos_idx, suffix_avail, forced_mask, space, mode,
+    def fixed_order(k, pos_idx, branchable, forced_mask, space, mode,
                     deadline):
         return fixed_order_dfs_enumerate(k, pos_idx, suffixes(pos_idx),
                                          forced_mask, space, mode, deadline)

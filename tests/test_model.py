@@ -104,6 +104,18 @@ class TestArgumentSet:
         with pytest.raises(UndeclaredArgument):
             af1.subset(["nope"])
 
+    def test_an_index_out_of_range_is_undeclared(self, af1):
+        assert af1.index(len(af1) - 1) == len(af1) - 1
+        for i in (len(af1), -1):
+            with pytest.raises(UndeclaredArgument):
+                af1.index(i)
+
+    def test_other_operands_are_not_sets(self, af1):
+        s = sset(af1, "u1")
+        with pytest.raises(TypeError, match="^expected ArgumentSet, got int$"):
+            s | 3
+        assert (s == 3) is False and (s != 3) is True
+
     @given(st.sets(st.integers(0, 13)), st.sets(st.integers(0, 13)))
     def test_algebra_matches_python_sets(self, xs, ys):
         af = md.builtin_fixtures()["AF1"][0]

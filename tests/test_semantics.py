@@ -109,6 +109,15 @@ class TestRestrictedAdmissibility:
         with pytest.raises(NotWithinFocus):
             is_restrictedly_admissible(af1, p3, sset(af1, "o1"))
 
+    def test_another_frameworks_set_or_partition_is_an_error(self, af1, p3):
+        # the same AF3 built a second time is another framework; {u1} is
+        # not admissible, so only the guard can tell
+        other, other_p3 = md.builtin_fixtures()["AF3"]
+        with pytest.raises(md.CrossFrameworkSet):
+            is_restrictedly_admissible(af1, other_p3, sset(af1, "u1"))
+        with pytest.raises(md.CrossFrameworkSet):
+            is_restrictedly_admissible(other, p3, sset(other, "u1"))
+
     def test_admissible_without_restricted_members_qualifies(self):
         for _, af, p in instance_stream(25, base_seed=130):
             for s in md.oracle_admissible(af, p.unrestricted):
@@ -136,6 +145,13 @@ class TestPrecCompare:
     def test_out_of_focus_is_an_error(self, af1, p3):
         with pytest.raises(NotWithinFocus):
             prec_compare(p3, sset(af1, "o1"), sset(af1, "u2"))
+
+    def test_another_frameworks_set_is_an_error(self, af1, p3):
+        other, _ = md.builtin_fixtures()["AF3"]
+        for pair in ((sset(other, "u2"), sset(af1, "u2")),
+                     (sset(af1, "u2"), sset(other, "u2"))):
+            with pytest.raises(md.CrossFrameworkSet):
+                prec_compare(p3, *pair)
 
     @given(st.sets(st.integers(0, 8)), st.sets(st.integers(0, 8)))
     def test_verdict_flips_with_argument_order(self, xs, ys):
