@@ -27,9 +27,10 @@ strategies live here:
   labelling search of Modgil & Caminada (2009) and of Nofal, Atkinson &
   Dunne (AIJ 207, 2014). Once every obligation is answered, it includes
   or excludes the lowest free member. Its mode selects all admissible
-  sets, candidates for the inclusion-maximal ones, or candidates for the
-  minimal ones; the minimal mode is min-def's shrinking step, run over a
-  framework's own masks. It is a pure-Python loop over unbounded ints
+  sets, candidates for the inclusion-maximal ones, candidates for the
+  minimal ones, or one witness; the minimal mode is min-def's shrinking
+  step, run over a framework's own masks, and the witness mode answers
+  credulous queries. It is a pure-Python loop over unbounded ints
   with an explicit stack, so any depth fits; a node carries what its
   included members owe and answer as two obligation masks, so each test
   is one mask test. One call may search one independent group of a
@@ -67,7 +68,7 @@ MAX_SETS = 1 << 23
 
 
 # the modes of ``dfs_enumerate``; ``False`` and ``True`` read as the first two
-ALL, MAXIMAL, MINIMAL = 0, 1, 2
+ALL, MAXIMAL, MINIMAL, WITNESS = 0, 1, 2, 3
 
 
 def too_many_sets():
@@ -166,13 +167,14 @@ class LocalSpace:
             out |= 1 << members[j]
         return out
 
-    def components(self, forced: int) -> list[int]:
+    def components(self, forced: int, seeds: int = -1) -> list[int]:
         """Local masks of the space's independent groups of members.
 
         Members are linked, both ways, to their conflicts and to the
         answerers of the obligations they owe, so no two groups share a
         conflict or an obligation. Groups made only of ``forced`` members
-        are left out.
+        are left out, and so are those holding no member of the local mask
+        ``seeds`` (by default every member).
         """
         link = list(self.conflict)
         for i, owed in enumerate(self.owes):
@@ -182,7 +184,7 @@ class LocalSpace:
                 for j in bits(m):
                     link[j] |= 1 << i
         groups = []
-        rest = (1 << len(link)) - 1 & ~forced
+        rest = (1 << len(link)) - 1 & seeds & ~forced
         while rest:
             group = frontier = rest & -rest
             while frontier:
@@ -311,10 +313,12 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
     the result for maximality filtering. With ``MINIMAL`` it holds
     admissible sets whose inclusion-minimal ones are the minimal ones of
     all admissible sets that include ``forced_mask``; a set found early
-    may contain one found later, never the reverse. Refuses past the
-    ceiling, read every 256 nodes, or past ``MAX_SETS`` sets. The walk
-    keeps an explicit stack, so its depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    may contain one found later, never the reverse. ``WITNESS`` is the
+    minimal mode stopped at its first leaf: it returns one admissible set
+    that includes ``forced_mask``, or none when there is no such set, in a
+    list either way. Refuses past the ceiling, read every 256 nodes, or
+    past ``MAX_SETS`` sets. The walk keeps an explicit stack, so its depth
+    is bounded by memory, not by the interpreter's recursion limit.
 
     A node is ``(inc, closed, owed, answered)``: the included members, the
     members no longer free to join (included, excluded, or in conflict
@@ -324,8 +328,9 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
     ``i`` includes its ``i``-th answerer and closes the ones before it, so
     no set is reached twice, and an obligation without a free answerer
     ends the branch. Once all are answered, ``inc`` is admissible: the
-    minimal mode records it as a leaf; the other modes include or exclude
-    the lowest free member, and a node with none free is a leaf.
+    minimal mode records it as a leaf, and the witness mode returns it;
+    the other modes include or exclude the lowest free member, and a node
+    with none free is a leaf.
 
     In the minimal mode no node popped after a leaf ``L`` contains it.
     Such a node lies in a later child of some branching node on ``L``'s
@@ -340,7 +345,8 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
     answers = space.answers
     answerers = space.answerers
     maximal = maximal_only == MAXIMAL
-    minimal = maximal_only == MINIMAL
+    witness = maximal_only == WITNESS
+    minimal = witness or maximal_only == MINIMAL
     closed = forced_mask
     owed = answered = 0
     for j in bits(forced_mask):
@@ -385,6 +391,8 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
             continue
         if minimal or not free:
             if not (maximal and joinable(inc, answered)):
+                if witness:
+                    return [inc]
                 out.append(inc)
                 if len(out) > cap:
                     raise too_many_sets()

@@ -46,6 +46,19 @@ FAMILIES = {
 }
 SEMANTICS = tuple(FAMILIES)
 
+# semantics -> (search mode, restricted) of the solver's acceptance queries,
+# answered by extensions.accepted without a family: ``restricted`` queries
+# search the focus under the partition's restricted obligations, the others
+# the base set of preferred-on-f or else every argument; min-def queries
+# read its family's factors
+QUERIES = {
+    "conflict-free": (extensions.CONFLICT_FREE, False),
+    "admissible": (extensions.ADMISSIBLE_ALL, False),
+    "preferred": (extensions.ADMISSIBLE_MAX, False),
+    "preferred-on-f": (extensions.ADMISSIBLE_MAX, False),
+    "restricted-admissible": (extensions.ADMISSIBLE_ALL, True),
+}
+
 # semantics `check` tests by predicate rather than by family membership
 PREDICATES = {
     "conflict-free": lambda af, p, s: is_conflict_free(af, s),
@@ -130,6 +143,24 @@ def _enumerate_family(af, p, request: SolveRequest,
     return solver(af, p, x, deadline)
 
 
+def _decide(af, p, request: SolveRequest, deadline) -> bool:
+    """A credulous or skeptical query's verdict. ``--on``, then the
+    argument, are resolved before any search; the solver answers through
+    :func:`extensions.accepted`, except for min-def, whose queries, like the
+    oracle's, read the family's factors."""
+    skeptical = request.mode == "skeptical"
+    x = _base_set(af, p, request)
+    a = af.index(request.argument)
+    if request.engine == "solver" and request.semantics in QUERIES:
+        mode, restricted = QUERIES[request.semantics]
+        space = p.focus if restricted else af.full_set() if x is None else x
+        return extensions.accepted(af, space.mask, mode, a, skeptical,
+                                   deadline, p if restricted else None)
+    accept = (extensions.skeptical_accepted if skeptical
+              else extensions.credulous_accepted)
+    return accept(af, _enumerate_family(af, p, request, deadline), a)
+
+
 def execute(request: SolveRequest) -> SolveResult:
     """Run one request end to end; raises package errors on bad input.
 
@@ -148,10 +179,7 @@ def execute(request: SolveRequest) -> SolveResult:
     if request.mode == "enumerate":
         family = _enumerate_family(af, p, request, deadline)
     elif request.mode in ("credulous", "skeptical"):
-        fam = _enumerate_family(af, p, request, deadline)
-        accept = (extensions.credulous_accepted if request.mode == "credulous"
-                  else extensions.skeptical_accepted)
-        verdict = accept(af, fam, request.argument)
+        verdict = _decide(af, p, request, deadline)
     elif request.mode == "check":
         s = af.subset(request.check_set or ())
         if request.semantics in PREDICATES:
@@ -315,9 +343,9 @@ def _request_from(ns) -> SolveRequest:
     mode, argument, check_set = "enumerate", None, None
     if ns.command == "check":
         mode, check_set = "check", _names(ns.set)
-    elif ns.credulous:
+    elif ns.credulous is not None:
         mode, argument = "credulous", ns.credulous
-    elif ns.skeptical:
+    elif ns.skeptical is not None:
         mode, argument = "skeptical", ns.skeptical
     return SolveRequest(
         source=ns.input,

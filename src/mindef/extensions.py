@@ -44,7 +44,16 @@ must individually defend one of the set's unrestricted members, so it is
 answered by the unrestricted candidates its defender walk reaches. The
 walk ranges over the whole framework and is the same in every set, so the
 obligation is fixed before the search, which then yields exactly the
-restrictedly admissible sets, group by group, with no pass after it.
+restrictedly admissible sets, group by group, with no pass after it. A
+restricted candidate whose walk reaches no candidate is in no such set:
+it is dropped before the search, and so are, by the drop rerun, the
+members it alone could defend.
+
+Credulous and skeptical queries (:func:`accepted`) build no family. They
+read only the queried argument's group, since every other group has an
+answer. A credulous query is one run of the kernel's witness mode, which
+forces the argument in and stops at the first admissible set; by Dung's
+fundamental lemma this answers for the maximal sets too.
 
 Min-def extensions are computed by a two-step pipeline, one factor of the
 preferred extensions on the focus at a time: keep the factor's masks whose
@@ -510,6 +519,36 @@ def _member_codes(factors, width, deadline):
     return out
 
 
+def _candidates(af, space_mask, mode, deadline, p=None):
+    """The prepared space: (candidate mask, forced mask, extra obligations).
+
+    With a partition ``p``, each restricted candidate owes one more
+    obligation, to defend an unrestricted member: the unrestricted
+    candidates its defender walk reaches answer it (pairs for
+    :class:`~mindef._kernels.LocalSpace`). Each walk spans the framework,
+    so each is walked once, after a read of the ceiling. A restricted
+    candidate whose walk reaches no candidate is in no answer; such
+    members are dropped, and the drop reruns on the smaller space. That
+    leaves none: the rerun drops only members an even walk reaches from a
+    dropped one (the targets of an attacker left without answerers), so
+    an unrestricted one would have been in its walk; only restricted
+    members go, and no walk loses a candidate.
+    """
+    cand, forced = _prepare_space(af, space_mask, mode, deadline)
+    if p is None:
+        return cand, forced, ()
+    restricted = p.restricted.mask
+    defenders = {}
+    for x in bits(cand & restricted):
+        deadline.check()
+        defenders[x] = (_parity_reachable(af.target_masks, x)
+                        & p.unrestricted.mask)
+    if hopeless := sum(1 << x for x in bits(cand & restricted)
+                       if not defenders[x] & cand):
+        cand, forced = _prepare_space(af, cand ^ hopeless, mode, deadline)
+    return cand, forced, [(x, defenders[x]) for x in bits(cand & restricted)]
+
+
 def _solve_space(af, space_mask, mode, deadline, p=None):
     """Per independent group of the space, the masks of its answers.
 
@@ -522,14 +561,7 @@ def _solve_space(af, space_mask, mode, deadline, p=None):
     its forced members. The forced members that share no group with a
     candidate form one more factor of one mask, when there are any.
     """
-    cand, forced = _prepare_space(af, space_mask, mode, deadline)
-    extra = []
-    # each restricted candidate's defender walk spans the framework, so the
-    # ceiling is read before each
-    for x in bits(cand & p.restricted.mask) if p is not None else ():
-        deadline.check()
-        extra.append(
-            (x, _parity_reachable(af.target_masks, x) & p.unrestricted.mask))
+    cand, forced, extra = _candidates(af, space_mask, mode, deadline, p)
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE, extra)
     forced_local = space.to_local(forced)
     maximal_only = mode == ADMISSIBLE_MAX
@@ -547,6 +579,52 @@ def _solve_space(af, space_mask, mode, deadline, p=None):
     if alone:
         factors.append([space.to_global(alone)])
     return factors
+
+
+def accepted(af: ArgumentationFramework, space_mask: int, mode: str, a,
+             skeptical: bool, deadline=_kernels.UNBOUNDED,
+             p: Partition = None) -> bool:
+    """Whether ``a`` is in some qualifying subset of ``space_mask`` (with
+    ``skeptical``, in every one), answered without building a family.
+
+    ``mode`` and ``p`` select the qualifying subsets as for
+    :func:`_solve_space`. ``a`` is resolved first, before any search. The
+    empty set qualifies except for ``ADMISSIBLE_MAX``, so skeptical
+    queries are then NO. A conflict-free credulous query asks only whether
+    ``a`` attacks itself. Every admissible set lies in a maximal one
+    (Dung's fundamental lemma), so a credulous query under any mode is one
+    witness search for an admissible set holding ``a``, in ``a``'s group
+    of the ``ADMISSIBLE_ALL`` space. A skeptical ``ADMISSIBLE_MAX`` query
+    is YES for a forced member, and otherwise reads the maximal sets of
+    ``a``'s group alone: every other group has at least one, so they
+    cannot change the answer.
+    """
+    i = af.index(a)
+    bit = 1 << i
+    if skeptical and mode != ADMISSIBLE_MAX or not space_mask & bit:
+        return False
+    if mode == CONFLICT_FREE:
+        return not af.attacker_masks[i] & bit
+    cand, forced, extra = _candidates(
+        af, space_mask, mode if skeptical else ADMISSIBLE_ALL, deadline, p)
+    if forced & bit:
+        return True
+    if not cand & bit:
+        return False
+    space = _kernels.LocalSpace(af, cand, True, extra)
+    forced = space.to_local(forced)
+    j = space.local_of[i]
+    group, = space.components(forced, 1 << j)
+    if not skeptical:
+        free = group ^ 1 << j
+        return bool(_kernels.dfs_enumerate(
+            group.bit_count(), list(bits(free)), free, 1 << j, space,
+            _kernels.WITNESS, deadline))
+    free = group & ~forced
+    masks = _kernels.dfs_enumerate(
+        group.bit_count(), list(bits(free)), free, group & forced, space,
+        _kernels.MAXIMAL, deadline)
+    return all(m >> j & 1 for m in _subset_maximal_masks(masks, deadline))
 
 
 def _subset_maximal_masks(masks, deadline=_kernels.UNBOUNDED):
@@ -759,7 +837,7 @@ def credulous_accepted(af: ArgumentationFramework, family: ExtensionFamily,
 
     Read from the factors: ``a`` is in some mask of a factor.
     """
-    if len(family) == 0:
+    if not all(family._factors):
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")
@@ -773,7 +851,7 @@ def skeptical_accepted(af: ArgumentationFramework, family: ExtensionFamily,
 
     Read from the factors: ``a`` is in every mask of a factor.
     """
-    if len(family) == 0:
+    if not all(family._factors):
         raise EmptyFamily("acceptance query against an empty family")
     if family.framework is not af:
         raise CrossFrameworkSet("family belongs to a different framework")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import mindef as md
-from mindef import _kernels, extensions, semantics
+from mindef import _kernels, cli, extensions, semantics
 from mindef.errors import AfpSyntaxError, UndeclaredArgument
 from mindef.model import ArgumentationFramework, bits, build_partition
 
@@ -972,6 +972,73 @@ def filtered_restrictedly_admissible_sets(af, p):
                 if all(defended[x] & m & u for x in bits(m & r))]
                for masks in factors]
     return md.ExtensionFamily._product_of(af, factors, deadline)
+
+
+def undropped_solve_space(af, space_mask, mode, deadline, p=None):
+    """Reference for ``extensions._solve_space``: the code before restricted
+    candidates whose defender walk reaches no candidate were dropped. They
+    stay in the search, and every branch that includes one dies."""
+    cand, forced = extensions._prepare_space(af, space_mask, mode, deadline)
+    extra = []
+    for x in bits(cand & p.restricted.mask) if p is not None else ():
+        deadline.check()
+        extra.append((x, semantics._parity_reachable(af.target_masks, x)
+                      & p.unrestricted.mask))
+    space = _kernels.LocalSpace(af, cand, mode != extensions.CONFLICT_FREE,
+                                extra)
+    forced_local = space.to_local(forced)
+    maximal_only = mode == extensions.ADMISSIBLE_MAX
+    factors = []
+    alone = forced_local
+    for group in space.components(forced_local):
+        free = group & ~forced_local
+        local_masks = _kernels.dfs_enumerate(
+            group.bit_count(), list(bits(free)), free,
+            group & forced_local, space, maximal_only, deadline)
+        if maximal_only:
+            local_masks = extensions._subset_maximal_masks(local_masks,
+                                                           deadline)
+        factors.append([space.to_global(lm) for lm in local_masks])
+        alone &= ~group
+    if alone:
+        factors.append([space.to_global(alone)])
+    return factors
+
+
+def assert_same_factor_members(got, want):
+    """``got`` and ``want`` are factor lists of one family whose groups
+    ``got`` may split further: each factor of ``got`` uses only arguments
+    of one factor of ``want`` (an empty one goes with any), and the
+    products of ``got``'s factors within each ``want`` factor equal it,
+    member for member."""
+    spans = [functools.reduce(operator.or_, masks, 0) for masks in want]
+    within = [[0] for _ in want]
+    for masks in got:
+        span = functools.reduce(operator.or_, masks, 0)
+        homes = [k for k, s in enumerate(spans) if span & ~s == 0]
+        assert homes, "a factor spans two groups of the reference"
+        k = homes[0] if span else 0
+        within[k] = [a | b for a in within[k] for b in masks]
+    for masks, product in zip(want, within):
+        assert sorted(product) == sorted(masks)
+        assert len(set(product)) == len(product)
+
+
+def factor_query(af, p, semantics_name, on=None):
+    """Reference for the solver's acceptance queries: the CLI path before
+    the query path. It resolves ``--on`` and builds the semantics' whole
+    family on the solver engine, which may refuse; the returned function
+    reads a ``(mode, argument)`` query's verdict from its factors."""
+    request = cli.SolveRequest(semantics=semantics_name, on=on)
+    x = cli._base_set(af, p, request)
+    family = cli.FAMILIES[semantics_name][0](af, p, x, None)
+
+    def verdict(mode, a):
+        accept = (md.credulous_accepted if mode == "credulous"
+                  else md.skeptical_accepted)
+        return accept(af, family, a)
+
+    return verdict
 
 
 def walk_defenders(af, a):

@@ -8,18 +8,19 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mindef as md
 from mindef import _kernels, extensions
 from mindef.afp import serialize_afp
-from mindef.cli import (SEMANTICS, SolveRequest, _budget_from, build_parser,
-                        main, run_cli)
+from mindef.cli import (QUERIES, SEMANTICS, SolveRequest, _budget_from,
+                        build_parser, main, run_cli)
 from mindef.extensions import SearchBudget
 
-from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, REPO_ROOT,
+from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, REPO_ROOT, factor_query,
                       instance_stream, jump_after_the_codes,
-                      mutated_fixtures)
+                      mutated_fixtures, sparse_instance)
 
 AF3 = str(FIXTURE_DIR / "af3.afp")
 AF2_TEXT = (FIXTURE_DIR / "af2.afp").read_text()
@@ -84,6 +85,29 @@ def test_credulous_and_skeptical_queries(capsys):
 def test_query_for_undeclared_argument_is_an_input_error(capsys):
     code, _, err = run(capsys, "solve", AF3, "--credulous", "ghost")
     assert code == 2 and "ghost" in err
+
+
+def test_queries_on_families_past_2_to_the_63_members_answer(capsys,
+                                                             tmp_path):
+    # 64 isolated arguments: 2^64 conflict-free and admissible sets
+    path = tmp_path / "isolated.afp"
+    path.write_text("".join(f"arg(x{i}).\n" for i in range(64)))
+    for semantics in ("conflict-free", "admissible", "preferred"):
+        for flag in ("--credulous", "--skeptical"):
+            want = "YES\n" if flag == "--credulous" or (
+                semantics == "preferred") else "NO\n"
+            assert run(capsys, "solve", str(path), "-s", semantics, flag,
+                       "x3")[:2] == (0, want)
+
+
+def test_an_empty_query_argument_is_undeclared(capsys):
+    # an empty name is a query for an argument no file declares, not a
+    # request to enumerate
+    for command in ("solve", "oracle"):
+        for flag in ("--credulous", "--skeptical"):
+            code, out, err = run(capsys, command, AF3, flag, "")
+            assert (code, out) == (2, "")
+            assert err == "error: undeclared argument ''\n"
 
 
 def test_structured_output_fields(capsys):
@@ -563,6 +587,118 @@ def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
                "--set", "a0,b0")[:2] == (0, "NO\n")
     # allowed: a loaded host; building either family takes seconds
     assert time.monotonic() - started < 1.0
+
+
+def test_non_min_def_queries_never_build_a_family(capsys, tmp_path,
+                                                 monkeypatch):
+    # every answer is read first: from the factor-reading reference where
+    # it answers under a small set cap, else from what the semantics
+    # implies (the empty set qualifies; credulous admissible is credulous
+    # preferred); credulous restricted-admissible on the sparse file, whose
+    # reference refuses, is only checked to answer
+    af, p = sparse_instance(300)
+    sparse = tmp_path / "sparse.afp"
+    sparse.write_text(serialize_afp(af, p))
+    fourteen = md.parse_afp(open(fourteen_two_cycles(tmp_path)).read())
+    cases = []
+    for path, (af, p), names in ((sparse, (af, p), af.names[::25]),
+                                 (tmp_path / "fourteen.afp", fourteen,
+                                  ("a3", "b7"))):
+        preferred = factor_query(af, p, "preferred")
+        for semantics in QUERIES:
+            try:
+                with monkeypatch.context() as small:
+                    small.setattr(_kernels, "MAX_SETS", 1 << 14)
+                    want = factor_query(af, p, semantics)
+            except md.BudgetExceeded:
+                want = {"conflict-free": lambda mode, a: (
+                            mode == "credulous"
+                            and a not in af.attackers_of(a).names),
+                        "admissible": lambda mode, a: (
+                            mode == "credulous"
+                            and preferred(mode, a)),
+                        "restricted-admissible": lambda mode, a: (
+                            None if mode == "credulous" else False),
+                        }[semantics]
+            cases += [(str(path), semantics, mode, a, want(mode, a))
+                      for mode in ("credulous", "skeptical") for a in names]
+
+    def refuse(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(md.ExtensionFamily, "_product_of", refuse)
+    for path, semantics, mode, a, want in cases:
+        code, out, _ = run(capsys, "solve", path, "-s", semantics,
+                           f"--{mode}", a)
+        assert code == 0 and out in ("YES\n", "NO\n")
+        assert want is None or out == ("YES\n" if want else "NO\n")
+    assert len(cases) == 5 * 2 * (12 + 2)
+    assert sum(want is None for *_, want in cases) == 12
+    assert sum(want is True for *_, want in cases) >= 20
+
+
+# the steps of a solver query that read the request's ceiling, each with
+# queries that reach it: (AFP file, solve flags); the file "fourteen" is
+# fourteen_two_cycles
+QUERY_CLOCK_STAGES = {
+    "preparation": ((extensions, "_prepare_space"), [
+        ("fourteen", ("-s", "admissible", "--credulous", "a3")),
+        ("fourteen", ("-s", "preferred", "--skeptical", "a3")),
+        (AF3, ("-s", "restricted-admissible", "--credulous", "r2"))]),
+    "defender walks": ((extensions, "_parity_reachable"), [
+        (AF3, ("-s", "restricted-admissible", "--credulous", "r2")),
+        (AF3, ("-s", "restricted-admissible", "--credulous", "u4"))]),
+    "witness search": ((_kernels, "dfs_enumerate"), [
+        ("fourteen", ("-s", "admissible", "--credulous", "a3")),
+        ("fourteen", ("-s", "preferred-on-f", "--skeptical", "b3")),
+        (AF3, ("-s", "restricted-admissible", "--credulous", "r2"))]),
+}
+
+
+@pytest.mark.parametrize("stage", QUERY_CLOCK_STAGES)
+def test_a_query_past_the_ceiling_exits_3(stage, capsys, tmp_path,
+                                          clock_skew, monkeypatch):
+    # the stage moves the clock 10 s, past the 5 s ceiling, as it starts
+    (module, name), queries = QUERY_CLOCK_STAGES[stage]
+    files = {AF3: AF3, "fourteen": fourteen_two_cycles(tmp_path)}
+    step = getattr(module, name)
+    reached = []
+
+    def jumping(*args):
+        reached.append(name)
+        clock_skew[0] += 10.0
+        return step(*args)
+
+    for path, flags in queries:
+        code, out, _ = run(capsys, "solve", files[path], *flags,
+                           "--time-limit", "5")
+        assert code == 0 and out in ("YES\n", "NO\n")
+    monkeypatch.setattr(module, name, jumping)
+    for path, flags in queries:
+        reached.clear()
+        code, out, err = run(capsys, "solve", files[path], *flags,
+                             "--time-limit", "5")
+        assert reached and (code, out) == (3, ""), flags
+        assert err == "error: wall-clock ceiling of 5.0s exhausted\n"
+
+
+def test_an_undeclared_argument_exits_2_before_any_search(capsys,
+                                                          monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a search ran")
+
+    for module, name in ((extensions, "_prepare_space"),
+                         (extensions, "_parity_reachable"),
+                         (_kernels, "dfs_enumerate"),
+                         (md.oracle, "_scan")):
+        monkeypatch.setattr(module, name, refuse)
+    for command in ("solve", "oracle"):
+        for semantics in SEMANTICS:
+            for flag in ("--credulous", "--skeptical"):
+                code, out, err = run(capsys, command, AF3, "-s", semantics,
+                                     flag, "ghost")
+                assert (code, out) == (2, "")
+                assert err == "error: undeclared argument 'ghost'\n"
 
 
 # fuzzing: the CLI promises exit codes 0, 2 and 3 and nothing else

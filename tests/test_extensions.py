@@ -12,11 +12,13 @@ from mindef import (BudgetExceeded, EmptyFamily, ExtensionFamily,
                     minimize_restricted, preferred_extensions,
                     preferred_extensions_on, skeptical_accepted)
 from mindef import _kernels, extensions, oracle
-from mindef.cli import FAMILIES
+from mindef.cli import FAMILIES, QUERIES, SolveRequest, _decide
 from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 from mindef.model import bits
+from mindef.semantics import _parity_reachable
 
-from conftest import (containment_cut_dfs_enumerate,
+from conftest import (assert_same_factor_members,
+                      containment_cut_dfs_enumerate, factor_query,
                       fewest_answerers_minimize, fixed_order_dfs_enumerate,
                       filtered_restrictedly_admissible_sets,
                       fixed_point_prepare_space, instance_stream,
@@ -28,7 +30,7 @@ from conftest import (containment_cut_dfs_enumerate,
                       rescan_prepare_space, single_tree_solve_space,
                       sparse_instance, sset, structured_framework,
                       structured_stream, subset_walk_minimize,
-                      watch_list_dfs_enumerate)
+                      undropped_solve_space, watch_list_dfs_enumerate)
 
 
 class TestPreferred:
@@ -228,13 +230,16 @@ class TestAgainstObligationLists:
     Every kernel call also returns exactly the list, in order, of the
     kernel before its minimal mode lost the containment cut; in the
     minimal mode that kernel's leaves lack the forced members, so each is
-    read with them. The cut therefore never fired on these instances."""
+    read with them. The cut therefore never fired on these instances. A
+    witness call returns that kernel's first minimal leaf, or nothing
+    when it has none."""
 
     @pytest.fixture
     def compared(self, monkeypatch):
         """Counts of the kernel calls per mode, and of the minimiser calls,
         checked so far."""
-        counts = {"all": 0, "maximal": 0, "minimal": 0, "minimize": 0}
+        counts = {"all": 0, "maximal": 0, "minimal": 0, "witness": 0,
+                  "minimize": 0}
         kernel = _kernels.dfs_enumerate
         minimize = extensions.minimize_restricted
 
@@ -242,8 +247,14 @@ class TestAgainstObligationLists:
                 deadline):
             got = kernel(k, pos_idx, branchable, forced_mask, space, mode,
                          deadline)
+            minimal = mode in (_kernels.MINIMAL, _kernels.WITNESS)
             cut = containment_cut_dfs_enumerate(
-                k, pos_idx, (branchable,), forced_mask, space, mode, deadline)
+                k, pos_idx, (branchable,), forced_mask, space,
+                _kernels.MINIMAL if minimal else mode, deadline)
+            if mode == _kernels.WITNESS:
+                assert got == [forced_mask | leaf for leaf in cut[:1]]
+                counts["witness"] += 1
+                return got
             if mode == _kernels.MINIMAL:
                 assert got == [forced_mask | leaf for leaf in cut]
                 counts["minimal"] += 1
@@ -317,7 +328,7 @@ class TestAgainstObligationLists:
                                     _kernels.UNBOUNDED)
             min_def_extensions(af, p)
         assert compared == {"all": 7, "maximal": 0, "minimal": 7,
-                            "minimize": 7}
+                            "witness": 0, "minimize": 7}
 
     def test_sparse_frameworks_above_the_oracle_cap(self, compared):
         # the population the min-def benchmark draws from; min-def searches
@@ -326,6 +337,17 @@ class TestAgainstObligationLists:
             min_def_extensions(*sparse_instance(n))
         assert compared["maximal"] > 40
         assert compared["minimize"] == compared["minimal"] > 150
+
+    def test_witness_queries(self, compared):
+        # every credulous query but conflict-free's runs one witness search
+        # when its argument is left as a candidate
+        for _, af, p in instance_stream(150, base_seed=15700):
+            for a in af.names:
+                for semantics in ("admissible", "restricted-admissible"):
+                    _decide(af, p, SolveRequest(
+                        semantics=semantics, mode="credulous", argument=a),
+                        _kernels.UNBOUNDED)
+        assert compared["witness"] > 600
 
 
 class TestSubsetMinimalMasks:
@@ -573,6 +595,43 @@ class TestComponentSearch:
             assert fam == md.oracle_restrictedly_admissible(af, p)
 
 
+class TestRestrictedDrop:
+    """Restricted candidates whose defender walk reaches no candidate are
+    dropped before the search, with the drop rerun after them."""
+
+    def test_a_restricted_two_cycle_is_dropped(self):
+        # r1 and r2 each defend only themselves; u stands alone
+        af = build_framework(["r1", "r2", "u"], [("r1", "r2"), ("r2", "r1")])
+        p = md.build_partition(af, ["r1", "r2", "u"], ["r1", "r2"])
+        cand, forced, extra = extensions._candidates(
+            af, p.focus.mask, ADMISSIBLE_ALL, _kernels.UNBOUNDED, p)
+        assert (cand, forced, extra) == (sset(af, "u").mask, 0, [])
+        factors = extensions._solve_space(af, p.focus.mask, ADMISSIBLE_ALL,
+                                          _kernels.UNBOUNDED, p)
+        assert [sorted(masks) for masks in factors] == [[0, 4]]
+
+    def test_families_equal_the_undropped_search(self):
+        # member for member, group by group, on random and structured
+        # instances; one rerun of the drop leaves no hopeless candidate
+        deadline = _kernels.UNBOUNDED
+        dropped = 0
+        for af, p in restricted_instances():
+            focus = p.focus.mask
+            got = extensions._solve_space(af, focus, ADMISSIBLE_ALL,
+                                          deadline, p)
+            assert_same_factor_members(got, undropped_solve_space(
+                af, focus, ADMISSIBLE_ALL, deadline, p))
+            cand, _, extra = extensions._candidates(
+                af, focus, ADMISSIBLE_ALL, deadline, p)
+            assert [x for x, _ in extra] == list(
+                bits(cand & p.restricted.mask))
+            assert all(_parity_reachable(af.target_masks, x)
+                       & p.unrestricted.mask & cand for x, _ in extra)
+            before, _ = extensions._prepare_space(af, focus, ADMISSIBLE_ALL)
+            dropped += cand != before
+        assert dropped == 50
+
+
 def restricted_instances():
     """Random frameworks above the oracle cap, and structured shapes under
     seed-drawn partitions."""
@@ -650,6 +709,15 @@ class TestAcceptance:
             credulous_accepted(af1, ExtensionFamily([]), "o1")
         with pytest.raises(EmptyFamily):
             skeptical_accepted(af1, ExtensionFamily([]), "o1")
+
+    def test_families_past_2_to_the_63_members_answer(self):
+        # their len() overflows; emptiness is read from the factors
+        af = build_framework([f"x{i}" for i in range(64)], [])
+        fam = md.conflict_free_sets(af)
+        with pytest.raises(OverflowError):
+            len(fam)
+        assert credulous_accepted(af, fam, "x3")
+        assert not skeptical_accepted(af, fam, "x3")
 
     def test_another_frameworks_family_is_an_error(self, af1):
         other, _ = md.builtin_fixtures()["AF1"]
@@ -780,6 +848,8 @@ CLOCK_STAGES = {
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
     "per-group maximality pass": lambda past: extensions._solve_space(
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, past),
+    "acceptance query": lambda past: extensions.accepted(
+        TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, "a", True, past),
     "oracle conversion": lambda past: oracle._scan(
         ISOLATED, ISOLATED.subset(["x0", "x1"]), None, False, past),
     "minimize_restricted": lambda past: minimize_restricted(
@@ -1292,3 +1362,72 @@ class TestFactoredFamilies:
         assert len(calls) == 18
         assert len(fam._factors) == 12 and len(fam) == 2 ** 6
         assert fam == pairwise_min_def(af, p)
+
+
+class TestQueries:
+    """The solver's acceptance queries against the factor-reading
+    reference, which builds the whole family."""
+
+    @staticmethod
+    def assert_as_reference(af, p, names):
+        """Each query on ``names`` equals the reference, wherever it
+        answers; returns the number of semantics where it does."""
+        answered = 0
+        for semantics in QUERIES:
+            try:
+                want = factor_query(af, p, semantics)
+            except BudgetExceeded:
+                continue
+            answered += 1
+            for mode in ("credulous", "skeptical"):
+                for a in names:
+                    request = SolveRequest(semantics=semantics, mode=mode,
+                                           argument=a)
+                    assert _decide(af, p, request, _kernels.UNBOUNDED) == (
+                        want(mode, a)), (semantics, mode, a)
+        return answered
+
+    def test_random_instances(self):
+        for _, af, p in instance_stream(200, base_seed=22000,
+                                        sizes=range(8, 19)):
+            self.assert_as_reference(af, p, af.names)
+
+    def test_structured_shapes(self):
+        small = {"two-cycles": range(1, 5), "chain": range(1, 6),
+                 "cycle": range(1, 10), "isolated": range(1, 5)}
+        for k, (_, af) in enumerate(structured_stream(60, 22500, small)):
+            rng = random.Random(k)
+            focus = [a for a in af.names if rng.random() < 0.8]
+            p = md.build_partition(af, focus,
+                                   [a for a in focus if rng.random() < 0.5])
+            self.assert_as_reference(af, p, af.names)
+
+    def test_sparse_instances(self, monkeypatch):
+        # conflict-free refuses on the set cap here; a small cap makes
+        # the reference refuse in milliseconds rather than seconds
+        monkeypatch.setattr(_kernels, "MAX_SETS", 1 << 14)
+        answered = 0
+        for n in range(40, 201, 20):
+            af, p = sparse_instance(n)
+            answered += self.assert_as_reference(af, p, af.names)
+        assert answered == 29
+
+    def test_preferred_on_a_base_set_answers_within_it(self):
+        # c defends a against b; from {a} alone nothing defends a
+        af = build_framework("abc", [("b", "a"), ("c", "b")])
+        p = md.build_partition(af, ["a"], [])
+        got = {}
+        for on in (("a",), ("a", "c"), None):
+            for a in "abc":
+                for mode in ("credulous", "skeptical"):
+                    request = SolveRequest(semantics="preferred-on-f",
+                                           mode=mode, argument=a, on=on)
+                    got[on, a, mode] = verdict = _decide(
+                        af, p, request, _kernels.UNBOUNDED)
+                    assert verdict == factor_query(
+                        af, p, "preferred-on-f", on)(mode, a)
+        assert [a for a in "abc" if got[("a",), a, "credulous"]] == []
+        assert [a for a in "abc" if got[("a", "c"), a, "skeptical"]] == [
+            "a", "c"]
+        # without --on the base set is the focus, {a}
+        assert not got[None, "a", "credulous"]

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import mindef as md
-from conftest import REPO_ROOT, instance_stream, numpy_subset_scan
+from conftest import (REPO_ROOT, instance_stream, many_supports,
+                      numpy_subset_scan)
 from mindef import _kernels
+from mindef.model import bits
 from mindef.semantics import _parity_reachable
 
 
@@ -48,6 +50,41 @@ def test_local_space_layout_and_round_trip():
     assert more.owes == [0b0001, 0b0010, 0b1101]
     assert more.answerers == [0b001, 0b010, 0b000, 0b011]
     assert more.answers == [0b1001, 0b1010, 0b0000]
+
+
+def test_components_grow_only_the_groups_of_their_seeds():
+    # a <-> b, b -> c, d -> e, f alone; d's group holds e, whose obligation
+    # d answers nobody inside
+    af = md.build_framework("abcdef", [("a", "b"), ("b", "a"), ("b", "c"),
+                                       ("d", "e")])
+    space = _kernels.LocalSpace(af, af.full_mask, defence=True)
+    assert space.components(0) == [0b000111, 0b011000, 0b100000]
+    assert space.components(0, 0b000100) == [0b000111]
+    assert space.components(0, 0b110000) == [0b011000, 0b100000]
+    # a forced member seeds nothing, but its group still holds it
+    assert space.components(0b001, 0b011) == [0b000111]
+    assert space.components(0b001, 0b001) == []
+
+
+def test_the_witness_mode_is_the_minimal_mode_stopped_at_its_first_leaf():
+    # u is attacked by b1..b3, each bi by the unattacked ri_a and ri_b: the
+    # admissible sets holding u take one of each pair
+    af, _ = many_supports(3)
+    space = _kernels.LocalSpace(af, af.full_mask, defence=True)
+    u = 1 << space.local_of[af.index("u")]
+    branchable = space.to_local(af.full_mask) ^ u
+    args = (len(af), list(bits(branchable)), branchable, u, space)
+    leaves = _kernels.dfs_enumerate(*args, _kernels.MINIMAL,
+                                    _kernels.UNBOUNDED)
+    assert len(leaves) == 8
+    witness = _kernels.dfs_enumerate(*args, _kernels.WITNESS,
+                                     _kernels.UNBOUNDED)
+    assert witness == leaves[:1]
+    # b1 is attacked by two unattacked members: no admissible set holds it
+    b1 = 1 << space.local_of[af.index("b1")]
+    assert _kernels.dfs_enumerate(
+        len(af), [], branchable ^ b1 | u, b1, space, _kernels.WITNESS,
+        _kernels.UNBOUNDED) == []
 
 
 def test_scan_over_restricted_obligations_keeps_restrictedly_admissible_sets():

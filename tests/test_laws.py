@@ -8,6 +8,10 @@ reference implementation.
   unions of one member from each part's family. A third part of isolated,
   unrestricted focus members has its family by definition: every subset
   for the semantics without maximality, the whole part for the others.
+* Acceptance: an argument is credulously accepted exactly when it is in
+  the union of the family's members, and skeptically accepted exactly
+  when it is in their intersection. The queries are answered without the
+  family, so this law is the safety net of the query path.
 
 Every family must answer: no semantics refuses on the set cap here, since
 each keeps the product form of its independent groups. Families past
@@ -21,13 +25,17 @@ from itertools import chain
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mindef as md
 from mindef import _kernels, extensions
-from mindef.cli import FAMILIES
+from mindef.afp import serialize_afp
+from mindef.cli import FAMILIES, QUERIES, SolveRequest, _decide, execute
 from mindef.model import bits
 
-from conftest import filtered_restrictedly_admissible_sets, structured_stream
+from conftest import (assert_same_factor_members, factor_query,
+                      filtered_restrictedly_admissible_sets,
+                      structured_stream, undropped_solve_space)
 
 # families up to this size are compared member by member
 SMALL = 1 << 12
@@ -233,3 +241,90 @@ def test_restricted_admissible_keeps_the_product_past_the_cap():
     with pytest.raises(md.BudgetExceeded, match="answer exceeds the cap"):
         filtered_restrictedly_admissible_sets(af, p)
     assert count(md.restrictedly_admissible_sets(af, p)) == 1036800
+
+
+def union_and_intersection(family):
+    """The union and the intersection of ``family``'s members, as masks:
+    literally when it is small, else from its factors (a member is one
+    mask of each factor, and every factor has one)."""
+    if count(family) <= SMALL:
+        masks = members(family)
+        union = intersection = 0
+        if masks:
+            intersection = masks[0]
+        for m in masks:
+            union |= m
+            intersection &= m
+        return union, intersection
+    union = intersection = 0
+    for masks in family._factors:
+        common = masks[0]
+        for m in masks:
+            union |= m
+            common &= m
+        intersection |= common
+    return union, intersection
+
+
+@st.composite
+def law_queries(draw):
+    """A sparse or structured framework above the oracle cap, with a
+    partition, and a few of its arguments."""
+    if draw(st.booleans()):
+        af, p = sparse(draw(st.integers(20, 120)), draw(st.integers(0, 999)))
+    else:
+        _, af = next(iter(structured_stream(1, draw(st.integers(0, 999)))))
+        af, p = with_partition(af, draw(st.integers(0, 999)))
+    names = draw(st.lists(st.sampled_from(af.names), min_size=1,
+                          max_size=4, unique=True))
+    return af, p, names
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(law_queries())
+def test_queries_read_the_union_and_the_intersection(query):
+    # every semantics, both modes, the solver engine, through the CLI's
+    # request path; no family may refuse
+    af, p, names = query
+    text = serialize_afp(af, p)
+    for name, family in families(af, p).items():
+        union, intersection = union_and_intersection(family)
+        for a in names:
+            bit = 1 << af.index(a)
+            for mode, want in (("credulous", union & bit),
+                               ("skeptical", intersection & bit)):
+                result = execute(SolveRequest(
+                    text=text, semantics=name, mode=mode, argument=a))
+                assert result.verdict == bool(want), (name, mode, a)
+
+
+def test_queries_match_the_factor_reference_on_the_law_instances():
+    # the non-min-def queries against the family they no longer build, on
+    # every law instance and a seeded sample of its arguments
+    rng = random.Random(2)
+    law_instances = chain(instances(), ((af, p) for af, p, _, _ in unions()))
+    checked = 0
+    for af, p in law_instances:
+        names = rng.sample(af.names, min(6, len(af)))
+        for semantics in QUERIES:
+            want = factor_query(af, p, semantics)
+            for mode in ("credulous", "skeptical"):
+                for a in names:
+                    request = SolveRequest(semantics=semantics, mode=mode,
+                                           argument=a)
+                    assert _decide(af, p, request, _kernels.UNBOUNDED) == (
+                        want(mode, a)), (semantics, mode, a)
+                    checked += 1
+    assert checked > 28 * 5 * 2 * 5
+
+
+def test_the_restricted_drop_keeps_every_law_family():
+    # restricted candidates whose defender walk reaches no candidate are
+    # dropped; each group's members equal the undropped search's
+    deadline = _kernels.UNBOUNDED
+    law_instances = chain(instances(), ((af, p) for af, p, _, _ in unions()))
+    for af, p in law_instances:
+        got = extensions._solve_space(af, p.focus.mask,
+                                      extensions.ADMISSIBLE_ALL, deadline, p)
+        assert_same_factor_members(got, undropped_solve_space(
+            af, p.focus.mask, extensions.ADMISSIBLE_ALL, deadline, p))
