@@ -14,7 +14,8 @@ strategies live here:
 * ``subset_scan`` tests every bit pattern of a (small) search space and
   keeps, in numeric order, those that are conflict-free and answer every
   obligation they owe (a space built without defence has none). This is
-  the exhaustive reference path. It is bit-sliced over plain Python ints:
+  the exhaustive reference path; the oracle hands it a layout of its own,
+  built from the framework's masks, not a :class:`LocalSpace`. It is bit-sliced over plain Python ints:
   one int holds one yes/no answer for each of a block's ``_SCAN_CHUNK``
   patterns, so a handful of int operations per member tests the whole
   block. It takes at most ``SCAN_MAX_ARGUMENTS`` (62) members, and reads
@@ -220,7 +221,10 @@ def subset_scan(k: int, space: LocalSpace,
     """All k-bit patterns that are admissible in ``space``: conflict-free,
     and answering every obligation they owe.
 
-    A space built without defence has no obligations, so every
+    ``space`` is a :class:`LocalSpace`, or any layout with its lists
+    ``conflict``, ``owes`` and ``answerers`` (the oracle builds its own,
+    see :func:`mindef.oracle._layout`); the scan reads nothing else. A
+    space built without defence has no obligations, so every
     conflict-free pattern qualifies. ``k`` must not exceed
     ``SCAN_MAX_ARGUMENTS``. Patterns are tested in blocks of ``_SCAN_CHUNK``
     and come back in increasing numeric order. The ceiling is checked

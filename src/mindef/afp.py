@@ -33,7 +33,9 @@ A text is parsed in two bulk steps, with no Python loop over its lines:
    stable sort on their second letters groups them by kind, each group in
    file order, and each group is joined and split into its names. The
    arguments are numbered in declaration order through ``dict.fromkeys``,
-   and all attack endpoints are resolved by one ``map`` over that dict.
+   all attack endpoints are resolved by one ``map`` over that dict, and the
+   focus and restricted names through it into the partition's masks. The
+   framework keeps the dict as its own ``index_of``.
 
 Errors take a separate walk. When the check fails, or a name was never
 declared, :func:`_first_error` reads the lines one at a time with the
@@ -48,7 +50,7 @@ from bisect import bisect_left
 from operator import itemgetter
 
 from .errors import AfpSyntaxError, UndeclaredArgument
-from .model import ArgumentationFramework, Partition, build_partition
+from .model import ArgumentationFramework, ArgumentSet, Partition
 
 _S = r"[^\S\n]*+"  # whitespace within a line
 _NAME = r"[A-Za-z0-9_]++"
@@ -90,12 +92,25 @@ def parse_afp(text: str) -> tuple:
     index_of = dict(zip(names, range(len(names))))
     try:
         ends = list(map(index_of.__getitem__, ends))
-        af = ArgumentationFramework(names, zip(ends[::2], ends[1::2]))
-        if focus or restricted:
-            return af, build_partition(af, focus, restricted)
-    except (KeyError, UndeclaredArgument):
+        focus_mask = _mask(focus, index_of)
+        restricted_mask = _mask(restricted, index_of)
+    except KeyError:
         raise _first_error(text) from None
+    af = ArgumentationFramework._indexed(names, index_of,
+                                         zip(ends[::2], ends[1::2]))
+    if focus or restricted:
+        # restricted names are implicitly part of the focus
+        return af, Partition(af, ArgumentSet(af, focus_mask | restricted_mask),
+                             ArgumentSet(af, restricted_mask))
     return af, Partition(af, af.full_set(), af.empty_set())
+
+
+def _mask(names, index_of) -> int:
+    """The mask of ``names``; a ``KeyError`` for an undeclared one."""
+    mask = 0
+    for i in map(index_of.__getitem__, names):
+        mask |= 1 << i
+    return mask
 
 
 def _statements(checked: str) -> tuple:

@@ -32,8 +32,20 @@ class ArgumentationFramework:
                  "full_mask")
 
     def __init__(self, names: tuple, attacks: Iterable):
+        self._build(names, {name: i for i, name in enumerate(names)}, attacks)
+
+    @classmethod
+    def _indexed(cls, names: tuple, index_of: dict, attacks: Iterable):
+        """The framework of ``names`` and ``attacks``, taking the caller's
+        ``index_of`` (``index_of[names[i]] == i``) rather than building
+        it again."""
+        af = cls.__new__(cls)
+        af._build(names, index_of, attacks)
+        return af
+
+    def _build(self, names, index_of, attacks):
         self.names = names
-        self.index_of = {name: i for i, name in enumerate(names)}
+        self.index_of = index_of
         n = len(names)
         attacker_masks = [0] * n
         target_masks = [0] * n

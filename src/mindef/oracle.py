@@ -7,19 +7,32 @@ order and tested against the defining predicate, and maximality is one
 against the kept sets of larger popcount (inclusion) or of higher rank
 (preference). No preprocessing, no pruning: the scan
 (:func:`~mindef._kernels.subset_scan`) tests every pattern, a block of
-them at a time in bit-sliced Python ints. Spaces are capped at 20
-arguments by default, and never above the scan's 62; beyond the cap the
-run is refused outright rather than left to crawl for hours. One started
-wall-clock ceiling is checked between the scan's blocks of patterns, every
-1024 sets while the scanned sets are mapped back and filtered, during the
-maximality pass, and when the returned family is ordered.
+them at a time in bit-sliced Python ints.
+
+The scan reads a layout built here from the framework's own masks, by the
+definitions, and not the solver's :class:`~mindef._kernels.LocalSpace`, so
+that a fault in the solver's layout cannot hide by hitting both sides of a
+comparison (see :func:`_layout`). When the space is every argument, local
+bits are global bits: the layout is the framework's masks, and the scan's
+sets are returned as they are. A smaller space (a focus, or ``--on``) is
+renumbered to the bits of its members, and its sets are mapped back.
+
+Spaces are capped at 20 arguments by default, and never above the scan's
+62; beyond the cap the run is refused outright rather than left to crawl
+for hours. One started wall-clock ceiling is checked between the scan's
+blocks of patterns, once after a full space's scan and every 1024 sets
+while a smaller space's sets are mapped back, every 1024 sets while they
+are filtered, during the maximality pass, and when the returned family is
+ordered.
 """
+
+from collections import namedtuple
 
 from . import _kernels
 from .errors import BudgetExceeded
 from .extensions import (DEFAULT_BUDGET, ExtensionFamily, SearchBudget,
                          _space_of, filter_maximal)
-from .model import ArgumentationFramework, ArgumentSet, Partition
+from .model import ArgumentationFramework, ArgumentSet, Partition, bits
 from .semantics import is_restrictedly_admissible
 
 
@@ -31,6 +44,57 @@ def _checked(items, deadline):
         yield item
 
 
+# what ``subset_scan`` reads of a space, plus the global index of each
+# local bit (``None`` when they are the same)
+_Layout = namedtuple("_Layout", "members conflict owes answerers")
+
+
+def _layout(af, space, defence):
+    """The scan layout of the space mask ``space``, by the definitions.
+
+    Local bit ``j`` is the space's ``j``-th member. ``conflict[j]`` holds
+    the members that attack member ``j`` or that it attacks. With
+    ``defence``, each distinct attacker of a member is one obligation: the
+    members it attacks owe it (``owes[j]``), and the members that attack it
+    answer it (``answerers[o]``); without, there are none. In a space of
+    every argument, local bits are global bits and obligation ``b`` is
+    argument ``b``, so the layout is the framework's masks as they are (an
+    argument that attacks nothing is an obligation no one owes). In a
+    smaller space the obligations are numbered in the attackers' index
+    order, so the layout's size depends on the space, not on the framework.
+    """
+    att = af.attacker_masks
+    if space == af.full_mask:
+        conflict = list(map(int.__or__, att, af.target_masks))
+        if defence:
+            return _Layout(None, conflict, att, att)
+        return _Layout(None, conflict, [0] * len(conflict), [])
+    tgt = af.target_masks
+    members = list(bits(space))
+    bit_of = {g: 1 << j for j, g in enumerate(members)}
+
+    def local(mask):
+        out = 0
+        for g in bits(mask & space):
+            out |= bit_of[g]
+        return out
+
+    conflict = [local(att[g] | tgt[g]) for g in members]
+    if not defence:
+        return _Layout(members, conflict, [0] * len(members), [])
+    attackers = 0
+    for g in members:
+        attackers |= att[g]
+    obligation = {b: 1 << o for o, b in enumerate(bits(attackers))}
+    owes = []
+    for g in members:
+        owed = 0
+        for b in bits(att[g]):
+            owed |= obligation[b]
+        owes.append(owed)
+    return _Layout(members, conflict, owes, [local(att[b]) for b in obligation])
+
+
 def _scan(af, restrict_to, budget, defence, deadline):
     """The masks of the qualifying subsets of ``restrict_to``."""
     space = _space_of(af, restrict_to)
@@ -40,9 +104,19 @@ def _scan(af, restrict_to, budget, defence, deadline):
     if k > cap:
         raise BudgetExceeded(
             f"exhaustive scan over {k} arguments exceeds the cap of {cap}")
-    local = _kernels.LocalSpace(af, space, defence)
-    local_masks = _kernels.subset_scan(k, local, deadline)
-    return [local.to_global(lm) for lm in _checked(local_masks, deadline)]
+    layout = _layout(af, space, defence)
+    found = _kernels.subset_scan(k, layout, deadline)
+    members = layout.members
+    if members is None:
+        deadline.check()
+        return found
+    out = []
+    for lm in _checked(found, deadline):
+        gm = 0
+        for j in bits(lm):
+            gm |= 1 << members[j]
+        out.append(gm)
+    return out
 
 
 def _family(af, budget, masks_of, order=None, partition=None):

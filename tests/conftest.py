@@ -196,6 +196,22 @@ def structured_stream(count, base_seed=0, sizes=None):
         yield "+".join(label), md.build_framework(names, attacks)
 
 
+def restricted_instances():
+    """Random frameworks above the oracle cap, and structured shapes under
+    seed-drawn partitions."""
+    for seed in range(40):
+        n = 30 + seed % 31
+        yield md.random_instance(md.GeneratorConfig(
+            n, 3.0 / n, 0.8, 0.5, seed=seed))
+    small = {"two-cycles": range(1, 4), "chain": range(1, 5),
+             "cycle": range(1, 10), "isolated": range(1, 4)}
+    for k, (_, af) in enumerate(structured_stream(40, 9700, small)):
+        rng = random.Random(k)
+        focus = [a for a in af.names if rng.random() < 0.8]
+        restricted = [a for a in focus if rng.random() < 0.5]
+        yield af, md.build_partition(af, focus, restricted)
+
+
 def obligation_lists(space):
     """Per member of a ``_kernels.LocalSpace``, the list of the answerer
     masks of the obligations it owes: the layout the kernel references
@@ -529,6 +545,22 @@ def numpy_subset_scan(k, space):
                 ok &= ~(member & ((subs & m) == 0))
         out.extend(subs[ok].tolist())
     return out
+
+
+def local_space_scan(af, restrict_to, budget, defence, deadline):
+    """Reference for ``oracle._scan``: the scan over a
+    ``_kernels.LocalSpace``, the solver's layout, with every kept pattern
+    mapped back through ``to_global``, full space or not."""
+    space = extensions._space_of(af, restrict_to)
+    k = space.bit_count()
+    cap = min((budget or extensions.DEFAULT_BUDGET)
+              .max_arguments_for_exhaustive, _kernels.SCAN_MAX_ARGUMENTS)
+    if k > cap:
+        raise md.BudgetExceeded(
+            f"exhaustive scan over {k} arguments exceeds the cap of {cap}")
+    local = _kernels.LocalSpace(af, space, defence)
+    local_masks = _kernels.subset_scan(k, local, deadline)
+    return [local.to_global(lm) for lm in local_masks]
 
 
 def rescan_prepare_space(af, space_mask, mode):

@@ -27,7 +27,8 @@ from conftest import (assert_same_factor_members,
                       obligation_list_minimize,
                       pairwise_min_def, pairwise_minimal_masks,
                       predicate_restrictedly_admissible,
-                      rescan_prepare_space, single_tree_solve_space,
+                      rescan_prepare_space, restricted_instances,
+                      single_tree_solve_space,
                       sparse_instance, sset, structured_framework,
                       structured_stream, subset_walk_minimize,
                       undropped_solve_space, watch_list_dfs_enumerate)
@@ -630,22 +631,6 @@ class TestRestrictedDrop:
             before, _ = extensions._prepare_space(af, focus, ADMISSIBLE_ALL)
             dropped += cand != before
         assert dropped == 50
-
-
-def restricted_instances():
-    """Random frameworks above the oracle cap, and structured shapes under
-    seed-drawn partitions."""
-    for seed in range(40):
-        n = 30 + seed % 31
-        yield md.random_instance(md.GeneratorConfig(
-            n, 3.0 / n, 0.8, 0.5, seed=seed))
-    small = {"two-cycles": range(1, 4), "chain": range(1, 5),
-             "cycle": range(1, 10), "isolated": range(1, 4)}
-    for k, (_, af) in enumerate(structured_stream(40, 9700, small)):
-        rng = random.Random(k)
-        focus = [a for a in af.names if rng.random() < 0.8]
-        restricted = [a for a in focus if rng.random() < 0.5]
-        yield af, md.build_partition(af, focus, restricted)
 
 
 class TestFilterMaximal:

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -10,7 +11,12 @@ from mindef import (BudgetExceeded, SearchBudget, build_framework,
                     oracle_conflict_free, oracle_min_def, oracle_preferred,
                     oracle_preferred_on, oracle_restrictedly_admissible)
 
-from conftest import instance_stream, jump_after_the_codes, sset
+from mindef.cli import SEMANTICS, main
+from mindef.model import bits
+
+from conftest import (FIXTURE_DIR, instance_stream, jump_after_the_codes,
+                      local_space_scan, numpy_subset_scan,
+                      restricted_instances, sset, structured_framework)
 
 
 class TestOracleAdmissible:
@@ -196,3 +202,171 @@ class TestOracleCeilingAfterTheScan:
         jump_after_the_codes(clock_skew, monkeypatch)
         with pytest.raises(BudgetExceeded, match=self.CEILING):
             kept.members
+
+
+def _scan_outcome(scan, af, x, defence):
+    """What ``scan`` answers for the space ``x``: its masks, or the text of
+    its refusal."""
+    try:
+        return scan(af, x, None, defence, _kernels.UNBOUNDED)
+    except BudgetExceeded as refusal:
+        return str(refusal)
+
+
+def _layout_instances():
+    """(framework, partition) pairs: the random stream, every structured
+    shape under a seeded partition, and the restricted instances."""
+    for _, af, p in instance_stream(120, base_seed=2300,
+                                    sizes=(0, 1, 4, 7, 10, 13, 16)):
+        yield af, p
+    for shape in ("two-cycles", "chain", "cycle", "isolated", "path",
+                  "cascade"):
+        for size in range(1, 8):
+            af = build_framework(*structured_framework(shape, size))
+            rng = random.Random(size)
+            focus = [a for a in af.names if rng.random() < 0.7]
+            yield af, md.build_partition(
+                af, focus, [a for a in focus if rng.random() < 0.5])
+    yield from restricted_instances()
+
+
+def _spaces(af, p, rng):
+    """The three kinds of space: every argument, the focus, and seeded
+    random ``--on`` subsets, the empty one first."""
+    yield None
+    yield p.focus
+    for size in (0, rng.randint(1, min(len(af), 12) or 1)):
+        picked = rng.sample(af.names, min(size, len(af)))
+        yield af.subset(picked)
+
+
+class TestTheOraclesOwnLayout:
+    """``oracle._scan`` against the scan over the solver's ``LocalSpace``
+    it replaced (``conftest.local_space_scan``)."""
+
+    def test_the_scan_returns_the_local_space_scans_masks_in_order(self):
+        rng = random.Random(23)
+        outcomes = []
+        for af, p in _layout_instances():
+            for x in _spaces(af, p, rng):
+                for defence in (False, True):
+                    got = _scan_outcome(oracle._scan, af, x, defence)
+                    want = _scan_outcome(local_space_scan, af, x, defence)
+                    assert got == want, (af.names, x, defence)
+                    outcomes.append(isinstance(got, list))
+        # scans, and refusals of the spaces past the cap
+        assert outcomes.count(True) > 1700 and outcomes.count(False) > 150
+
+    def test_the_numpy_reference_scan_reads_the_new_layout(self):
+        rng = random.Random(24)
+        for af, p in _layout_instances():
+            for x in _spaces(af, p, rng):
+                space = af.full_mask if x is None else x.mask
+                k = space.bit_count()
+                if k > 14:
+                    continue
+                for defence in (False, True):
+                    layout = oracle._layout(af, space, defence)
+                    assert (_kernels.subset_scan(k, layout)
+                            == numpy_subset_scan(k, layout)), (af.names, x)
+
+    def test_a_full_space_layout_is_the_frameworks_masks(self, af1):
+        layout = oracle._layout(af1, af1.full_mask, True)
+        assert layout.members is None
+        assert layout.owes is af1.attacker_masks
+        assert layout.answerers is af1.attacker_masks
+        assert layout.conflict == [a | t for a, t in zip(
+            af1.attacker_masks, af1.target_masks)]
+        plain = oracle._layout(af1, af1.full_mask, False)
+        assert plain.owes == [0] * len(af1) and plain.answerers == []
+
+    def test_a_space_layout_holds_one_obligation_per_attacker_of_a_member(
+            self):
+        # the ROADMAP's sparse 4000 recipe: 2n distinct seeded attack pairs
+        n = 4000
+        rng = random.Random(1)
+        pairs = set()
+        while len(pairs) < 2 * n:
+            pairs.add((rng.randrange(n), rng.randrange(n)))
+        af = md.ArgumentationFramework(tuple(f"a{i}" for i in range(n)),
+                                       pairs)
+        # the 12 arguments nearest a0 over attacks either way, so that
+        # members attack one another and their attackers
+        space = frontier = 1
+        while space.bit_count() < 12:
+            reach = 0
+            for g in bits(frontier):
+                reach |= af.attacker_masks[g] | af.target_masks[g]
+            frontier = 0
+            for g in bits(reach & ~space):
+                if space.bit_count() < 12:
+                    space |= 1 << g
+                    frontier |= 1 << g
+        members = list(bits(space))
+        layout = oracle._layout(af, space, True)
+        attackers = sorted({b for g in members
+                            for b in bits(af.attacker_masks[g])})
+        assert layout.members == members
+        assert len(layout.answerers) == len(attackers) < 40
+        for o, b in enumerate(attackers):
+            assert layout.answerers[o] == sum(
+                1 << j for j, g in enumerate(members)
+                if af.target_masks[g] >> b & 1)
+            assert [j for j in range(12) if layout.owes[j] >> o & 1] == [
+                j for j, g in enumerate(members)
+                if af.attacker_masks[g] >> b & 1]
+        assert layout.conflict == [
+            sum(1 << j for j, h in enumerate(members)
+                if (af.attacker_masks[g] | af.target_masks[g]) >> h & 1)
+            for g in members]
+        assert any(layout.answerers) and any(layout.conflict)
+        assert oracle._scan(af, af.set_from_mask(space), None, True,
+                            _kernels.UNBOUNDED) == local_space_scan(
+            af, af.set_from_mask(space), None, True, _kernels.UNBOUNDED)
+
+
+def _refuse_a_local_space(*args):
+    raise AssertionError("the oracle built a LocalSpace")
+
+
+class TestOracleIndependentOfLocalSpace:
+    """Every oracle answers with ``_kernels.LocalSpace`` unusable, and
+    agrees with the solver, which builds one."""
+
+    def test_every_oracle_entry_point(self, af1, p3, monkeypatch):
+        x = p3.focus
+        calls = {
+            "conflict-free": (md.conflict_free_sets,
+                              oracle_conflict_free, (af1, x)),
+            "admissible": (md.admissible_sets, oracle_admissible, (af1,)),
+            "admissible on": (md.admissible_sets, oracle_admissible,
+                              (af1, x)),
+            "preferred": (md.preferred_extensions, oracle_preferred,
+                          (af1,)),
+            "preferred-on-f": (md.preferred_extensions_on,
+                               oracle_preferred_on, (af1, x)),
+            "restricted-admissible": (md.restrictedly_admissible_sets,
+                                      oracle_restrictedly_admissible,
+                                      (af1, p3)),
+            "min-def": (md.min_def_extensions, oracle_min_def, (af1, p3)),
+        }
+        want = {name: solve(*args) for name, (solve, _, args)
+                in calls.items()}
+        monkeypatch.setattr(_kernels, "LocalSpace", _refuse_a_local_space)
+        for name, (_, run_oracle, args) in calls.items():
+            assert run_oracle(*args) == want[name], name
+
+    def test_the_oracle_command(self, capsys, monkeypatch):
+        af3 = str(FIXTURE_DIR / "af3.afp")
+        requests = [["-s", semantics] for semantics in SEMANTICS]
+        requests += [["-s", semantics, flag, "r2"] for semantics in SEMANTICS
+                     for flag in ("--credulous", "--skeptical")]
+        requests.append(["-s", "preferred-on-f", "--on", "u2,u3,r1,r2"])
+        want = []
+        for flags in requests:
+            assert main(["solve", af3, *flags]) == 0
+            want.append(capsys.readouterr().out)
+        monkeypatch.setattr(_kernels, "LocalSpace", _refuse_a_local_space)
+        for flags, out in zip(requests, want):
+            assert main(["oracle", af3, *flags]) == 0, flags
+            assert capsys.readouterr().out == out, flags
