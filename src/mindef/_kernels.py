@@ -76,21 +76,29 @@ def too_many_sets():
     return BudgetExceeded(f"answer exceeds the cap of {MAX_SETS} sets")
 
 
+# the default cap on the members of an exhaustive (oracle) scan
+EXHAUSTIVE_CAP = 20
+
+
 class Ceiling:
     """A request's started wall-clock ceiling.
 
     Holds the ceiling's ``seconds`` and the ``time.monotonic()`` value at
     which it expires, ``left`` seconds after it was made (by default all of
     them). ``check()`` refuses once that has passed; ``deadline()`` returns
-    the ceiling itself, so a started ceiling stands in wherever a
-    :class:`~mindef.extensions.SearchBudget` would be started.
+    the ceiling itself. It also carries the request's cap on an exhaustive
+    scan, ``max_arguments_for_exhaustive``, so a started ceiling stands in
+    for the whole :class:`~mindef.extensions.SearchBudget`, on the solver
+    and on the oracle alike.
     """
 
-    __slots__ = ("seconds", "expiry")
+    __slots__ = ("seconds", "expiry", "max_arguments_for_exhaustive")
 
-    def __init__(self, seconds: float, left: float | None = None):
+    def __init__(self, seconds: float, left: float | None = None,
+                 cap: int = EXHAUSTIVE_CAP):
         self.seconds = seconds
         self.expiry = time.monotonic() + (seconds if left is None else left)
+        self.max_arguments_for_exhaustive = cap
 
     def left(self) -> float:
         return self.expiry - time.monotonic()
@@ -168,14 +176,15 @@ class LocalSpace:
             out |= 1 << members[j]
         return out
 
-    def components(self, forced: int, seeds: int = -1) -> list[int]:
-        """Local masks of the space's independent groups of members.
+    def components(self, seeds: int) -> list[int]:
+        """Local masks of the space's independent groups of members that
+        hold a member of the local mask ``seeds`` (``-1``: every member).
 
         Members are linked, both ways, to their conflicts and to the
         answerers of the obligations they owe, so no two groups share a
-        conflict or an obligation. Groups made only of ``forced`` members
-        are left out, and so are those holding no member of the local mask
-        ``seeds`` (by default every member).
+        conflict or an obligation. A caller leaves its forced members out
+        of ``seeds``, so that no group made of them alone is returned; a
+        group still holds the forced members linked to its seeds.
         """
         link = list(self.conflict)
         for i, owed in enumerate(self.owes):
@@ -185,7 +194,7 @@ class LocalSpace:
                 for j in bits(m):
                     link[j] |= 1 << i
         groups = []
-        rest = (1 << len(link)) - 1 & seeds & ~forced
+        rest = (1 << len(link)) - 1 & seeds
         while rest:
             group = frontier = rest & -rest
             while frontier:

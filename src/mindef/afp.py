@@ -49,7 +49,7 @@ import re
 from bisect import bisect_left
 from operator import itemgetter
 
-from .errors import AfpSyntaxError, UndeclaredArgument
+from .errors import AfpSyntaxError, PreconditionViolated, UndeclaredArgument
 from .model import ArgumentationFramework, ArgumentSet, Partition
 
 _S = r"[^\S\n]*+"  # whitespace within a line
@@ -182,7 +182,9 @@ def serialize_afp(af: ArgumentationFramework, p: Partition = None) -> str:
     focus statements for the unrestricted part and restricted statements
     for the restricted part (both name-sorted). A vacuous partition (no
     partition, or focus = everything with nothing restricted) emits no
-    partition statements at all, which is what it parses back from.
+    partition statements at all, which is what it parses back from. An
+    empty focus over a nonempty framework would parse back as the vacuous
+    partition, so it raises :class:`PreconditionViolated`.
     """
     attacks = af.attacks
     lines = [f"# {len(af.names)} arguments, {len(attacks)} attacks"]
@@ -193,6 +195,8 @@ def serialize_afp(af: ArgumentationFramework, p: Partition = None) -> str:
     vacuous = p is None or (p.focus.mask == af.full_mask
                             and not p.restricted.mask)
     if not vacuous:
+        if not p.focus.mask:
+            raise PreconditionViolated("an empty focus has no AFP form")
         for name in sorted(p.unrestricted.names):
             lines.append(f"focus({name}).")
         for name in sorted(p.restricted.names):

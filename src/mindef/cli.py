@@ -134,13 +134,12 @@ def _base_set(af, p, request: SolveRequest):
 
 def _enumerate_family(af, p, request: SolveRequest,
                       deadline) -> ExtensionFamily:
-    # the solver shares the request's started ceiling; the oracle takes the
-    # budget, for its size cap
+    # both engines share the request's started ceiling, which also carries
+    # the oracle's size cap
     x = _base_set(af, p, request)
     solver, brute_force = FAMILIES[request.semantics]
-    if request.engine == "oracle":
-        return brute_force(af, p, x, request.budget)
-    return solver(af, p, x, deadline)
+    engine = brute_force if request.engine == "oracle" else solver
+    return engine(af, p, x, deadline)
 
 
 def _decide(af, p, request: SolveRequest, deadline) -> bool:
@@ -373,11 +372,10 @@ def main(argv=None) -> int:
                 restricted_fraction=ns.restricted_fraction,
                 seed=ns.seed,
                 acyclic_only=ns.acyclic)
-        except ValueError as exc:
+            text = serialize_afp(*random_instance(cfg))
+        except (ValueError, MindefError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        af, p = random_instance(cfg)
-        text = serialize_afp(af, p)
         if ns.output:
             try:
                 with open(ns.output, "w", encoding="utf-8") as handle:

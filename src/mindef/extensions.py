@@ -49,11 +49,14 @@ restricted candidate whose walk reaches no candidate is in no such set:
 it is dropped before the search, and so are, by the drop rerun, the
 members it alone could defend.
 
-Credulous and skeptical queries (:func:`accepted`) build no family. They
-read only the queried argument's group, since every other group has an
-answer. A credulous query is one run of the kernel's witness mode, which
-forces the argument in and stops at the first admissible set; by Dung's
-fundamental lemma this answers for the maximal sets too.
+Credulous and skeptical queries (:func:`accepted`) build no family. A
+credulous query is one run of the kernel's witness mode over the prepared
+space, which forces the argument in and stops at the first admissible
+set; by Dung's fundamental lemma this answers for the maximal sets too.
+The witness branches only on answerers of the obligations its set owes,
+which all lie in the argument's group, so no group is grown for it. A
+skeptical query is the group search above seeded with the argument: only
+its group is searched, since every other group has an answer.
 
 Min-def extensions are computed by a two-step pipeline, one factor of the
 preferred extensions on the focus at a time: keep the factor's masks whose
@@ -85,7 +88,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from math import prod
+from math import inf, prod
 from operator import or_
 from types import SimpleNamespace
 
@@ -107,8 +110,9 @@ class SearchBudget:
     ``max_arguments_for_exhaustive`` caps the exhaustive (oracle) search
     space; exceeding it is a hard error, never a truncated answer.
     ``deadline()`` starts the wall-clock ceiling, a
-    :class:`mindef._kernels.Ceiling` (without one, ``_kernels.UNBOUNDED``,
-    which never expires). A request starts it once and hands it to every
+    :class:`mindef._kernels.Ceiling` that also carries the size cap
+    (without a ceiling, one that never expires: ``_kernels.UNBOUNDED``
+    under the default cap). A request starts it once and hands it to every
     step that reads the clock: the space preparation, the tree search,
     the oracle's scan, the passes over the scanned sets and the maximality
     pass, each of min-def's steps, and the building and ordering of a
@@ -119,7 +123,7 @@ class SearchBudget:
     is true, so it would never refuse.
     """
 
-    max_arguments_for_exhaustive: int = 20
+    max_arguments_for_exhaustive: int = _kernels.EXHAUSTIVE_CAP
     wall_clock_seconds: float | None = None
 
     def __post_init__(self):
@@ -129,9 +133,11 @@ class SearchBudget:
                 raise ValueError(f"{name} must not be NaN")
 
     def deadline(self) -> _kernels.Ceiling:
-        if self.wall_clock_seconds is None:
+        if self == DEFAULT_BUDGET:
             return _kernels.UNBOUNDED
-        return _kernels.Ceiling(self.wall_clock_seconds)
+        seconds = self.wall_clock_seconds
+        return _kernels.Ceiling(inf if seconds is None else seconds,
+                                cap=self.max_arguments_for_exhaustive)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -549,7 +555,7 @@ def _candidates(af, space_mask, mode, deadline, p=None):
     return cand, forced, [(x, defenders[x]) for x in bits(cand & restricted)]
 
 
-def _solve_space(af, space_mask, mode, deadline, p=None):
+def _solve_space(af, space_mask, mode, deadline, p=None, seeds=-1):
     """Per independent group of the space, the masks of its answers.
 
     The qualifying subsets of ``space_mask`` are the unions of one mask
@@ -559,20 +565,27 @@ def _solve_space(af, space_mask, mode, deadline, p=None):
     unrestricted member, so ``ADMISSIBLE_ALL`` yields the restrictedly
     admissible ones. Each group is searched on its own, and its masks hold
     its forced members. The forced members that share no group with a
-    candidate form one more factor of one mask, when there are any.
+    searched one form one more factor of one mask, when there are any.
+    Only the groups holding a candidate of the mask ``seeds`` that is not
+    forced are searched (by default every group); every group left out
+    has at least one answer.
     """
     cand, forced, extra = _candidates(af, space_mask, mode, deadline, p)
+    if not seeds & cand & ~forced:
+        # no group to search, so no layout to build
+        return [[forced]] if forced else []
     space = _kernels.LocalSpace(af, cand, mode != CONFLICT_FREE, extra)
     forced_local = space.to_local(forced)
-    maximal_only = mode == ADMISSIBLE_MAX
+    if seeds != -1:
+        seeds = space.to_local(seeds)
     factors = []
     alone = forced_local
-    for group in space.components(forced_local):
+    for group in space.components(seeds & ~forced_local):
         free = group & ~forced_local
         local_masks = _kernels.dfs_enumerate(
             group.bit_count(), list(bits(free)), free,
-            group & forced_local, space, maximal_only, deadline)
-        if maximal_only:
+            group & forced_local, space, mode == ADMISSIBLE_MAX, deadline)
+        if mode == ADMISSIBLE_MAX:
             local_masks = _subset_maximal_masks(local_masks, deadline)
         factors.append([space.to_global(lm) for lm in local_masks])
         alone &= ~group
@@ -593,11 +606,14 @@ def accepted(af: ArgumentationFramework, space_mask: int, mode: str, a,
     queries are then NO. A conflict-free credulous query asks only whether
     ``a`` attacks itself. Every admissible set lies in a maximal one
     (Dung's fundamental lemma), so a credulous query under any mode is one
-    witness search for an admissible set holding ``a``, in ``a``'s group
-    of the ``ADMISSIBLE_ALL`` space. A skeptical ``ADMISSIBLE_MAX`` query
-    is YES for a forced member, and otherwise reads the maximal sets of
-    ``a``'s group alone: every other group has at least one, so they
-    cannot change the answer.
+    witness search for an admissible set holding ``a`` in the prepared
+    ``ADMISSIBLE_ALL`` space. Every other candidate is branchable, yet the
+    witness only branches on answerers of owed obligations, all in ``a``'s
+    group, so no group is grown first. A skeptical ``ADMISSIBLE_MAX``
+    query is :func:`_solve_space` seeded with ``a``: ``a`` is in every
+    answer exactly when some factor holds it in all its masks. A forced
+    ``a`` lands in the one-mask factor of the forced members, and a
+    dropped one in no factor.
     """
     i = af.index(a)
     bit = 1 << i
@@ -605,26 +621,18 @@ def accepted(af: ArgumentationFramework, space_mask: int, mode: str, a,
         return False
     if mode == CONFLICT_FREE:
         return not af.attacker_masks[i] & bit
-    cand, forced, extra = _candidates(
-        af, space_mask, mode if skeptical else ADMISSIBLE_ALL, deadline, p)
-    if forced & bit:
-        return True
+    if skeptical:
+        return any(all(m & bit for m in masks) for masks in
+                   _solve_space(af, space_mask, mode, deadline, p, bit))
+    cand, _, extra = _candidates(af, space_mask, ADMISSIBLE_ALL, deadline, p)
     if not cand & bit:
         return False
     space = _kernels.LocalSpace(af, cand, True, extra)
-    forced = space.to_local(forced)
-    j = space.local_of[i]
-    group, = space.components(forced, 1 << j)
-    if not skeptical:
-        free = group ^ 1 << j
-        return bool(_kernels.dfs_enumerate(
-            group.bit_count(), list(bits(free)), free, 1 << j, space,
-            _kernels.WITNESS, deadline))
-    free = group & ~forced
-    masks = _kernels.dfs_enumerate(
-        group.bit_count(), list(bits(free)), free, group & forced, space,
-        _kernels.MAXIMAL, deadline)
-    return all(m >> j & 1 for m in _subset_maximal_masks(masks, deadline))
+    k = len(space.members)
+    j = 1 << space.local_of[i]
+    free = (1 << k) - 1 ^ j
+    return bool(_kernels.dfs_enumerate(k, list(bits(free)), free, j, space,
+                                       _kernels.WITNESS, deadline))
 
 
 def _subset_maximal_masks(masks, deadline=_kernels.UNBOUNDED):

@@ -19,7 +19,10 @@ renumbered to the bits of its members, and its sets are mapped back.
 
 Spaces are capped at 20 arguments by default, and never above the scan's
 62; beyond the cap the run is refused outright rather than left to crawl
-for hours. One started wall-clock ceiling is checked between the scan's
+for hours. Every entry point takes a :class:`SearchBudget` or an already
+started ceiling, which carries the budget's cap, so a request's ceiling,
+started before its input was read, serves the oracle as it serves the
+solver. One started wall-clock ceiling is checked between the scan's
 blocks of patterns, once after a full space's scan and every 1024 sets
 while a smaller space's sets are mapped back, every 1024 sets while they
 are filtered, during the maximality pass, and when the returned family is

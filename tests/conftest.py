@@ -1022,7 +1022,7 @@ def undropped_solve_space(af, space_mask, mode, deadline, p=None):
     maximal_only = mode == extensions.ADMISSIBLE_MAX
     factors = []
     alone = forced_local
-    for group in space.components(forced_local):
+    for group in space.components(~forced_local):
         free = group & ~forced_local
         local_masks = _kernels.dfs_enumerate(
             group.bit_count(), list(bits(free)), free,
@@ -1071,6 +1071,43 @@ def factor_query(af, p, semantics_name, on=None):
         return accept(af, family, a)
 
     return verdict
+
+
+def grouped_accepted(af, space_mask, mode, a, skeptical,
+                     deadline=_kernels.UNBOUNDED, p=None):
+    """Reference for ``extensions.accepted``: the query path before
+    skeptical queries went through ``_solve_space``. Both modes grow the
+    argument's group with ``LocalSpace.components``; a credulous query runs
+    the witness in it, and a skeptical one the maximal search and the
+    maximality pass of its own, after a YES for a forced member."""
+    i = af.index(a)
+    bit = 1 << i
+    if skeptical and mode != extensions.ADMISSIBLE_MAX or not space_mask & bit:
+        return False
+    if mode == extensions.CONFLICT_FREE:
+        return not af.attacker_masks[i] & bit
+    cand, forced, extra = extensions._candidates(
+        af, space_mask, mode if skeptical else extensions.ADMISSIBLE_ALL,
+        deadline, p)
+    if forced & bit:
+        return True
+    if not cand & bit:
+        return False
+    space = _kernels.LocalSpace(af, cand, True, extra)
+    forced = space.to_local(forced)
+    j = space.local_of[i]
+    group, = space.components(1 << j)
+    if not skeptical:
+        free = group ^ 1 << j
+        return bool(_kernels.dfs_enumerate(
+            group.bit_count(), list(bits(free)), free, 1 << j, space,
+            _kernels.WITNESS, deadline))
+    free = group & ~forced
+    masks = _kernels.dfs_enumerate(
+        group.bit_count(), list(bits(free)), free, group & forced, space,
+        _kernels.MAXIMAL, deadline)
+    return all(m >> j & 1
+               for m in extensions._subset_maximal_masks(masks, deadline))
 
 
 def walk_defenders(af, a):

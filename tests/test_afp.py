@@ -124,6 +124,17 @@ class TestSerialize:
         text = serialize_afp(af1, None)
         assert "focus(" not in text and "restricted(" not in text
 
+    def test_an_empty_focus_over_arguments_is_refused(self, af1):
+        # it would parse back as the vacuous partition, every argument in
+        # the focus; over no arguments the two partitions are the same
+        empty = md.Partition(af1, af1.empty_set(), af1.empty_set())
+        with pytest.raises(md.PreconditionViolated, match="empty focus"):
+            serialize_afp(af1, empty)
+        af, p = parse_afp("")
+        assert serialize_afp(af, md.Partition(af, af.empty_set(),
+                                              af.empty_set())) == (
+            serialize_afp(af, p))
+
     def test_scenario_fixture_files_parse_and_solve(self):
         expected = {
             "discussion": "d1,d2,v1",

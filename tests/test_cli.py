@@ -364,6 +364,21 @@ def test_generate_rejects_bad_fractions(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_generate_refuses_an_instance_with_an_empty_focus(capsys, tmp_path):
+    # 0.1 of 4 arguments rounds to an empty focus, which AFP text cannot
+    # hold: it would parse back with every argument in the focus
+    args = ("generate", "-n", "4", "-p", "0.3", "--focus-fraction", "0.1",
+            "--seed", "2")
+    af, p = md.random_instance(md.GeneratorConfig(4, 0.3, 0.1, seed=2))
+    assert len(af) == 4 and len(p.focus) == 0
+    target = tmp_path / "inst.afp"
+    for extra in ((), ("-o", str(target))):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == 2 and out == ""
+        assert err == "error: an empty focus has no AFP form\n"
+    assert not target.exists()
+
+
 def test_generate_to_an_unwritable_path_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "inst.afp"
     code, out, err = run(capsys, "generate", "-n", "5", "-o", str(target))
@@ -569,6 +584,21 @@ def test_the_ceiling_covers_the_parse(capsys, clock_skew, monkeypatch):
     code, out, _ = run(capsys, "solve", AF3, "--time-limit", "1")
     assert code == 0 and out
     assert len(left) == 1 and 0.3 < left[0] <= 0.4
+    # the oracle's scan reads the same started ceiling, under its size cap
+    scan = _kernels.subset_scan
+    left.clear()
+
+    def timed_scan(k, layout, deadline):
+        left.append(deadline.left())
+        return scan(k, layout, deadline)
+
+    monkeypatch.setattr(_kernels, "subset_scan", timed_scan)
+    for args in (("oracle", AF3), ("oracle", AF3, "--credulous", "u2"),
+                 ("check", AF3, "--engine", "oracle", "--property",
+                  "preferred", "--set", "u2")):
+        code, out, _ = run(capsys, *args, "--time-limit", "1")
+        assert code == 0 and out
+    assert len(left) == 3 and all(0.3 < s <= 0.4 for s in left)
 
 
 def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
@@ -587,6 +617,40 @@ def test_queries_and_checks_on_fourteen_two_cycles_read_factors(capsys,
                "--set", "a0,b0")[:2] == (0, "NO\n")
     # allowed: a loaded host; building either family takes seconds
     assert time.monotonic() - started < 1.0
+
+
+def test_the_oracle_keeps_its_size_cap_under_a_time_limit(capsys, tmp_path):
+    def isolated(n):
+        path = tmp_path / f"isolated{n}.afp"
+        path.write_text("".join(f"arg(x{i}).\n" for i in range(n)))
+        return str(path)
+
+    for n, budget, cap in ((21, (), 20), (13, ("--budget", "12"), 12)):
+        code, out, err = run(capsys, "oracle", isolated(n), "-s",
+                             "preferred", "--time-limit", "30", *budget)
+        assert code == 3 and out == ""
+        assert err == (f"error: exhaustive scan over {n} arguments exceeds "
+                       f"the cap of {cap}\n")
+    assert run(capsys, "oracle", isolated(13), "-s", "preferred", "--budget",
+               "13", "--time-limit", "30", "--credulous", "x4")[:2] == (
+        0, "YES\n")
+
+
+def test_a_skeptical_preferred_query_searches_one_group(capsys, tmp_path,
+                                                        monkeypatch):
+    # fourteen groups, of which only a3's two-cycle is searched
+    path = fourteen_two_cycles(tmp_path)
+    search = _kernels.dfs_enumerate
+    sizes = []
+
+    def counted(*args):
+        sizes.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "dfs_enumerate", counted)
+    assert run(capsys, "solve", path, "-s", "preferred",
+               "--skeptical", "a3")[:2] == (0, "NO\n")
+    assert sizes == [2]
 
 
 def test_non_min_def_queries_never_build_a_family(capsys, tmp_path,

@@ -21,7 +21,8 @@ from conftest import (assert_same_factor_members,
                       containment_cut_dfs_enumerate, factor_query,
                       fewest_answerers_minimize, fixed_order_dfs_enumerate,
                       filtered_restrictedly_admissible_sets,
-                      fixed_point_prepare_space, instance_stream,
+                      fixed_point_prepare_space, grouped_accepted,
+                      instance_stream,
                       jump_after_the_codes, keyed_sort_ranks,
                       many_supports, name_tuple_order,
                       obligation_list_minimize,
@@ -509,7 +510,7 @@ class TestComponentSearch:
             ("y", "z"), ("x", "y")])
         space = _kernels.LocalSpace(
             af, af.subset("abcdexz").mask, defence=True)
-        groups = sorted(space.to_global(g) for g in space.components(0))
+        groups = sorted(space.to_global(g) for g in space.components(-1))
         assert groups == sorted(af.subset(names).mask
                                 for names in ("ab", "cd", "e", "xz"))
         x = af.subset("abcdexz")
@@ -1351,7 +1352,23 @@ class TestFactoredFamilies:
 
 class TestQueries:
     """The solver's acceptance queries against the factor-reading
-    reference, which builds the whole family."""
+    reference, which builds the whole family, and call by call against
+    the query path that grew the argument's group."""
+
+    @pytest.fixture(autouse=True)
+    def against_the_grouped_search(self, monkeypatch):
+        accepted = extensions.accepted
+        calls = []
+
+        def both(*args):
+            verdict = accepted(*args)
+            assert verdict == grouped_accepted(*args), args[2:5]
+            calls.append(args)
+            return verdict
+
+        monkeypatch.setattr(extensions, "accepted", both)
+        yield
+        assert calls
 
     @staticmethod
     def assert_as_reference(af, p, names):
@@ -1416,3 +1433,44 @@ class TestQueries:
             "a", "c"]
         # without --on the base set is the focus, {a}
         assert not got[None, "a", "credulous"]
+
+
+def test_a_credulous_query_grows_no_group(monkeypatch):
+    # the witness runs over the whole prepared space; every verdict is
+    # read first from the factor-reading reference
+    cases = [(af, p) for _, af, p in instance_stream(
+        40, base_seed=24000, sizes=range(8, 15))]
+    cases.append(md.builtin_fixtures()["AF3"])
+    want = [(af, p, {semantics: factor_query(af, p, semantics)
+                     for semantics in QUERIES}) for af, p in cases]
+
+    def grow(*args):
+        raise AssertionError("a credulous query grew a group")
+
+    monkeypatch.setattr(_kernels.LocalSpace, "components", grow)
+    for af, p, references in want:
+        for semantics, reference in references.items():
+            for a in af.names:
+                request = SolveRequest(semantics=semantics,
+                                       mode="credulous", argument=a)
+                assert _decide(af, p, request, _kernels.UNBOUNDED) == (
+                    reference("credulous", a)), (semantics, a)
+
+
+def test_no_layout_is_built_when_no_group_is_searched(monkeypatch):
+    # c defends a against b, so both are forced; b, the self-attacker d,
+    # and e, attacked by d alone, are dropped
+    af = build_framework("abcde", [("b", "a"), ("c", "b"), ("d", "d"),
+                                   ("d", "e")])
+    p = md.Partition(af, af.full_set(), af.empty_set())
+
+    def build(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(_kernels, "LocalSpace", build)
+    assert [s.names for s in preferred_extensions(af)] == [("a", "c")]
+    verdicts = {a: _decide(af, p, SolveRequest(
+        semantics="preferred", mode="skeptical", argument=a),
+        _kernels.UNBOUNDED) for a in "abcde"}
+    assert verdicts == {"a": True, "b": False, "c": True, "d": False,
+                        "e": False}

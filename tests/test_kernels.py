@@ -58,12 +58,12 @@ def test_components_grow_only_the_groups_of_their_seeds():
     af = md.build_framework("abcdef", [("a", "b"), ("b", "a"), ("b", "c"),
                                        ("d", "e")])
     space = _kernels.LocalSpace(af, af.full_mask, defence=True)
-    assert space.components(0) == [0b000111, 0b011000, 0b100000]
-    assert space.components(0, 0b000100) == [0b000111]
-    assert space.components(0, 0b110000) == [0b011000, 0b100000]
-    # a forced member seeds nothing, but its group still holds it
-    assert space.components(0b001, 0b011) == [0b000111]
-    assert space.components(0b001, 0b001) == []
+    assert space.components(-1) == [0b000111, 0b011000, 0b100000]
+    assert space.components(0b000100) == [0b000111]
+    assert space.components(0b110000) == [0b011000, 0b100000]
+    # a forced member a is left out of the seeds, but its group holds it
+    assert space.components(0b011 & ~0b001) == [0b000111]
+    assert space.components(0b001 & ~0b001) == []
 
 
 def test_the_witness_mode_is_the_minimal_mode_stopped_at_its_first_leaf():

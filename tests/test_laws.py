@@ -12,6 +12,13 @@ reference implementation.
   the union of the family's members, and skeptically accepted exactly
   when it is in their intersection. The queries are answered without the
   family, so this law is the safety net of the query path.
+* An isolated argument: one more argument ``z`` that attacks nothing and
+  that nothing attacks is in every preferred extension, in every
+  preferred extension on the focus exactly when it is in the focus, and
+  in every min-def extension exactly when it is an unrestricted focus
+  member (a restricted ``z`` defends no one, so no restrictedly
+  admissible set holds it). ``--skeptical z`` says the same on the solver
+  and, where the space is small enough, on the oracle.
 
 Every family must answer: no semantics refuses on the set cap here, since
 each keeps the product form of its independent groups. Families past
@@ -43,6 +50,8 @@ SMALL = 1 << 12
 DRAWS = 40
 # the semantics whose family on isolated arguments is every subset
 EVERY_SUBSET = ("conflict-free", "admissible", "restricted-admissible")
+# the oracle answers the isolated-argument law on spaces up to this size
+ORACLE_SPACE = 14
 
 
 def sparse(n, seed):
@@ -328,3 +337,51 @@ def test_the_restricted_drop_keeps_every_law_family():
                                       extensions.ADMISSIBLE_ALL, deadline, p)
         assert_same_factor_members(got, undropped_solve_space(
             af, p.focus.mask, extensions.ADMISSIBLE_ALL, deadline, p))
+
+
+def with_isolated(af, p, place):
+    """``af`` plus an argument ``z`` that attacks nothing and that nothing
+    attacks, in the focus as an ``"unrestricted"`` or ``"restricted"``
+    member, or ``"outside"`` it."""
+    zaf = md.build_framework([*af.names, "z"],
+                             [(af.names[a], af.names[b])
+                              for a, b in af.attacks])
+    focus = list(p.focus.names) + (["z"] if place != "outside" else [])
+    restricted = (list(p.restricted.names)
+                  + (["z"] if place == "restricted" else []))
+    return zaf, md.build_partition(zaf, focus, restricted)
+
+
+@st.composite
+def isolated_law_instances(draw):
+    """A sparse framework of 4-120 arguments or a structured shape, with a
+    partition; the smaller ones are within the oracle's reach."""
+    if draw(st.booleans()):
+        return sparse(draw(st.integers(4, 120)), draw(st.integers(0, 999)))
+    _, af = next(iter(structured_stream(1, draw(st.integers(0, 999)))))
+    return with_partition(af, draw(st.integers(0, 999)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(isolated_law_instances())
+def test_an_isolated_argument_is_in_every_extension_its_place_allows(
+        instance):
+    for place in ("unrestricted", "restricted", "outside"):
+        af, p = with_isolated(*instance, place)
+        z = 1 << af.index("z")
+        want = {"preferred": True,
+                "preferred-on-f": place != "outside",
+                "min-def": place == "unrestricted"}
+        for name, expected in want.items():
+            family = FAMILIES[name][0](af, p, p.focus, None)
+            assert bool(union_and_intersection(family)[1] & z) == expected
+            # the oracle scans every argument for preferred, else the focus
+            space = af.full_set() if name == "preferred" else p.focus
+            engines = ("solver", "oracle")
+            if len(space) > ORACLE_SPACE:
+                engines = ("solver",)
+            for engine in engines:
+                request = SolveRequest(semantics=name, mode="skeptical",
+                                       argument="z", engine=engine)
+                assert _decide(af, p, request, _kernels.UNBOUNDED) == (
+                    expected), (name, place, engine)
