@@ -68,7 +68,7 @@ SCAN_MAX_ARGUMENTS = 62
 MAX_SETS = 1 << 23
 
 
-# the modes of ``dfs_enumerate``; ``False`` and ``True`` read as the first two
+# the modes of ``dfs_enumerate``
 ALL, MAXIMAL, MINIMAL, WITNESS = 0, 1, 2, 3
 
 
@@ -308,7 +308,7 @@ def subset_scan(k: int, space: LocalSpace,
 
 
 def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
-                  space, maximal_only: int, deadline: Ceiling) -> list[int]:
+                  space, mode: int, deadline: Ceiling) -> list[int]:
     """Admissible sets (conflict-free ones, when no obligations) of a space.
 
     The search includes ``forced_mask`` and branches on the members of the
@@ -320,18 +320,18 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
     counted by the benchmark's tracer (``perfbench/tracer.py``), which
     wraps this function positionally.
 
-    ``maximal_only`` is the mode. With ``ALL`` (or ``False``) every set is
-    returned once. With ``MAXIMAL`` (or ``True``) branches that provably
-    yield no inclusion-maximal set are cut, so the caller must only use
-    the result for maximality filtering. With ``MINIMAL`` it holds
-    admissible sets whose inclusion-minimal ones are the minimal ones of
-    all admissible sets that include ``forced_mask``; a set found early
-    may contain one found later, never the reverse. ``WITNESS`` is the
-    minimal mode stopped at its first leaf: it returns one admissible set
-    that includes ``forced_mask``, or none when there is no such set, in a
-    list either way. Refuses past the ceiling, read every 256 nodes, or
-    past ``MAX_SETS`` sets. The walk keeps an explicit stack, so its depth
-    is bounded by memory, not by the interpreter's recursion limit.
+    With the ``mode`` ``ALL`` every set is returned once. With ``MAXIMAL``
+    branches that provably yield no inclusion-maximal set are cut, so the
+    caller must only use the result for maximality filtering. With
+    ``MINIMAL`` it holds admissible sets whose inclusion-minimal ones are
+    the minimal ones of all admissible sets that include ``forced_mask``;
+    a set found early may contain one found later, never the reverse.
+    ``WITNESS`` is the minimal mode stopped at its first leaf: it returns
+    one admissible set that includes ``forced_mask``, or none when there
+    is no such set, in a list either way. Refuses past the ceiling, read
+    every 256 nodes, or past ``MAX_SETS`` sets. The walk keeps an explicit
+    stack, so its depth is bounded by memory, not by the interpreter's
+    recursion limit.
 
     A node is ``(inc, closed, owed, answered)``: the included members, the
     members no longer free to join (included, excluded, or in conflict
@@ -357,9 +357,9 @@ def dfs_enumerate(k: int, pos_idx, branchable: int, forced_mask: int,
     owes = space.owes
     answers = space.answers
     answerers = space.answerers
-    maximal = maximal_only == MAXIMAL
-    witness = maximal_only == WITNESS
-    minimal = witness or maximal_only == MINIMAL
+    maximal = mode == MAXIMAL
+    witness = mode == WITNESS
+    minimal = witness or mode == MINIMAL
     closed = forced_mask
     owed = answered = 0
     for j in bits(forced_mask):

@@ -253,14 +253,6 @@ def _names(raw: str) -> tuple:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _budget_from(ns) -> SearchBudget | None:
-    if ns.budget is None and ns.time_limit is None:
-        return None
-    if ns.budget is None:
-        return SearchBudget(wall_clock_seconds=ns.time_limit)
-    return SearchBudget(ns.budget, ns.time_limit)
-
-
 def _non_negative(kind):
     """An argparse type: a ``kind`` value that is neither negative nor NaN."""
     def parse(raw):
@@ -286,8 +278,9 @@ def _add_common(sub, with_engine=True):
                      help="comma-separated base set for preferred-on-f "
                           "(default: the file's focus)")
     sub.add_argument("--budget", type=_non_negative(int), metavar="N",
-                     help="cap on exhaustive search spaces (default "
-                          f"{SearchBudget.max_arguments_for_exhaustive})")
+                     default=SearchBudget.max_arguments_for_exhaustive,
+                     help="cap on exhaustive search spaces "
+                          "(default %(default)s)")
     sub.add_argument("--time-limit", type=_non_negative(float),
                      metavar="SECONDS",
                      help="wall-clock ceiling for the request")
@@ -355,7 +348,7 @@ def _request_from(ns) -> SolveRequest:
         output=ns.format,
         engine=ns.engine,
         on=_names(ns.on) if ns.on is not None else None,
-        budget=_budget_from(ns))
+        budget=SearchBudget(ns.budget, ns.time_limit))
 
 
 def main(argv=None) -> int:

@@ -183,12 +183,15 @@ class ExtensionFamily:
     independent group of its search space; a family built from a list of
     sets (``ExtensionFamily(sets)``) is the one-factor case. ``len``,
     ``in`` and the acceptance queries read the factors and never build the
-    product. The order, ``members`` and ``member_names()`` are computed on
-    first use; equality and hashing compare the ordered ``members``, so
-    equal families are equal whatever their factoring. A family returned
-    under a wall-clock ceiling may spend on that first use what the
-    ceiling had left when the family was returned, and raises
-    :class:`BudgetExceeded` past it.
+    product. ``len`` raises ``OverflowError`` past 2^63 - 1 members,
+    CPython's limit on ``__len__``; the rest never calls it, and past
+    ``MAX_SETS`` members the order, ``members``, equality and hashing
+    refuse with :class:`BudgetExceeded`. The order, ``members`` and
+    ``member_names()`` are computed on first use; equality and hashing
+    compare the ordered ``members``, so equal families are equal whatever
+    their factoring. A family returned under a wall-clock ceiling may
+    spend on that first use what the ceiling had left when the family was
+    returned, and raises :class:`BudgetExceeded` past it.
 
     The order is computed on integers. The arguments the members hold are
     relabelled by name order: the one of rank ``j`` (0 = smallest name)
@@ -288,13 +291,13 @@ class ExtensionFamily:
     def _ordered(self):
         """The members' rank masks in canonical order, computed once."""
         if self._ranks is None:
-            if len(self) > _kernels.MAX_SETS:
+            if self._size() > _kernels.MAX_SETS:
                 raise _kernels.too_many_sets()
             union = reduce(or_, chain.from_iterable(self._factors), 0)
             names = self.framework.names if self.framework else ()
             by_rank = sorted(bits(union), key=names.__getitem__)
             width = -(-len(by_rank) // 8) * 8
-            if len(self) == 1:
+            if self._size() == 1:
                 # a lone member holds every rank
                 ranks = [(1 << width) - (1 << (width - len(by_rank)))]
             else:
@@ -378,8 +381,12 @@ class ExtensionFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def __len__(self):
+    def _size(self):
+        # the member count, read from the factors: ``len`` cannot pass it
+        # on beyond 2^63 - 1
         return prod(map(len, self._factors))
+
+    __len__ = _size
 
     def __contains__(self, s):
         if not (isinstance(s, ArgumentSet) and s.framework is self.framework):
@@ -395,7 +402,7 @@ class ExtensionFamily:
     def __eq__(self, other):
         if not isinstance(other, ExtensionFamily):
             return NotImplemented
-        return len(self) == len(other) and self.members == other.members
+        return self._size() == other._size() and self.members == other.members
 
     def __hash__(self):
         return hash(self.members)
@@ -578,13 +585,14 @@ def _solve_space(af, space_mask, mode, deadline, p=None, seeds=-1):
     forced_local = space.to_local(forced)
     if seeds != -1:
         seeds = space.to_local(seeds)
+    kernel_mode = _kernels.MAXIMAL if mode == ADMISSIBLE_MAX else _kernels.ALL
     factors = []
     alone = forced_local
     for group in space.components(seeds & ~forced_local):
         free = group & ~forced_local
         local_masks = _kernels.dfs_enumerate(
-            group.bit_count(), list(bits(free)), free,
-            group & forced_local, space, mode == ADMISSIBLE_MAX, deadline)
+            group.bit_count(), list(bits(free)), free, group & forced_local,
+            space, kernel_mode, deadline)
         if mode == ADMISSIBLE_MAX:
             local_masks = _subset_maximal_masks(local_masks, deadline)
         factors.append([space.to_global(lm) for lm in local_masks])

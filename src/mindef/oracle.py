@@ -1,13 +1,18 @@
 """Brute-force reference enumeration over all subsets of a search space.
 
 This module is the trust anchor for the tree-search solver, so it stays as
-literal as possible: every bit pattern of the space is generated in numeric
-order and tested against the defining predicate, and maximality is one
-``filter_maximal`` pass over the whole family, which tests a set only
-against the kept sets of larger popcount (inclusion) or of higher rank
-(preference). No preprocessing, no pruning: the scan
-(:func:`~mindef._kernels.subset_scan`) tests every pattern, a block of
-them at a time in bit-sliced Python ints.
+literal as possible. Every entry point is one pass of the same pipeline
+(:func:`_family`): a subset scan, then for the restricted semantics the
+paper's restricted-admissibility predicate, then for the maximal ones one
+maximality pass. The scan (:func:`~mindef._kernels.subset_scan`) tests
+every bit pattern of the space in numeric order against conflict-freeness,
+and against defence for the admissible families, a block of patterns at a
+time in bit-sliced Python ints. The restricted filter keeps the scanned
+sets that pass :func:`~mindef.semantics.is_restrictedly_admissible`.
+Maximality is one ``filter_maximal`` pass over the whole family, under
+inclusion or under the partition's preference order, which tests a set
+only against the kept sets of larger popcount (inclusion) or of higher
+rank (preference). No preprocessing, no pruning.
 
 The scan reads a layout built here from the framework's own masks, by the
 definitions, and not the solver's :class:`~mindef._kernels.LocalSpace`, so
@@ -20,13 +25,13 @@ renumbered to the bits of its members, and its sets are mapped back.
 Spaces are capped at 20 arguments by default, and never above the scan's
 62; beyond the cap the run is refused outright rather than left to crawl
 for hours. Every entry point takes a :class:`SearchBudget` or an already
-started ceiling, which carries the budget's cap, so a request's ceiling,
-started before its input was read, serves the oracle as it serves the
-solver. One started wall-clock ceiling is checked between the scan's
-blocks of patterns, once after a full space's scan and every 1024 sets
-while a smaller space's sets are mapped back, every 1024 sets while they
-are filtered, during the maximality pass, and when the returned family is
-ordered.
+started ceiling; the pipeline starts it once, and the scan reads its cap
+from the started ceiling, so a request's ceiling, started before its
+input was read, serves the oracle as it serves the solver. That one
+wall-clock ceiling is checked between the scan's blocks of patterns, once
+after a full space's scan and every 1024 sets while a smaller space's
+sets are mapped back, every 1024 sets while they are filtered, during the
+maximality pass, and when the returned family is ordered.
 """
 
 from collections import namedtuple
@@ -98,11 +103,12 @@ def _layout(af, space, defence):
     return _Layout(members, conflict, owes, [local(att[b]) for b in obligation])
 
 
-def _scan(af, restrict_to, budget, defence, deadline):
-    """The masks of the qualifying subsets of ``restrict_to``."""
+def _scan(af, restrict_to, defence, deadline):
+    """The masks of the qualifying subsets of ``restrict_to``, under the
+    size cap the started ceiling ``deadline`` carries."""
     space = _space_of(af, restrict_to)
     k = space.bit_count()
-    cap = min((budget or DEFAULT_BUDGET).max_arguments_for_exhaustive,
+    cap = min(deadline.max_arguments_for_exhaustive,
               _kernels.SCAN_MAX_ARGUMENTS)
     if k > cap:
         raise BudgetExceeded(
@@ -122,60 +128,53 @@ def _scan(af, restrict_to, budget, defence, deadline):
     return out
 
 
-def _family(af, budget, masks_of, order=None, partition=None):
-    """The family of the masks ``masks_of(deadline)`` returns, and with an
-    ``order`` its ``filter_maximal``, all under one started ceiling."""
+def _family(af, budget, x, defence, order=None, p=None):
+    """The one oracle pipeline, under one started ceiling: the scan of the
+    subsets of ``x``, conflict-free or with ``defence`` admissible; with a
+    partition ``p``, only the restrictedly admissible ones; and with an
+    ``order``, their ``filter_maximal``."""
     deadline = (budget or DEFAULT_BUDGET).deadline()
-    family = ExtensionFamily._product_of(af, [masks_of(deadline)], deadline)
+    masks = _scan(af, x, defence, deadline)
+    if p is not None:
+        masks = [m for m in _checked(masks, deadline)
+                 if is_restrictedly_admissible(af, p, ArgumentSet(af, m))]
+    family = ExtensionFamily._product_of(af, [masks], deadline)
     if order is None:
         return family
-    return filter_maximal(family, order, partition, deadline=deadline)
+    return filter_maximal(family, order, p, deadline=deadline)
 
 
 def oracle_conflict_free(af: ArgumentationFramework, restrict_to: ArgumentSet = None,
                          budget: SearchBudget = None) -> ExtensionFamily:
     """All conflict-free subsets of ``restrict_to`` (default: all arguments)."""
-    return _family(af, budget,
-                   lambda d: _scan(af, restrict_to, budget, False, d))
+    return _family(af, budget, restrict_to, False)
 
 
 def oracle_admissible(af: ArgumentationFramework, restrict_to: ArgumentSet = None,
                       budget: SearchBudget = None) -> ExtensionFamily:
     """All admissible subsets of ``restrict_to`` (default: all arguments)."""
-    return _family(af, budget,
-                   lambda d: _scan(af, restrict_to, budget, True, d))
+    return _family(af, budget, restrict_to, True)
 
 
 def oracle_preferred(af: ArgumentationFramework,
                      budget: SearchBudget = None) -> ExtensionFamily:
     """Inclusion-maximal admissible sets, by scan plus a maximality pass."""
-    return _family(af, budget, lambda d: _scan(af, None, budget, True, d),
-                   "subset")
+    return _family(af, budget, None, True, "subset")
 
 
 def oracle_preferred_on(af: ArgumentationFramework, x: ArgumentSet,
                         budget: SearchBudget = None) -> ExtensionFamily:
     """Inclusion-maximal admissible subsets of ``x``."""
-    return _family(af, budget, lambda d: _scan(af, x, budget, True, d),
-                   "subset")
-
-
-def _restrictedly_admissible(af, p, budget, deadline):
-    return [m for m in _checked(_scan(af, p.focus, budget, True, deadline),
-                                deadline)
-            if is_restrictedly_admissible(af, p, ArgumentSet(af, m))]
+    return _family(af, budget, x, True, "subset")
 
 
 def oracle_restrictedly_admissible(af: ArgumentationFramework, p: Partition,
                                    budget: SearchBudget = None) -> ExtensionFamily:
     """All restrictedly admissible subsets of the focus."""
-    return _family(af, budget,
-                   lambda d: _restrictedly_admissible(af, p, budget, d))
+    return _family(af, budget, p.focus, True, p=p)
 
 
 def oracle_min_def(af: ArgumentationFramework, p: Partition,
                    budget: SearchBudget = None) -> ExtensionFamily:
     """Preference-maximal restrictedly admissible sets, definition-literally."""
-    return _family(af, budget,
-                   lambda d: _restrictedly_admissible(af, p, budget, d),
-                   "prec", p)
+    return _family(af, budget, p.focus, True, "prec", p)

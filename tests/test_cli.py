@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import mindef as md
 from mindef import _kernels, extensions
 from mindef.afp import serialize_afp
-from mindef.cli import (QUERIES, SEMANTICS, SolveRequest, _budget_from,
+from mindef.cli import (QUERIES, SEMANTICS, SolveRequest, _request_from,
                         build_parser, main, run_cli)
 from mindef.extensions import SearchBudget
 
@@ -87,17 +87,48 @@ def test_query_for_undeclared_argument_is_an_input_error(capsys):
     assert code == 2 and "ghost" in err
 
 
+def families_past_2_to_the_63(tmp_path):
+    """Two files, each with the semantics whose family passes 2^63
+    members: 64 isolated arguments (2^64 conflict-free, admissible and
+    restrictedly admissible sets) and 64 two-cycles (at least 2^64 sets
+    under every semantics)."""
+    isolated = tmp_path / "isolated.afp"
+    isolated.write_text("".join(f"arg(x{i}).\n" for i in range(64)))
+    cycles = tmp_path / "cycles.afp"
+    cycles.write_text("".join(
+        f"arg(a{i}).\narg(b{i}).\natt(a{i},b{i}).\natt(b{i},a{i}).\n"
+        for i in range(64)))
+    return [(str(isolated), ("conflict-free", "admissible",
+                             "restricted-admissible")),
+            (str(cycles), tuple(SEMANTICS))]
+
+
 def test_queries_on_families_past_2_to_the_63_members_answer(capsys,
                                                              tmp_path):
-    # 64 isolated arguments: 2^64 conflict-free and admissible sets
-    path = tmp_path / "isolated.afp"
-    path.write_text("".join(f"arg(x{i}).\n" for i in range(64)))
-    for semantics in ("conflict-free", "admissible", "preferred"):
-        for flag in ("--credulous", "--skeptical"):
-            want = "YES\n" if flag == "--credulous" or (
-                semantics == "preferred") else "NO\n"
-            assert run(capsys, "solve", str(path), "-s", semantics, flag,
-                       "x3")[:2] == (0, want)
+    (isolated, _), (cycles, _) = families_past_2_to_the_63(tmp_path)
+    for semantics in SEMANTICS:
+        # every isolated argument is in the lone preferred (and min-def)
+        # extension; no two-cycle member is in all of them
+        lone = semantics in ("preferred", "preferred-on-f", "min-def")
+        for path, a, skeptical in ((isolated, "x3", "YES\n" if lone
+                                    else "NO\n"),
+                                   (cycles, "a3", "NO\n")):
+            assert run(capsys, "solve", path, "-s", semantics,
+                       "--credulous", a)[:2] == (0, "YES\n")
+            assert run(capsys, "solve", path, "-s", semantics,
+                       "--skeptical", a)[:2] == (0, skeptical)
+
+
+def test_families_past_2_to_the_63_members_are_refused(capsys, tmp_path):
+    # counted from their factors, not by ``len``, which cannot pass 2^63 - 1
+    for path, overflowing in families_past_2_to_the_63(tmp_path):
+        for semantics in overflowing:
+            for fmt in ("plain", "structured"):
+                code, out, err = run(capsys, "solve", path, "-s", semantics,
+                                     "--format", fmt)
+                assert (code, out) == (3, ""), (path, semantics, fmt)
+                assert err == (f"error: answer exceeds the cap of "
+                               f"{_kernels.MAX_SETS} sets\n")
 
 
 def test_an_empty_query_argument_is_undeclared(capsys):
@@ -476,7 +507,7 @@ def test_an_oracle_family_past_the_ceiling_prints_nothing(capsys, tmp_path):
 def test_the_oracle_cap_defaults_to_the_search_budget(capsys):
     default = SearchBudget.max_arguments_for_exhaustive
     ns = build_parser().parse_args(["solve", "--time-limit", "2"])
-    assert _budget_from(ns) == SearchBudget(default, 2.0)
+    assert _request_from(ns).budget == SearchBudget(default, 2.0)
     code, out, _ = run(capsys, "solve", "--help")
     assert code == 0 and f"(default {default})" in " ".join(out.split())
 

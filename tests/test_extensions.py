@@ -816,7 +816,7 @@ def _dfs_over(af, deadline):
     space = _kernels.LocalSpace(af, af.full_mask, False)
     pos_idx = list(range(len(af)))
     return _kernels.dfs_enumerate(len(af), pos_idx, af.full_mask, 0, space,
-                                  False, deadline)
+                                  _kernels.ALL, deadline)
 
 
 # every stage that reads the request's ceiling, called with one that has
@@ -837,7 +837,7 @@ CLOCK_STAGES = {
     "acceptance query": lambda past: extensions.accepted(
         TWO_CYCLE, TWO_CYCLE.full_mask, ADMISSIBLE_MAX, "a", True, past),
     "oracle conversion": lambda past: oracle._scan(
-        ISOLATED, ISOLATED.subset(["x0", "x1"]), None, False, past),
+        ISOLATED, ISOLATED.subset(["x0", "x1"]), False, past),
     "minimize_restricted": lambda past: minimize_restricted(
         ISOLATED, ISOLATED_P, ISOLATED.subset(["x0"]), past),
     "_subset_minimal_masks": lambda past: extensions._subset_minimal_masks(
@@ -918,6 +918,32 @@ class TestOutputCap:
             md.oracle_conflict_free(ISOLATED)
         assert len(md.oracle_conflict_free(
             ISOLATED, ISOLATED.subset(["x0", "x1", "x2", "x3"]))) == 16
+
+
+def test_families_past_2_to_the_63_members_refuse_under_the_real_cap():
+    # 64 isolated arguments: 2^64 conflict-free sets; 64 two-cycles: 3^64
+    # admissible sets and 2^64 preferred extensions. Each is counted from
+    # its factors and refused, never passed through ``len``
+    isolated = build_framework([f"x{i}" for i in range(64)], [])
+    cycles = build_framework(
+        [f"{s}{i}" for i in range(64) for s in "ab"],
+        [pair for i in range(64)
+         for pair in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))])
+    cap = f"^answer exceeds the cap of {_kernels.MAX_SETS} sets$"
+    for fam, same in ((md.conflict_free_sets(isolated),
+                       md.admissible_sets(isolated)),
+                      (md.admissible_sets(cycles), md.admissible_sets(cycles)),
+                      (md.preferred_extensions(cycles),
+                       md.preferred_extensions(cycles))):
+        for read in (lambda: fam == same, lambda: hash(fam),
+                     lambda: fam.members):
+            with pytest.raises(BudgetExceeded, match=cap):
+                read()
+        # CPython's own limit on ``__len__``
+        with pytest.raises(OverflowError):
+            len(fam)
+    # families of unequal counts differ without being built
+    assert md.conflict_free_sets(isolated) != md.admissible_sets(cycles)
 
 
 class TestBudget:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -204,11 +205,24 @@ class TestOracleCeilingAfterTheScan:
             kept.members
 
 
-def _scan_outcome(scan, af, x, defence):
-    """What ``scan`` answers for the space ``x``: its masks, or the text of
-    its refusal."""
+@pytest.mark.parametrize("semantics", TestOracleCeilingAfterTheScan.ORACLES)
+def test_every_entry_point_reads_the_cap_of_a_started_ceiling(semantics):
+    # four arguments, all in the focus: r defends a against b
+    af = build_framework(["a", "b", "r", "s"],
+                         [("b", "a"), ("r", "b"), ("s", "r")])
+    p = md.build_partition(af, af.names, ["r"])
+    call = TestOracleCeilingAfterTheScan.ORACLES[semantics]
+    with pytest.raises(BudgetExceeded, match="^exhaustive scan over 4 "
+                                             "arguments exceeds the cap of 3$"):
+        call(af, p, _kernels.Ceiling(math.inf, cap=3))
+    assert call(af, p, _kernels.Ceiling(math.inf, cap=4)) == call(af, p, None)
+
+
+def _scan_outcome(scan):
+    """What the call ``scan()`` answers: its masks, or the text of its
+    refusal."""
     try:
-        return scan(af, x, None, defence, _kernels.UNBOUNDED)
+        return scan()
     except BudgetExceeded as refusal:
         return str(refusal)
 
@@ -250,8 +264,10 @@ class TestTheOraclesOwnLayout:
         for af, p in _layout_instances():
             for x in _spaces(af, p, rng):
                 for defence in (False, True):
-                    got = _scan_outcome(oracle._scan, af, x, defence)
-                    want = _scan_outcome(local_space_scan, af, x, defence)
+                    got = _scan_outcome(lambda: oracle._scan(
+                        af, x, defence, _kernels.UNBOUNDED))
+                    want = _scan_outcome(lambda: local_space_scan(
+                        af, x, None, defence, _kernels.UNBOUNDED))
                     assert got == want, (af.names, x, defence)
                     outcomes.append(isinstance(got, list))
         # scans, and refusals of the spaces past the cap
@@ -320,7 +336,7 @@ class TestTheOraclesOwnLayout:
                 if (af.attacker_masks[g] | af.target_masks[g]) >> h & 1)
             for g in members]
         assert any(layout.answerers) and any(layout.conflict)
-        assert oracle._scan(af, af.set_from_mask(space), None, True,
+        assert oracle._scan(af, af.set_from_mask(space), True,
                             _kernels.UNBOUNDED) == local_space_scan(
             af, af.set_from_mask(space), None, True, _kernels.UNBOUNDED)
 
