@@ -4,13 +4,45 @@ Random instances follow a fixed, documented recipe (see README, "Random
 instance contract") built on the splitmix64 generator, so any two runs -
 or any two implementations of the recipe, in any language - produce
 byte-identical instances from the same configuration.
+
+The attack draws are computed ``_BLOCK`` at a time. splitmix64's state
+after ``t`` draws is ``seed + t*gamma`` (mod 2^64), so no draw depends on
+the one before it and a block of draws is a few operations on one int:
+lane ``t`` of that int is its bits ``128t .. 128t+127``, and holds draw
+``t``'s state in its low 64 bits with 64 zero bits above. A product of a
+lane by a 64-bit mix constant then stays inside the lane, and each step is
+masked back to 64 bits per lane before the next multiply. A draw ``u``
+passes ``next_float() < p`` exactly when ``u < ceil(p * 2^53) << 11``,
+since ``next_float()`` is ``(u >> 11) * 2^-53`` and ``p * 2^53`` is exact;
+adding ``2^64 - thr`` to every lane sets bit 64 of the lanes that fail, one
+byte in every 16 of the int's little-endian bytes.
 """
 
+import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, groupby
 
 from .model import ArgumentationFramework, build_framework, build_partition
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 4096  # draws per block, one 128-bit lane each
+_PASSED = bytes([1, 0]) + bytes(254)  # a lane's bit-64 byte: 1 = passed
+
+
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """A full block's lane constants, built on first use: a 1 in every
+    lane, ``2^64 - 1`` in every lane, and ``(t+1)*gamma mod 2^64`` in lane
+    ``t``. A shorter block masks them down, so one block is all kept."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little")
+    counters = int.from_bytes(b"".join(
+        ((t + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+        for t in range(_BLOCK)), "little")
+    return ones, low, counters
 
 
 class SplitMix64:
@@ -22,7 +54,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,6 +73,28 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+    def passing(self, count: int, p: float) -> list:
+        """The offsets ``t < count``, in order, of the next ``count`` draws
+        that pass ``next_float() < p``; the state ends past all of them."""
+        thr = math.ceil(p * 2.0 ** 53) << 11
+        full_ones, full_low, full_counters = _lanes()
+        hits = []
+        for first in range(0, count, _BLOCK):
+            size = min(_BLOCK, count - first)
+            ones, low, counters = full_ones, full_low, full_counters
+            if size < _BLOCK:
+                cut = (1 << 128 * size) - 1
+                ones, low, counters = ones & cut, low & cut, counters & cut
+            base = (self.state + first * _GAMMA) & _MASK64
+            z = (base * ones + counters) & low
+            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+            z = (z ^ (z >> 31)) + ((1 << 64) - thr) * ones
+            passed = z.to_bytes(16 * size, "little")[8::16].translate(_PASSED)
+            hits.extend(compress(range(first, first + size), passed))
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        return hits
 
 
 @dataclass(frozen=True)
@@ -75,23 +129,24 @@ def random_instance(cfg: GeneratorConfig) -> tuple:
     n = cfg.argument_count
     rng = SplitMix64(cfg.seed)
     names = [f"a{i}" for i in range(n)]
-    pairs = []
     if cfg.acyclic_only:
         order = list(range(n))
         rng.shuffle(order)
         rank = [0] * n
         for position, i in enumerate(order):
             rank[i] = position
-        for i in range(n):
-            for j in range(n):
-                if i != j and rank[i] < rank[j]:
-                    if rng.next_float() < cfg.attack_probability:
-                        pairs.append((i, j))
+        # row i holds the n-1-rank[i] arguments ranked after i, in index
+        # order; only a row with a passing draw is listed
+        starts = list(accumulate((n - 1 - r for r in rank), initial=0))
+        pairs = []
+        for i, offsets in groupby(
+                rng.passing(starts[-1], cfg.attack_probability),
+                lambda t: bisect_right(starts, t) - 1):
+            later = sorted(order[rank[i] + 1:])
+            pairs.extend((i, later[t - starts[i]]) for t in offsets)
     else:
-        for i in range(n):
-            for j in range(n):
-                if rng.next_float() < cfg.attack_probability:
-                    pairs.append((i, j))
+        pairs = [divmod(t, n) for t in
+                 rng.passing(n * n, cfg.attack_probability)]
     af = ArgumentationFramework(tuple(names), pairs)
     sample = list(range(n))
     rng.shuffle(sample)

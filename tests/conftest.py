@@ -793,6 +793,39 @@ def sparse_instance(n):
                                                  seed=7000 + n))
 
 
+def per_draw_random_instance(cfg):
+    """Reference for ``generators.random_instance``: the recipe drawn one
+    float at a time, one ``next_float`` per candidate pair in row-major
+    order, as the README states it."""
+    n = cfg.argument_count
+    rng = md.SplitMix64(cfg.seed)
+    names = [f"a{i}" for i in range(n)]
+    pairs = []
+    if cfg.acyclic_only:
+        order = list(range(n))
+        rng.shuffle(order)
+        rank = [0] * n
+        for position, i in enumerate(order):
+            rank[i] = position
+        for i in range(n):
+            for j in range(n):
+                if i != j and rank[i] < rank[j]:
+                    if rng.next_float() < cfg.attack_probability:
+                        pairs.append((i, j))
+    else:
+        for i in range(n):
+            for j in range(n):
+                if rng.next_float() < cfg.attack_probability:
+                    pairs.append((i, j))
+    af = ArgumentationFramework(tuple(names), pairs)
+    sample = list(range(n))
+    rng.shuffle(sample)
+    focus_size = int(cfg.focus_fraction * n + 0.5)
+    restricted_size = int(cfg.restricted_fraction * focus_size + 0.5)
+    focus = [names[i] for i in sample[:focus_size]]
+    return af, build_partition(af, focus, focus[:restricted_size])
+
+
 def many_supports(k):
     """A min-def instance with ``2^k`` minimal supports: the unrestricted
     ``u`` is attacked by ``b1..bk``, and each ``bi`` by two restricted

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import pytest
 
 import mindef as md
-from mindef import (GeneratorConfig, SplitMix64, builtin_fixtures,
+from conftest import per_draw_random_instance
+from mindef import (GeneratorConfig, SplitMix64, builtin_fixtures, generators,
                     is_well_founded, random_instance, serialize_afp)
 
 class TestSplitMix64:
@@ -21,6 +25,19 @@ class TestSplitMix64:
         g.shuffle(items)
         assert sorted(items) == list(range(40))
         assert items != list(range(40))
+
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 9000])
+    def test_passing_draws_are_the_per_draw_floats_below_p(self, count):
+        # thresholds at the stream's own floats and one ulp either side,
+        # so the threshold identity is tested where it is tightest
+        g = SplitMix64(77)
+        floats = [g.next_float() for _ in range(count)]
+        for p in {0.0, 1.0, *floats[:5], *floats[-3:]}:
+            for q in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+                sampler = SplitMix64(77)
+                assert sampler.passing(count, q) == [
+                    t for t, f in enumerate(floats) if f < q]
+                assert sampler.state == g.state
 
 
 class TestFixtures:
@@ -90,6 +107,40 @@ class TestRandomInstance:
             GeneratorConfig(argument_count=3, focus_fraction=-0.1)
         with pytest.raises(ValueError):
             GeneratorConfig(argument_count=-1)
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 91, 92, 300])
+    def test_same_bytes_as_drawing_one_float_per_pair(self, n, acyclic):
+        # n^2 draws (cyclic) or n(n-1)/2 (acyclic) sit on both sides of
+        # one block: 63^2 < 4096 = 64^2 < 65^2, and 91*90/2 < 4096 < 92*91/2
+        for p in (0.0, 2.0 ** -53, 2 / 300, 0.25, 1 - 2.0 ** -53, 1.0):
+            for seed in (0, 2 ** 64 - 1, 2 ** 64 + 5, -1):
+                cfg = GeneratorConfig(n, p, 0.7, 0.3, seed=seed,
+                                      acyclic_only=acyclic)
+                assert (serialize_afp(*random_instance(cfg))
+                        == serialize_afp(*per_draw_random_instance(cfg)))
+
+    def test_the_lane_constants_are_kept_for_one_block_only(self):
+        for n in range(1, 81):
+            for acyclic in (False, True):
+                random_instance(GeneratorConfig(n, 0.3, seed=n,
+                                                acyclic_only=acyclic))
+        assert generators._lanes.cache_info().currsize == 1
+        assert all(c.bit_length() <= 128 * generators._BLOCK
+                   for c in generators._lanes())
+
+    def test_acyclic_mode_lists_no_candidate_pairs(self):
+        # n=600 has 179700 candidate pairs: a list of them peaks at ~15 MB,
+        # the passing draws mapped row by row at ~0.6 MB
+        random_instance(GeneratorConfig(5, 0.3))
+        tracemalloc.start()
+        try:
+            random_instance(GeneratorConfig(600, 2 / 600, seed=3,
+                                            acyclic_only=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_solver_and_oracle_agree_on_the_documented_config(self):
         cfg = GeneratorConfig(argument_count=10, attack_probability=0.2,
