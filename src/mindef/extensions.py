@@ -84,12 +84,14 @@ last pass, which reads the ceiling too, keeps the inclusion-minimal
 leaves.
 """
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import inf, prod
 from operator import or_
+from sys import byteorder
 from types import SimpleNamespace
 
 from . import _kernels
@@ -232,7 +234,13 @@ class ExtensionFamily:
     ``q`` from the top of a rank mask holds ranks ``8q..8q+7``, so one
     table per byte position maps a byte value to its set bits' formatted
     names, already concatenated; a block is one column of such fragments
-    per byte position. Rendering, :meth:`member_names` and ``members`` all
+    per byte position. A block's rank masks are packed into one byte
+    string, little-endian, so a column is one strided slice of it, at
+    offset ``W/8 - 1 - q``. When they fit in a 64-bit word (``W <= 64``)
+    one ``array("Q")`` packs the whole block, eight bytes per member, with
+    no Python step per member; wider ones take one ``to_bytes`` each,
+    ``W/8`` bytes apart, which costs less than splitting every rank mask
+    into words. Rendering, :meth:`member_names` and ``members`` all
     read these blocks; the first two hold one block at a time, whatever the
     family's size.
     """
@@ -363,10 +371,21 @@ class ExtensionFamily:
         # bit 7 - p of byte q from the top of a rank mask holds rank 8q + p
         tables = [_Fragments(pieces[8 * q:8 * q + 8][::-1], empty)
                   for q in range(nbytes)]
+        # one rank mask per stride bytes, little-endian: byte q from the
+        # top of each is at nbytes - 1 - q
+        stride = 8 if nbytes <= 8 else nbytes
         for start in range(0, len(ranks), _RENDER_BLOCK):
-            packed = b"".join([r.to_bytes(nbytes, "big")
-                            for r in ranks[start:start + _RENDER_BLOCK]])
-            yield zip(*[map(table.__getitem__, packed[q::nbytes])
+            chunk = ranks[start:start + _RENDER_BLOCK]
+            if nbytes <= 8:
+                words = array("Q", chunk)
+                if byteorder == "big":
+                    words.byteswap()
+                packed = words.tobytes()
+            else:
+                packed = b"".join([r.to_bytes(nbytes, "little")
+                                   for r in chunk])
+            yield zip(*[map(table.__getitem__,
+                            packed[nbytes - 1 - q::stride])
                         for q, table in enumerate(tables)])
 
     def member_names(self):

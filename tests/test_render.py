@@ -5,6 +5,7 @@ against the arg-bit decoder and the mask-set comparison they replaced."""
 
 import io
 import random
+from array import array
 
 import pytest
 
@@ -200,3 +201,39 @@ def test_one_member_families_render_without_a_table(monkeypatch):
     for family in lone:
         assert len(family) == 1
         assert_renders_as_reference(family, repr(family))
+
+
+class CountingArray:
+    """Stands in for ``array`` in the extensions module, counting calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return array(*args)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_blocks_up_to_64_bits_wide_are_packed_by_one_array_each(
+        n, block, monkeypatch):
+    rng = random.Random(n)
+    af = framework(rng, n)
+    counting = CountingArray()
+    monkeypatch.setattr(extensions, "array", counting)
+    full = (1 << n) - 1
+    families = [ExtensionFamily([af.full_set()])]
+    for size in (2, 5, 40):
+        masks = {0, full} | {rng.getrandbits(n) for _ in range(size)}
+        families.append(ExtensionFamily(md.ArgumentSet(af, m)
+                                        for m in masks))
+    for family in families:
+        # a lone member needs no packing; rank masks wider than one 64-bit
+        # word are packed one to_bytes each
+        blocks = -(-len(family) // block)
+        want = 0 if len(family) == 1 or n > 64 else blocks
+        for fmt in FORMATS:
+            counting.calls = 0
+            assert (rendered(_render, family, fmt)
+                    == rendered(list_render, family, fmt)), (n, fmt)
+            assert counting.calls == want, (n, len(family), fmt)
