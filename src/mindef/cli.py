@@ -170,7 +170,7 @@ def execute(request: SolveRequest) -> SolveResult:
         raise PreconditionViolated(
             f"unknown semantics {request.semantics!r}")
     deadline = (request.budget or extensions.DEFAULT_BUDGET).deadline()
-    af, p = parse_afp(_read_input(request))
+    af, p = parse_afp(_read_input(request), deadline)
     deadline.check()
     started = time.perf_counter()
     family = None

@@ -11,6 +11,9 @@ from collections.abc import Iterable, Iterator
 
 from .errors import CrossFrameworkSet, UndeclaredArgument
 
+# attacks per block of a framework build that reads a ceiling
+_ATTACK_BLOCK = 4096
+
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, in increasing order."""
@@ -18,6 +21,15 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _pair_blocks(ends: list, deadline) -> Iterator:
+    """The pairs of ``ends`` (attacker, target, attacker, ...) in blocks of
+    ``_ATTACK_BLOCK``, reading the started ceiling before each."""
+    for start in range(0, len(ends), 2 * _ATTACK_BLOCK):
+        deadline.check()
+        block = iter(ends[start:start + 2 * _ATTACK_BLOCK])
+        yield zip(block, block)
 
 
 class ArgumentationFramework:
@@ -32,26 +44,32 @@ class ArgumentationFramework:
                  "full_mask")
 
     def __init__(self, names: tuple, attacks: Iterable):
-        self._build(names, {name: i for i, name in enumerate(names)}, attacks)
+        self._build(names, {name: i for i, name in enumerate(names)},
+                    [attacks])
 
     @classmethod
-    def _indexed(cls, names: tuple, index_of: dict, attacks: Iterable):
-        """The framework of ``names`` and ``attacks``, taking the caller's
-        ``index_of`` (``index_of[names[i]] == i``) rather than building
-        it again."""
+    def _indexed(cls, names: tuple, index_of: dict, ends: list, deadline):
+        """The framework of ``names`` and of the attacks in ``ends``, their
+        index pairs one after the other (attacker, target, attacker, ...),
+        taking the caller's ``index_of`` (``index_of[names[i]] == i``)
+        rather than building it again. The started ceiling ``deadline`` is
+        read before each block of ``_ATTACK_BLOCK`` attacks."""
         af = cls.__new__(cls)
-        af._build(names, index_of, attacks)
+        af._build(names, index_of, _pair_blocks(ends, deadline))
         return af
 
-    def _build(self, names, index_of, attacks):
+    def _build(self, names, index_of, blocks):
+        """Set the framework up from ``blocks``, each an iterable of
+        attack pairs."""
         self.names = names
         self.index_of = index_of
         n = len(names)
         attacker_masks = [0] * n
         target_masks = [0] * n
-        for a, b in attacks:
-            attacker_masks[b] |= 1 << a
-            target_masks[a] |= 1 << b
+        for block in blocks:
+            for a, b in block:
+                attacker_masks[b] |= 1 << a
+                target_masks[a] |= 1 << b
         self.attacker_masks = tuple(attacker_masks)
         self.target_masks = tuple(target_masks)
         self.full_mask = (1 << n) - 1

@@ -79,7 +79,10 @@ def _layout(af, space, defence):
         return _Layout(None, conflict, [0] * len(conflict), [])
     tgt = af.target_masks
     members = list(bits(space))
-    bit_of = {g: 1 << j for j, g in enumerate(members)}
+    # the local bit of each global argument, 0 outside the space
+    bit_of = [0] * len(att)
+    for j, g in enumerate(members):
+        bit_of[g] = 1 << j
 
     def local(mask):
         out = 0
@@ -93,14 +96,18 @@ def _layout(af, space, defence):
     attackers = 0
     for g in members:
         attackers |= att[g]
-    obligation = {b: 1 << o for o, b in enumerate(bits(attackers))}
+    obligors = list(bits(attackers))
+    # the obligation bit of each global argument, 0 if it attacks no member
+    obligation = [0] * len(att)
+    for o, b in enumerate(obligors):
+        obligation[b] = 1 << o
     owes = []
     for g in members:
         owed = 0
         for b in bits(att[g]):
             owed |= obligation[b]
         owes.append(owed)
-    return _Layout(members, conflict, owes, [local(att[b]) for b in obligation])
+    return _Layout(members, conflict, owes, [local(att[b]) for b in obligors])
 
 
 def _scan(af, restrict_to, defence, deadline):

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 import mindef as md
-from mindef import _kernels, cli, extensions, semantics
+from mindef import _kernels, afp, cli, extensions, semantics
 from mindef.errors import AfpSyntaxError, UndeclaredArgument
 from mindef.model import ArgumentationFramework, bits, build_partition
 
@@ -1296,3 +1297,70 @@ def line_by_line_parse_afp(text):
         return af, build_partition(af, [name for _, name in focus],
                                    [name for _, name in restricted])
     return af, md.Partition(af, af.full_set(), af.empty_set())
+
+
+# the whole-text pattern of ``splitlines_parse_afp``, over a text whose
+# line ends are all "\n"
+_JOINED_S = r"[^\S\n]*+"
+_JOINED_NAME = r"[A-Za-z0-9_]++"
+_JOINED_BARE = (
+    rf"att\({_JOINED_NAME},{_JOINED_NAME}\)\.|arg\({_JOINED_NAME}\)\."
+    rf"|focus\({_JOINED_NAME}\)\.|restricted\({_JOINED_NAME}\)\.")
+_JOINED_SPACED = (
+    rf"{_JOINED_S}(?:att{_JOINED_S}\({_JOINED_S}{_JOINED_NAME}{_JOINED_S},"
+    rf"{_JOINED_S}{_JOINED_NAME}{_JOINED_S}\){_JOINED_S}\.{_JOINED_S}"
+    rf"|(?:arg|focus|restricted){_JOINED_S}\({_JOINED_S}{_JOINED_NAME}"
+    rf"{_JOINED_S}\){_JOINED_S}\.{_JOINED_S}|)"
+    r"(?:#[^\n]*+|)")
+_JOINED_LINE = rf"(?:{_JOINED_BARE}|{_JOINED_SPACED})"
+_JOINED_TEXT = re.compile(rf"(?:{_JOINED_LINE}\n)*+{_JOINED_LINE}")
+
+
+def splitlines_parse_afp(text):
+    """Reference for ``afp.parse_afp``: the version that joined the text's
+    ``splitlines()`` with "\\n" for its whole-text check, and cut comments
+    and whitespace with ``split`` and ``join``. Verbatim, but for the
+    framework, built by the public constructor."""
+    checked = "\n".join(text.splitlines())
+    if _JOINED_TEXT.fullmatch(checked) is None:
+        raise afp._first_error(text)
+    args, ends, focus, restricted = _joined_statements(checked)
+    del checked  # not needed while the framework is built
+    names = tuple(dict.fromkeys(args))
+    index_of = dict(zip(names, range(len(names))))
+    try:
+        ends = list(map(index_of.__getitem__, ends))
+        focus_mask = afp._mask(focus, index_of)
+        restricted_mask = afp._mask(restricted, index_of)
+    except KeyError:
+        raise afp._first_error(text) from None
+    af = ArgumentationFramework(names, zip(ends[::2], ends[1::2]))
+    if focus or restricted:
+        # restricted names are implicitly part of the focus
+        return af, md.Partition(
+            af, md.ArgumentSet(af, focus_mask | restricted_mask),
+            md.ArgumentSet(af, restricted_mask))
+    return af, md.Partition(af, af.full_set(), af.empty_set())
+
+
+def _joined_statements(checked):
+    """``splitlines_parse_afp``'s names: declared arguments in file order
+    (with repeats), attack endpoints (attacker, target, attacker, ...),
+    focus names and restricted names."""
+    if "#" in checked:
+        # the part of each piece before its first newline is comment
+        head, *tails = checked.split("#")
+        checked = head + "".join([tail.partition("\n")[2] for tail in tails])
+    compact = "".join(checked.split())
+    statements = compact.split(").")
+    statements.pop()  # the empty rest after the last statement
+    # the second letters of restricted, focus, arg and att sort in that
+    # order, and the sort is stable: one group per kind, each in file order
+    statements.sort(key=operator.itemgetter(1))
+    r, f, a = (bisect.bisect_left(statements, letter,
+                                  key=operator.itemgetter(1))
+               for letter in "ort")
+    return ("".join(statements[f:a]).split("arg(")[1:],
+            "".join(statements[a:]).replace("att(", ",").split(",")[1:],
+            "".join(statements[r:f]).split("focus(")[1:],
+            "".join(statements[:r]).split("restricted(")[1:])

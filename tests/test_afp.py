@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 import mindef as md
-from mindef import (AfpSyntaxError, ArgumentationFramework, MindefError,
-                    UndeclaredArgument, afp, build_framework, parse_afp,
-                    serialize_afp)
+from mindef import (AfpSyntaxError, ArgumentationFramework, BudgetExceeded,
+                    MindefError, UndeclaredArgument, _kernels, afp,
+                    build_framework, parse_afp, serialize_afp)
+from mindef.cli import SolveRequest, run_cli
 
 from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
                       line_by_line_parse_afp, mutated_fixtures,
-                      pair_set_build_framework, two_pass_parse_afp)
+                      pair_set_build_framework, splitlines_parse_afp,
+                      two_pass_parse_afp)
 
 
 class TestParse:
@@ -82,10 +84,11 @@ class TestParse:
         assert af.names == ("a",)
         assert p.focus.names == ("a",)
 
-    def test_the_whole_text_check_keeps_no_state_per_line(self):
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_the_whole_text_check_keeps_no_state_per_line(self, end):
         # with a greedy repeat over the lines the peak is ~4.3 MB here
         forms = ("arg(a{0}).", "att( a{0} ,a{1} ) . # c", "", "focus(a{1}).")
-        text = "\n".join(forms[i % 4].format(i, i + 1) for i in range(20000))
+        text = end.join(forms[i % 4].format(i, i + 1) for i in range(20000))
         tracemalloc.start()
         try:
             assert afp._TEXT.fullmatch(text)
@@ -93,6 +96,64 @@ class TestParse:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_the_compaction_table_holds_every_whitespace_character(self):
+        space = [c for c in range(0x110000) if chr(c).isspace()]
+        assert set(afp._WHITESPACE) == set(space)
+        assert set(afp._WHITESPACE.values()) == {None}
+        text = "".join(map(chr, space))
+        for s in (text, "a" + "b".join(text) + "c"):
+            assert s.translate(afp._WHITESPACE) == "".join(s.split())
+
+
+class CountingCeiling(_kernels.Ceiling):
+    """A ceiling that counts its reads, and refuses from the ``refuse_at``-th
+    on (never by default)."""
+
+    def __init__(self, refuse_at=None):
+        super().__init__(1.0)
+        self.reads = 0
+        self.refuse_at = refuse_at
+
+    def check(self):
+        self.reads += 1
+        if self.refuse_at is not None and self.reads >= self.refuse_at:
+            raise BudgetExceeded("wall-clock ceiling of 1.0s exhausted")
+
+
+def attack_text(count):
+    """``count`` attacks among ``count`` arguments, in the serializer's
+    form."""
+    return "".join([f"arg(a{i}).\n" for i in range(count)]
+                   + [f"att(a{i},a{(7 * i + 1) % count}).\n"
+                      for i in range(count)])
+
+
+class TestTheParseReadsTheCeiling:
+    def test_a_long_parse_reads_it_at_every_step(self):
+        text = attack_text(20000)
+        ceiling = CountingCeiling()
+        af, _ = parse_afp(text, ceiling)
+        assert len(af.attacks) == 20000
+        # after the check, after the kind sort, and before each of the
+        # framework build's five blocks of 4096 attacks
+        assert ceiling.reads >= 5
+        for k in range(1, ceiling.reads + 1):
+            with pytest.raises(BudgetExceeded):
+                parse_afp(text, CountingCeiling(refuse_at=k))
+
+    def test_an_expired_ceiling_refuses_inside_the_parse(self, capsys):
+        text = attack_text(300)
+        ceiling = CountingCeiling(refuse_at=1)
+        with pytest.raises(BudgetExceeded):
+            parse_afp(text, ceiling)
+        assert ceiling.reads == 1
+        expired = _kernels.Ceiling(1.0, left=-1.0)
+        assert run_cli(SolveRequest(text=text, semantics="min-def",
+                                    budget=expired)) == (None, 3)
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: wall-clock ceiling of 1.0s exhausted\n"
 
 
 class TestSerialize:
@@ -162,6 +223,7 @@ def parsed(parse, text):
 def assert_parses_as_before(text):
     want = parsed(two_pass_parse_afp, text)
     assert parsed(line_by_line_parse_afp, text) == want
+    assert parsed(splitlines_parse_afp, text) == want
     assert parsed(parse_afp, text) == want
     return want
 
@@ -187,10 +249,10 @@ GENERATED = (
 
 
 class TestAgainstTheTwoPassParser:
-    """The parser against the two it replaced, kept verbatim in
-    ``conftest.two_pass_parse_afp`` and ``conftest.line_by_line_parse_afp``:
-    the same framework and partition, or the same error, message and
-    line."""
+    """The parser against the three it replaced, kept in
+    ``conftest.two_pass_parse_afp``, ``conftest.line_by_line_parse_afp``
+    and ``conftest.splitlines_parse_afp``: the same framework and
+    partition, or the same error, message and line."""
 
     @pytest.mark.parametrize("text", FIXTURE_TEXTS)
     def test_fixture_files(self, text):
@@ -228,11 +290,33 @@ class TestAgainstTheTwoPassParser:
         "arg(a).\nfocus(a,a).\n",
         "arg(a).\nrestricted(a,a).\n",
         "arg(a).\natt(a).\n",
+        "arg(a).\rarg(b).\ratt(a,b).\r",
+        "arg(a).\r",
+        "\r",
+        "arg(a).\r\r\n\natt(a,a).",
+        "arg(a). # note\r\narg(b).\r\n#\r\natt(b,a).\r\n",
+        "arg(a). # note\r\natt(a,b).\r\n",
+        "arg(a).\u2028arg(b).\u2029att(a,b).\x1dfocus(b).\x1e",
+        "arg(a).\u2028att(a,\u2029a).\n",
+        "arg(a).# c\x85arg(b).#\x85att(a,b).\x85",
+        "arg(a\x1fb).\n",
+        "arg(\x1fa\x1f)\x1f.\natt(\u3000a,\u3000a\u3000)\u3000.\n",
+        "\u3000arg(a)\u3000.\x1f# x\n",
+        "arg(a). # ). att(a,a). att(\narg(b).#att(b,b).\n",
+        "arg(a). # att(b,c).\natt(a,a).\n",
+        "arg(a).\natt(a,a) # ).\n",
     ], ids=["empty", "no final newline", "only comments", "two on a line",
             "broken by cr", "dot after cr", "hash in a name",
             "hash in a target", "other separators", "other whitespace",
             "non-ascii name", "undeclared after a good prefix",
-            "arg of two", "focus of two", "restricted of two", "att of one"])
+            "arg of two", "focus of two", "restricted of two", "att of one",
+            "lone cr ends", "lone cr at the end", "only a cr",
+            "cr cr lf lf", "crlf ends a comment", "crlf after an undeclared",
+            "u2028 u2029 x1d x1e ends", "u2029 inside an attack",
+            "x85 after a comment", "x1f splits a name",
+            "x1f and u3000 inside statements", "u3000 and x1f around",
+            "comment holding ). and att(", "comment holding an attack",
+            "comment after an unfinished attack"])
     def test_edge_texts(self, text):
         assert_parses_as_before(text)
 

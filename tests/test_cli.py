@@ -592,9 +592,9 @@ def test_the_ceiling_covers_the_parse(capsys, clock_skew, monkeypatch):
     parse = md.cli.parse_afp
     taken = [2.0]
 
-    def slow_parse(text):
+    def slow_parse(text, deadline):
         clock_skew[0] += taken[0]
-        return parse(text)
+        return parse(text, deadline)
 
     monkeypatch.setattr(md.cli, "parse_afp", slow_parse)
     for args in ((), ("-s", "min-def"), ("--credulous", "u2")):
