@@ -116,6 +116,15 @@ class Ceiling:
 UNBOUNDED = Ceiling(math.inf)
 
 
+def checked(items, deadline: Ceiling):
+    """Yield ``items``, reading the ceiling before every 256th (the first
+    included): the one strided read of the passes over mask lists."""
+    for n, item in enumerate(items):
+        if n & 255 == 0:
+            deadline.check()
+        yield item
+
+
 class LocalSpace:
     """A subset of a framework's arguments renumbered to local bits.
 

@@ -3,8 +3,8 @@
 Exit codes: 0 for any answered request (YES and NO verdicts both count as
 answered), 2 for input problems (unreadable or non-UTF-8 files, syntax
 errors, undeclared arguments, bad flag combinations), 3 for an exhausted
-search budget (an oracle space over the size cap, or the wall-clock
-ceiling).
+search budget (an oracle space over the size cap, an answer past the cap
+of 2^23 sets, ``_kernels.MAX_SETS``, or the wall-clock ceiling).
 """
 
 import argparse

@@ -488,15 +488,22 @@ def _prepare_space(af, space_mask, mode, deadline=_kernels.UNBOUNDED):
     return cand, forced
 
 
-def _product(factors, deadline):
-    """Every union of one mask from each factor."""
-    if prod(map(len, factors)) > _kernels.MAX_SETS:
+def _product(factors, deadline, start=(0,)):
+    """Every sum of one value from ``start`` and one from each factor.
+
+    Every caller passes masks over disjoint arguments, whose sum is their
+    union, or the canonical codes of such masks' parts, which add up
+    (:func:`_member_codes`). A factor that is the empty mask alone adds
+    nothing and is skipped. The ceiling is read before each factor step.
+    """
+    if len(start) * prod(map(len, factors)) > _kernels.MAX_SETS:
         raise _kernels.too_many_sets()
-    out = [0]
+    out = list(start)
     # smallest factors first, so the list grows as late as possible
     for masks in sorted(factors, key=len):
-        deadline.check()
-        out = [a | b for b in masks for a in out]
+        if masks != [0]:
+            deadline.check()
+            out = [a + b for b in masks for a in out]
     return out
 
 
@@ -513,7 +520,10 @@ def _member_codes(factors, width, deadline):
     its canonical index; :class:`ExtensionFamily` shows that the codes add
     up over the factors among the members that share their lowest bit. A
     lone factor's masks, and the members of a small product, are coded one
-    by one. The ceiling is read first, then per group and per factor step.
+    by one. Otherwise each group is one :func:`_product`, which sums over
+    the disjoint parts, seeded with the codes of the parts holding the
+    group's lowest bit and that bit's share of the index. The ceiling is
+    read first, then per group and per factor step.
     """
     top = 1 << width
     deadline.check()
@@ -541,13 +551,9 @@ def _member_codes(factors, width, deadline):
                      for g, (their_lows, theirs) in enumerate(tables)
                      if g != f]
             seed = (top - low) << width
-            group = [seed + c for c in
-                     codes[bisect_left(lows, low):bisect_right(lows, low)]]
-            for tail in sorted(tails, key=len):
-                if tail != [0]:  # the empty mask alone adds nothing
-                    deadline.check()
-                    group = [a + b for b in tail for a in group]
-            out += group
+            out += _product(tails, deadline, [
+                seed + c for c in
+                codes[bisect_left(lows, low):bisect_right(lows, low)]])
     return out
 
 
@@ -672,22 +678,15 @@ def _subset_maximal_masks(masks, deadline=_kernels.UNBOUNDED):
 
 def _subset_minimal_masks(masks, deadline=_kernels.UNBOUNDED):
     # each distinct mask once; a strict subset has strictly fewer bits, so a
-    # mask is tested only against survivors of smaller popcounts; the
-    # deadline is read every 256 masks
+    # mask is tested only against survivors of smaller popcounts, and a
+    # layer is added once it is all tested
     layers = {}
     for m in set(masks):
         layers.setdefault(m.bit_count(), []).append(m)
     kept = []
-    ticks = 0
     for pc in sorted(layers):
-        survivors = []
-        for m in layers[pc]:
-            if ticks & 255 == 0:
-                deadline.check()
-            ticks += 1
-            if not any(k | m == m for k in kept):
-                survivors.append(m)
-        kept += survivors
+        kept += [m for m in _kernels.checked(layers[pc], deadline)
+                 if not any(k | m == m for k in kept)]
     return kept
 
 
@@ -852,15 +851,12 @@ def filter_maximal(family: ExtensionFamily, order: str = "subset",
 
 
 def _prec_maximal_masks(p, masks, deadline):
-    # dominators always rank higher under (|unrestricted|, -|restricted|);
-    # the deadline is read every 256 candidates
+    # dominators always rank higher under (|unrestricted|, -|restricted|)
     masks = sorted(set(masks),
                    key=lambda m: (-(m & p.unrestricted.mask).bit_count(),
                                   (m & p.restricted.mask).bit_count(), m))
     kept = []
-    for n, m in enumerate(masks):
-        if n & 255 == 0:
-            deadline.check()
+    for m in _kernels.checked(masks, deadline):
         if not any(prec_order(p, m, k) is BETTER for k in kept):
             kept.append(m)
     return kept

@@ -29,9 +29,10 @@ started ceiling; the pipeline starts it once, and the scan reads its cap
 from the started ceiling, so a request's ceiling, started before its
 input was read, serves the oracle as it serves the solver. That one
 wall-clock ceiling is checked between the scan's blocks of patterns, once
-after a full space's scan and every 1024 sets while a smaller space's
-sets are mapped back, every 1024 sets while they are filtered, during the
-maximality pass, and when the returned family is ordered.
+after a full space's scan and every 256 sets while a smaller space's
+sets are mapped back, every 256 sets while they are filtered
+(:func:`~mindef._kernels.checked`), during the maximality pass, and when
+the returned family is ordered.
 """
 
 from collections import namedtuple
@@ -42,14 +43,6 @@ from .extensions import (DEFAULT_BUDGET, ExtensionFamily, SearchBudget,
                          _space_of, filter_maximal)
 from .model import ArgumentationFramework, ArgumentSet, Partition, bits
 from .semantics import is_restrictedly_admissible
-
-
-def _checked(items, deadline):
-    """Yield ``items``, reading the ceiling before every 1024th."""
-    for n, item in enumerate(items):
-        if n & 1023 == 0:
-            deadline.check()
-        yield item
 
 
 # what ``subset_scan`` reads of a space, plus the global index of each
@@ -127,7 +120,7 @@ def _scan(af, restrict_to, defence, deadline):
         deadline.check()
         return found
     out = []
-    for lm in _checked(found, deadline):
+    for lm in _kernels.checked(found, deadline):
         gm = 0
         for j in bits(lm):
             gm |= 1 << members[j]
@@ -143,7 +136,7 @@ def _family(af, budget, x, defence, order=None, p=None):
     deadline = (budget or DEFAULT_BUDGET).deadline()
     masks = _scan(af, x, defence, deadline)
     if p is not None:
-        masks = [m for m in _checked(masks, deadline)
+        masks = [m for m in _kernels.checked(masks, deadline)
                  if is_restrictedly_admissible(af, p, ArgumentSet(af, m))]
     family = ExtensionFamily._product_of(af, [masks], deadline)
     if order is None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mindef as md
 from mindef import _kernels, afp, cli, extensions, semantics
-from mindef.errors import AfpSyntaxError, UndeclaredArgument
+from mindef.errors import AfpSyntaxError, BudgetExceeded, UndeclaredArgument
 from mindef.model import ArgumentationFramework, bits, build_partition
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,6 +74,21 @@ def clock_skew(monkeypatch):
     monkeypatch.setattr(_kernels, "time", types.SimpleNamespace(
         monotonic=lambda: real() + skew[0]))
     return skew
+
+
+class CountingCeiling(_kernels.Ceiling):
+    """A ceiling that counts its reads, and refuses from the ``refuse_at``-th
+    on (never by default)."""
+
+    def __init__(self, refuse_at=None):
+        super().__init__(1.0)
+        self.reads = 0
+        self.refuse_at = refuse_at
+
+    def check(self):
+        self.reads += 1
+        if self.refuse_at is not None and self.reads >= self.refuse_at:
+            raise BudgetExceeded("wall-clock ceiling of 1.0s exhausted")
 
 
 def jump_after_the_codes(clock_skew, monkeypatch):

@@ -10,10 +10,10 @@ from mindef import (AfpSyntaxError, ArgumentationFramework, BudgetExceeded,
                     build_framework, parse_afp, serialize_afp)
 from mindef.cli import SolveRequest, run_cli
 
-from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, instance_stream,
-                      line_by_line_parse_afp, mutated_fixtures,
-                      pair_set_build_framework, splitlines_parse_afp,
-                      two_pass_parse_afp)
+from conftest import (FIXTURE_DIR, FIXTURE_TEXTS, CountingCeiling,
+                      instance_stream, line_by_line_parse_afp,
+                      mutated_fixtures, pair_set_build_framework,
+                      splitlines_parse_afp, two_pass_parse_afp)
 
 
 class TestParse:
@@ -104,21 +104,6 @@ class TestParse:
         text = "".join(map(chr, space))
         for s in (text, "a" + "b".join(text) + "c"):
             assert s.translate(afp._WHITESPACE) == "".join(s.split())
-
-
-class CountingCeiling(_kernels.Ceiling):
-    """A ceiling that counts its reads, and refuses from the ``refuse_at``-th
-    on (never by default)."""
-
-    def __init__(self, refuse_at=None):
-        super().__init__(1.0)
-        self.reads = 0
-        self.refuse_at = refuse_at
-
-    def check(self):
-        self.reads += 1
-        if self.refuse_at is not None and self.reads >= self.refuse_at:
-            raise BudgetExceeded("wall-clock ceiling of 1.0s exhausted")
 
 
 def attack_text(count):

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -694,7 +695,7 @@ def test_non_min_def_queries_never_build_a_family(capsys, tmp_path,
     af, p = sparse_instance(300)
     sparse = tmp_path / "sparse.afp"
     sparse.write_text(serialize_afp(af, p))
-    fourteen = md.parse_afp(open(fourteen_two_cycles(tmp_path)).read())
+    fourteen = md.parse_afp(Path(fourteen_two_cycles(tmp_path)).read_text())
     cases = []
     for path, (af, p), names in ((sparse, (af, p), af.names[::25]),
                                  (tmp_path / "fourteen.afp", fourteen,

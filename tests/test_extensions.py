@@ -17,7 +17,7 @@ from mindef.extensions import ADMISSIBLE_ALL, ADMISSIBLE_MAX, CONFLICT_FREE
 from mindef.model import bits
 from mindef.semantics import _parity_reachable
 
-from conftest import (assert_same_factor_members,
+from conftest import (CountingCeiling, assert_same_factor_members,
                       containment_cut_dfs_enumerate, factor_query,
                       fewest_answerers_minimize, fixed_order_dfs_enumerate,
                       filtered_restrictedly_admissible_sets,
@@ -859,6 +859,32 @@ def test_every_clock_stage_refuses_naming_the_ceiling(stage, monkeypatch):
         CLOCK_STAGES[stage](past)
     # and each answers under a ceiling that has not passed
     CLOCK_STAGES[stage](SearchBudget(wall_clock_seconds=60.0).deadline())
+
+
+# a 12-argument subspace, so the oracle maps its scan's sets back
+ISOLATED_AND_ONE = build_framework(ISOLATED.names + ("y",), [])
+
+# every pass over a mask list that reads the ceiling through
+# ``_kernels.checked``, each given 4096 items
+STRIDED_PASSES = {
+    "_subset_minimal_masks": lambda ceiling: extensions._subset_minimal_masks(
+        list(range(4096)), ceiling),
+    "filter_maximal prec": lambda ceiling: filter_maximal(
+        md.conflict_free_sets(ISOLATED), "prec", ISOLATED_P,
+        deadline=ceiling),
+    "oracle mapping": lambda ceiling: oracle._scan(
+        ISOLATED_AND_ONE, ISOLATED_AND_ONE.subset(ISOLATED.names), False,
+        ceiling),
+    "oracle restricted filter": lambda ceiling:
+        oracle.oracle_restrictedly_admissible(ISOLATED, ISOLATED_P, ceiling),
+}
+
+
+@pytest.mark.parametrize("stage", STRIDED_PASSES)
+def test_every_strided_pass_reads_the_ceiling_every_256_items(stage):
+    ceiling = CountingCeiling()
+    STRIDED_PASSES[stage](ceiling)
+    assert ceiling.reads >= 4096 // 256
 
 
 class TestOutputCap:
